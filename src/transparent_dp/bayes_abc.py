@@ -25,7 +25,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleABCError
-from .mechanisms import Family, MechanismSpec, PrivacyBudget
+from .mechanisms import (
+    Family,
+    MechanismSpec,
+    PrivacyBudget,
+    double_geometric_log_pmf,
+    double_geometric_noise,
+)
 from .naive_fit import FitResult
 from .simulate import PrivatizedDataset
 
@@ -33,7 +39,6 @@ __all__ = [
     "PriorSpec",
     "DiscreteToy",
     "AbcResult",
-    "ToyAbcResult",
     "MisreportReport",
     "abc_exact_posterior",
     "abc_toy_posterior",
@@ -164,9 +169,9 @@ class DiscreteToy:
 
     def mech_log_pmf(self, delta) -> np.ndarray:
         """Double-geometric log pmf at integer perturbations ``delta``."""
-        eps = self.mechanism.budget.epsilon
-        log_const = math.log(-math.expm1(-eps)) - math.log1p(math.exp(-eps))
-        return log_const - eps * np.abs(np.asarray(delta, dtype=float))
+        return double_geometric_log_pmf(
+            np.asarray(delta, dtype=float), self.mechanism.budget, self.mechanism.sensitivity
+        )
 
 
 def _as_observation(toy: DiscreteToy, s_tilde_obs) -> tuple[np.ndarray, np.ndarray]:
@@ -342,10 +347,9 @@ def toy_privatized_observation(toy: DiscreteToy, beta: float, rng: np.random.Gen
     y = np.empty(toy.n, dtype=np.int64)
     for i in range(toy.n):
         y[i] = toy.y_support[rng.choice(toy.y_support.size, p=np.exp(lpy[x_idx[i]]))]
-    eps = toy.mechanism.budget.epsilon
-    p = -math.expm1(-eps)
-    noise_x = rng.geometric(p, toy.n) - rng.geometric(p, toy.n)
-    noise_y = rng.geometric(p, toy.n) - rng.geometric(p, toy.n)
+    budget, sensitivity = toy.mechanism.budget, toy.mechanism.sensitivity
+    noise_x = double_geometric_noise(rng, budget, toy.n, sensitivity)
+    noise_y = double_geometric_noise(rng, budget, toy.n, sensitivity)
     return (x + noise_x, y + noise_y), (x, y)
 
 
@@ -389,20 +393,34 @@ def random_toy(rng: np.random.Generator, n_max: int = 3) -> tuple[DiscreteToy, t
 
 @dataclass(frozen=True)
 class AbcResult:
-    """Accepted posterior draws and the acceptance accounting."""
+    """Accepted posterior draws and the acceptance accounting.
+
+    ``samples`` holds (beta0, beta1) rows from :func:`abc_exact_posterior`
+    and slope values from :func:`abc_toy_posterior`; ``acceptance_rate``
+    is the accepted share of all ``proposals`` made.
+    """
 
     samples: np.ndarray
     acceptance_rate: float
     proposals: int
 
 
-@dataclass(frozen=True)
-class ToyAbcResult:
-    """Accepted slope draws from the discrete toy."""
+def _charge(slack: np.ndarray, penalty: np.ndarray, carried: list) -> tuple:
+    """Charge one coordinate's penalty and keep the proposals still alive.
 
-    samples: np.ndarray
-    acceptance_rate: float
-    proposals: int
+    Returns the remaining slack of the survivors and the survivors' rows
+    of every array in ``carried``.
+    """
+    slack = slack - penalty
+    alive = np.flatnonzero(slack > 0)
+    return slack[alive], [c[alive] for c in carried]
+
+
+def _check_probe(count: int, proposals: int) -> None:
+    if proposals >= _PROBE_PROPOSALS and count / proposals < _PROBE_RATE:
+        raise InfeasibleABCError(
+            f"acceptance rate {count / proposals:.3g} after {proposals} proposals"
+        )
 
 
 def abc_exact_posterior(
@@ -425,6 +443,17 @@ def abc_exact_posterior(
     normalization cancels the density constants, leaving
     exp(-sum(|dx|/b_x + |dy|/b_y)), always a valid probability.
 
+    The acceptance test runs in stages.  Each proposal draws one uniform u
+    and is accepted iff its summed penalties |dx_i|/b_x + |dy_i|/b_y stay
+    below -log u.  The penalties are nonnegative, so a proposal is dropped
+    as soon as its slack, -log u less its running sum, reaches 0: x_i is
+    drawn record by record for the proposals still alive, the parameters
+    only for those that survive every x stage, then y_i record by record.
+    The accept event, and so the law of the draws and of the acceptance
+    count, is that of drawing everything first; only the order in which
+    ``rng`` is consumed differs.  The work per proposal is set by how many
+    records it survives, not by n.
+
     Raises
     ------
     InfeasibleABCError
@@ -435,28 +464,26 @@ def abc_exact_posterior(
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     b_x, b_y = data.spec_x.scale, data.spec_y.scale
-    n = data.n
 
     accepted = []
     count = 0
     proposals = 0
     while count < draws:
-        theta = prior.sample(rng, batch_size)
-        x = rng.poisson(lam, (batch_size, n)).astype(float)
-        y = theta[:, 0:1] + theta[:, 1:2] * x + rng.normal(0.0, sigma, (batch_size, n))
-        log_acc = (
-            -np.abs(x - data.x_tilde) / b_x - np.abs(y - data.y_tilde) / b_y
-        ).sum(axis=1)
-        u = rng.random(batch_size)
-        mask = np.log(u) < log_acc
+        slack = -np.log(rng.random(batch_size))
+        xs = []
+        for x_obs in data.x_tilde:
+            x = rng.poisson(lam, slack.size)
+            slack, xs = _charge(slack, np.abs(x - x_obs) / b_x, [*xs, x])
+        theta = prior.sample(rng, slack.size)
+        for y_obs in data.y_tilde:
+            x, *rest = xs
+            y = theta[:, 0] + theta[:, 1] * x + rng.normal(0.0, sigma, slack.size)
+            slack, (theta, *xs) = _charge(slack, np.abs(y - y_obs) / b_y, [theta, *rest])
         proposals += batch_size
-        if mask.any():
-            accepted.append(theta[mask])
-            count += int(mask.sum())
-        if proposals >= _PROBE_PROPOSALS and count / proposals < _PROBE_RATE:
-            raise InfeasibleABCError(
-                f"acceptance rate {count / proposals:.3g} after {proposals} proposals"
-            )
+        if slack.size:
+            accepted.append(theta)
+            count += slack.size
+        _check_probe(count, proposals)
     samples = np.concatenate(accepted, axis=0)[:draws]
     return AbcResult(
         samples=samples,
@@ -471,45 +498,48 @@ def abc_toy_posterior(
     draws: int,
     rng: np.random.Generator,
     batch_size: int = 20_000,
-) -> ToyAbcResult:
+) -> AbcResult:
     """Exact rejection sampler for the discrete toy's slope posterior.
 
-    Same acceptance rule as :func:`abc_exact_posterior` with the double
-    geometric density ratio exp(-eps * sum(|dx| + |dy|)).
+    Same staged acceptance rule as :func:`abc_exact_posterior` with the
+    double geometric density ratio exp(-a * sum(|dx| + |dy|)), where
+    a = eps / sensitivity.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
     x_t, y_t = _as_observation(toy, s_tilde_obs)
-    eps = toy.mechanism.budget.epsilon
+    rate = toy.mechanism.budget.epsilon / toy.mechanism.sensitivity
     prior = np.exp(toy.log_prior())
     px = np.exp(toy.x_log_pmf())
-    py = np.exp(toy.y_log_pmf())  # (G, X, Y)
+    cdf = np.cumsum(np.exp(toy.y_log_pmf()), axis=2)  # (G, X, Y)
+    last = toy.y_support.size - 1
 
     accepted = []
     count = 0
     proposals = 0
     while count < draws:
-        g = rng.choice(toy.beta_grid.size, size=batch_size, p=prior)
-        ix = rng.choice(toy.x_support.size, size=(batch_size, toy.n), p=px)
-        # y draw per (proposal, obs) from the row of py selected by (g, ix)
-        cdf = np.cumsum(py, axis=2)[g[:, None], ix, :]
-        u = rng.random((batch_size, toy.n, 1))
-        # inverse-CDF index; clip guards the u > cdf[..., -1] float edge
-        iy = np.minimum((u > cdf).sum(axis=2), toy.y_support.size - 1)
-        x = toy.x_support[ix]
-        y = toy.y_support[iy]
-        log_acc = (-eps * (np.abs(x_t - x) + np.abs(y_t - y))).sum(axis=1)
-        acc = np.log(rng.random(batch_size)) < log_acc
+        slack = -np.log(rng.random(batch_size))
+        ixs = []
+        for x_obs in x_t:
+            ix = rng.choice(toy.x_support.size, size=slack.size, p=px)
+            penalty = rate * np.abs(x_obs - toy.x_support[ix])
+            slack, ixs = _charge(slack, penalty, [*ixs, ix])
+        g = rng.choice(toy.beta_grid.size, size=slack.size, p=prior)
+        for y_obs in y_t:
+            ix, *rest = ixs
+            # inverse-CDF y draw from the row of cdf selected by (g, ix);
+            # the clip guards the u > cdf[..., -1] float edge
+            u = rng.random((slack.size, 1))
+            iy = np.minimum((u > cdf[g, ix]).sum(axis=1), last)
+            penalty = rate * np.abs(y_obs - toy.y_support[iy])
+            slack, (g, *ixs) = _charge(slack, penalty, [g, *rest])
         proposals += batch_size
-        if acc.any():
-            accepted.append(toy.beta_grid[g[acc]])
-            count += int(acc.sum())
-        if proposals >= _PROBE_PROPOSALS and count / proposals < _PROBE_RATE:
-            raise InfeasibleABCError(
-                f"acceptance rate {count / proposals:.3g} after {proposals} proposals"
-            )
+        if slack.size:
+            accepted.append(toy.beta_grid[g])
+            count += slack.size
+        _check_probe(count, proposals)
     samples = np.concatenate(accepted)[:draws]
-    return ToyAbcResult(
+    return AbcResult(
         samples=samples,
         acceptance_rate=count / proposals,
         proposals=proposals,

@@ -42,12 +42,16 @@ from .naive_fit import ols
 from .rng import stream
 from .simulate import (
     RegressionParams,
-    dataset_from_json,
+    dataset_from_dict,
     dataset_to_csv,
-    dataset_to_json,
+    dataset_to_dict,
     gen_confidential,
     privatize_dataset,
 )
+
+# The commands use the dict forms above; tdpbench's tracer still wraps the
+# JSON forms at this module's namespace.
+from .simulate import dataset_from_json, dataset_to_json  # noqa: F401
 
 __all__ = ["main", "build_parser"]
 
@@ -295,6 +299,10 @@ def _merge(args: argparse.Namespace, command: str) -> dict:
     params = dict(_DEFAULTS[command])
     if getattr(args, "config", None):
         loaded = json.loads(Path(args.config).read_text())
+        if not isinstance(loaded, dict):
+            raise _UsageError(
+                f"--config must hold a JSON object, got {type(loaded).__name__}"
+            )
         for key, val in loaded.items():
             if key not in params:
                 raise _UsageError(f"unknown config key {key!r} for {command}")
@@ -398,10 +406,7 @@ def _cmd_simulate(params: dict) -> str:
     )
     if params["format"] == "csv":
         return dataset_to_csv(priv)
-    envelope = {
-        "confidential": json.loads(dataset_to_json(conf)),
-        "privatized": json.loads(dataset_to_json(priv)),
-    }
+    envelope = {"confidential": dataset_to_dict(conf), "privatized": dataset_to_dict(priv)}
     return json.dumps(envelope, sort_keys=True) + "\n"
 
 
@@ -411,7 +416,7 @@ def _cmd_fit_naive(params: dict) -> str:
     key = params["on"]
     if key not in env:
         raise _UsageError(f"envelope has no {key!r} dataset")
-    ds = dataset_from_json(json.dumps(env[key]))
+    ds = dataset_from_dict(env[key])
     if key == "privatized":
         fit = ols(ds.x_tilde, ds.y_tilde)
     else:
@@ -424,7 +429,7 @@ def _cmd_fit_mcem(params: dict) -> str:
     env = _load_json(params["input"])
     if "privatized" not in env:
         raise _UsageError("envelope has no privatized dataset")
-    data = dataset_from_json(json.dumps(env["privatized"]))
+    data = dataset_from_dict(env["privatized"])
     sigma, lam = _envelope_known(params, env)
     config = MCEMConfig(
         k_samples=int(params["k_samples"]),
@@ -457,7 +462,7 @@ def _cmd_abc_posterior(params: dict) -> str:
     env = _load_json(params["input"])
     if "privatized" not in env:
         raise _UsageError("envelope has no privatized dataset")
-    data = dataset_from_json(json.dumps(env["privatized"]))
+    data = dataset_from_dict(env["privatized"])
     sigma, lam = _envelope_known(params, env)
     if params["prior"] == "uniform-box":
         _require(params, "beta0_range", "beta1_range")

@@ -114,6 +114,10 @@ class MechanismSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.sensitivity) and self.sensitivity > 0):
             raise ValueError(f"sensitivity must be positive, got {self.sensitivity!r}")
+        if self.family is Family.DOUBLE_GEOMETRIC and not float(self.sensitivity).is_integer():
+            raise ValueError(
+                f"double geometric sensitivity must be an integer, got {self.sensitivity!r}"
+            )
 
     @property
     def scale(self) -> float:
@@ -129,16 +133,15 @@ class MechanismSpec:
             raise UnsupportedFamilyError("truth probability applies to randomized response")
         return truth_probability(self.budget)
 
+    def to_dict(self) -> dict:
+        return {"family": self.family.value, "sensitivity": self.sensitivity,
+                "epsilon": self.budget.epsilon}
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"family": self.family.value, "sensitivity": self.sensitivity,
-             "epsilon": self.budget.epsilon},
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "MechanismSpec":
-        obj = json.loads(text)
+    def from_dict(cls, obj: dict) -> "MechanismSpec":
         # scale is always recomputed from (sensitivity, epsilon); any scale
         # field present in the input is untrusted and ignored.
         return cls(
@@ -146,6 +149,10 @@ class MechanismSpec:
             sensitivity=float(obj["sensitivity"]),
             budget=PrivacyBudget(float(obj["epsilon"])),
         )
+
+    @classmethod
+    def from_json(cls, text: str) -> "MechanismSpec":
+        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -211,13 +218,16 @@ def laplace_log_density(u, scale: float):
     return float(out) if out.ndim == 0 else out
 
 
-def double_geometric_noise(rng: np.random.Generator, budget: PrivacyBudget, count=None):
+def double_geometric_noise(
+    rng: np.random.Generator, budget: PrivacyBudget, count=None, sensitivity=1
+):
     """Draw integer noise from the double geometric distribution.
 
-    The draw is the difference of two i.i.d. geometric variables with
-    success probability 1 - e^(-eps), which has pmf proportional to
-    e^(-eps |u|) with normalizing constant (1 - e^-eps) / (1 + e^-eps);
-    exact, no truncation.
+    With rate a = eps / sensitivity, the draw is the difference of two
+    i.i.d. geometric variables with success probability 1 - e^(-a), which
+    has pmf proportional to e^(-a |u|) with normalizing constant
+    (1 - e^-a) / (1 + e^-a); exact, no truncation.  Counts that differ by
+    at most ``sensitivity`` then have output log-ratios of at most eps.
 
     Parameters
     ----------
@@ -227,19 +237,24 @@ def double_geometric_noise(rng: np.random.Generator, budget: PrivacyBudget, coun
         Budget eps of the mechanism.
     count : int, optional
         If given, return an array of ``count`` draws; otherwise a single int.
+    sensitivity : int
+        Integer sensitivity of the released counts (default 1).
     """
-    p = -math.expm1(-budget.epsilon)
+    p = -math.expm1(-budget.epsilon / sensitivity)
     n = 1 if count is None else int(count)
     draws = rng.geometric(p, n) - rng.geometric(p, n)
     return int(draws[0]) if count is None else draws
 
 
-def double_geometric_log_pmf(u, budget: PrivacyBudget):
-    """Exact log pmf of the double geometric distribution at integer u."""
-    eps = budget.epsilon
-    log_const = math.log(-math.expm1(-eps)) - math.log1p(math.exp(-eps))
+def double_geometric_log_pmf(u, budget: PrivacyBudget, sensitivity=1):
+    """Exact log pmf of the double geometric distribution at integer u.
+
+    The rate is eps / sensitivity, matching :func:`double_geometric_noise`.
+    """
+    rate = budget.epsilon / sensitivity
+    log_const = math.log(-math.expm1(-rate)) - math.log1p(math.exp(-rate))
     u = np.asarray(u)
-    out = log_const - eps * np.abs(u)
+    out = log_const - rate * np.abs(u)
     return float(out) if out.ndim == 0 else out
 
 
@@ -306,7 +321,7 @@ def privatize_vector(values, spec: MechanismSpec, rng: np.random.Generator):
         if not np.all(values == np.floor(values)):
             raise ValueError("double geometric mechanism requires integer values")
         ints = values.astype(np.int64)
-        noise = double_geometric_noise(rng, spec.budget, n)
+        noise = double_geometric_noise(rng, spec.budget, n, spec.sensitivity)
         return ints + noise, NoiseRecord(noise, spec.family, spec.scale)
 
     if np.any((values != 0) & (values != 1)):
@@ -332,11 +347,12 @@ def verify_dp_discrete(
     budget: PrivacyBudget,
     support_bound: int = 100,
     claimed: PrivacyBudget | None = None,
+    sensitivity: int = 1,
 ) -> DpReport:
     """Brute-force the DP likelihood-ratio bound for a discrete family.
 
     Runs the mechanism at ``budget`` on a pair of adjacent inputs (counts
-    differing by 1 for the double geometric, opposite truth bits for
+    0 and ``sensitivity`` for the double geometric, opposite truth bits for
     randomized response), enumerates every output, and takes the maximum
     absolute difference of output log probabilities.  The bound is checked
     against ``claimed`` if given, else against ``budget`` itself; the
@@ -357,6 +373,9 @@ def verify_dp_discrete(
         Outputs scanned are the integers in [-support_bound, support_bound].
     claimed : PrivacyBudget, optional
         The budget being claimed, when different from ``budget``.
+    sensitivity : int
+        Integer sensitivity the double geometric runs at (default 1);
+        randomized response accepts 1 only.
 
     Returns
     -------
@@ -370,11 +389,18 @@ def verify_dp_discrete(
     if family is Family.DOUBLE_GEOMETRIC:
         if support_bound < 1:
             raise ValueError("support_bound must be at least 1")
+        if not (sensitivity >= 1 and float(sensitivity).is_integer()):
+            raise ValueError(f"sensitivity must be a positive integer, got {sensitivity!r}")
+        delta = int(sensitivity)
         out = np.arange(-support_bound, support_bound + 1)
-        # Adjacent counts 0 and 1; the log-pmf constant cancels exactly.
-        log_ratio = -eps * (np.abs(out) - np.abs(out - 1))
+        # Adjacent counts 0 and delta; the log-pmf constant cancels exactly.
+        # The integer gap is divided by delta before scaling, so the
+        # extreme outputs give a ratio of exactly eps.
+        log_ratio = -eps * ((np.abs(out) - np.abs(out - delta)) / delta)
         max_log_ratio = float(np.max(np.abs(log_ratio)))
     elif family is Family.RANDOMIZED_RESPONSE:
+        if sensitivity != 1:
+            raise ValueError("randomized response has sensitivity 1")
         # Outputs {0, 1}, adjacent truths 0 and 1; P(out|truth) puts log
         # weight eps on agreement, 0 on disagreement, up to a shared
         # constant that cancels in the ratio.

@@ -24,6 +24,8 @@ __all__ = [
     "gen_confidential",
     "privatize_dataset",
     "dataset_to_csv",
+    "dataset_to_dict",
+    "dataset_from_dict",
     "dataset_to_json",
     "dataset_from_json",
 ]
@@ -65,6 +67,8 @@ class ConfidentialDataset:
             raise ValueError("x and y must be 1-d arrays of equal length")
         if self.x.size < 3:
             raise ValueError("dataset needs at least 3 observations")
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise ValueError("x and y must be finite")
 
     @property
     def n(self) -> int:
@@ -86,6 +90,8 @@ class PrivatizedDataset:
         object.__setattr__(self, "y_tilde", np.asarray(self.y_tilde, dtype=float))
         if self.x_tilde.shape != self.y_tilde.shape or self.x_tilde.ndim != 1:
             raise ValueError("x_tilde and y_tilde must be 1-d arrays of equal length")
+        if not (np.isfinite(self.x_tilde).all() and np.isfinite(self.y_tilde).all()):
+            raise ValueError("x_tilde and y_tilde must be finite")
 
     @property
     def n(self) -> int:
@@ -184,10 +190,10 @@ def dataset_to_csv(data) -> str:
     return buf.getvalue()
 
 
-def dataset_to_json(data) -> str:
-    """Serialize a dataset to a JSON envelope carrying params or specs."""
+def dataset_to_dict(data) -> dict:
+    """JSON-ready dict of a dataset, carrying its params or specs."""
     if isinstance(data, ConfidentialDataset):
-        obj = {
+        return {
             "kind": "confidential",
             "seed": data.seed,
             "params": {
@@ -199,24 +205,21 @@ def dataset_to_json(data) -> str:
             "x": data.x.tolist(),
             "y": data.y.tolist(),
         }
-    elif isinstance(data, PrivatizedDataset):
-        obj = {
+    if isinstance(data, PrivatizedDataset):
+        return {
             "kind": "privatized",
             "parent_seed": data.parent_seed,
-            "spec_x": json.loads(data.spec_x.to_json()),
-            "spec_y": json.loads(data.spec_y.to_json()),
+            "spec_x": data.spec_x.to_dict(),
+            "spec_y": data.spec_y.to_dict(),
             "x_tilde": data.x_tilde.tolist(),
             "y_tilde": data.y_tilde.tolist(),
         }
-    else:
-        raise TypeError(f"unsupported dataset type {type(data).__name__}")
-    return json.dumps(obj, sort_keys=True)
+    raise TypeError(f"unsupported dataset type {type(data).__name__}")
 
 
-def dataset_from_json(text: str):
-    """Inverse of :func:`dataset_to_json`; dispatches on the ``kind`` field."""
-    obj = json.loads(text)
-    kind = obj.get("kind")
+def dataset_from_dict(obj: dict):
+    """Inverse of :func:`dataset_to_dict`; dispatches on the ``kind`` field."""
+    kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "confidential":
         params = RegressionParams(**obj["params"])
         return ConfidentialDataset(
@@ -227,8 +230,18 @@ def dataset_from_json(text: str):
         return PrivatizedDataset(
             x_tilde=np.asarray(obj["x_tilde"], dtype=float),
             y_tilde=np.asarray(obj["y_tilde"], dtype=float),
-            spec_x=MechanismSpec.from_json(json.dumps(obj["spec_x"])),
-            spec_y=MechanismSpec.from_json(json.dumps(obj["spec_y"])),
+            spec_x=MechanismSpec.from_dict(obj["spec_x"]),
+            spec_y=MechanismSpec.from_dict(obj["spec_y"]),
             parent_seed=int(obj["parent_seed"]),
         )
     raise ValueError(f"unrecognized dataset kind {kind!r}")
+
+
+def dataset_to_json(data) -> str:
+    """Serialize a dataset to a JSON envelope carrying params or specs."""
+    return json.dumps(dataset_to_dict(data), sort_keys=True)
+
+
+def dataset_from_json(text: str):
+    """Inverse of :func:`dataset_to_json`; dispatches on the ``kind`` field."""
+    return dataset_from_dict(json.loads(text))

@@ -25,6 +25,7 @@ from transparent_dp.mechanisms import (
     PrivacyBudget,
     double_geometric_log_pmf,
 )
+from transparent_dp.normal import std_normal_cdf
 from transparent_dp.rng import stream
 from transparent_dp.simulate import PrivatizedDataset
 
@@ -271,6 +272,66 @@ def test_abc_exact_point_mass_prior_accepts_at_mode():
     assert res.samples.shape == (200, 2)
     assert np.all(res.samples == [2.0, 0.5])
     assert res.acceptance_rate > 0.9
+
+
+def point_mass_acceptance(x_tilde, y_tilde, b, beta0, beta1, sigma, lam):
+    """Exact acceptance probability of a proposal at (beta0, beta1).
+
+    Per record: sum over x of Pois(x; lam) e^(-|x - x~|/b) times
+    E[e^(-|m + e|/b)] with m = beta0 + beta1 x - y~ and e ~ N(0, sigma^2),
+    which is e^(s^2/2b^2) [e^(-m/b) Phi(m/s - s/b) + e^(m/b) Phi(-m/s - s/b)].
+    """
+    p = 1.0
+    for x_obs, y_obs in zip(x_tilde, y_tilde):
+        total = 0.0
+        for x in range(80):
+            pois = math.exp(x * math.log(lam) - lam - math.lgamma(x + 1.0))
+            m = beta0 + beta1 * x - y_obs
+            e_y = math.exp(sigma**2 / (2.0 * b**2)) * (
+                math.exp(-m / b) * std_normal_cdf(m / sigma - sigma / b)
+                + math.exp(m / b) * std_normal_cdf(-m / sigma - sigma / b)
+            )
+            total += pois * math.exp(-abs(x - x_obs) / b) * e_y
+        p *= total
+    return p
+
+
+def test_abc_exact_acceptance_count_matches_closed_form():
+    # One batch of N proposals at a point-mass prior: the accepted count is
+    # Binomial(N, p) with p in closed form.  A sampler whose Laplace scale
+    # is 10% off accepts about 1.37 N p, some 25 standard deviations away.
+    x_tilde, y_tilde = (4.2, 6.9, 3.1), (9.4, 13.8, 7.2)
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(0.5))
+    priv = PrivatizedDataset(
+        x_tilde=np.array(x_tilde), y_tilde=np.array(y_tilde), spec_x=spec,
+        spec_y=spec, parent_seed=0,
+    )
+    prior = PriorSpec("uniform_box", bounds=((3.0, 3.0), (1.5, 1.5)))
+    n_prop = 1_000_000
+    res = abc_exact_posterior(
+        priv, prior, 1, stream(96, "abc-rate"), lam=5.0, sigma=2.0,
+        batch_size=n_prop,
+    )
+    assert res.proposals == n_prop
+    accepted = round(res.acceptance_rate * res.proposals)
+    assert res.samples.shape == (1, 2)
+    expected = n_prop * point_mass_acceptance(x_tilde, y_tilde, spec.scale, 3.0, 1.5, 2.0, 5.0)
+    assert abs(accepted - expected) <= 4.0 * math.sqrt(expected)
+
+
+def test_abc_exact_deterministic_per_stream():
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(0.5))
+    priv = PrivatizedDataset(
+        x_tilde=np.array([4.2, 6.9]), y_tilde=np.array([9.4, 13.8]), spec_x=spec,
+        spec_y=spec, parent_seed=0,
+    )
+    prior = PriorSpec("uniform_box", bounds=((0.0, 6.0), (0.5, 2.5)))
+    a, b = (
+        abc_exact_posterior(priv, prior, 300, stream(97, "abc-det"), lam=5.0, sigma=2.0)
+        for _ in range(2)
+    )
+    np.testing.assert_array_equal(a.samples, b.samples)
+    assert (a.proposals, a.acceptance_rate) == (b.proposals, b.acceptance_rate)
 
 
 def test_abc_toy_posterior_matches_oracle():

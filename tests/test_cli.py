@@ -182,6 +182,22 @@ def test_privatize_randomized_response_rejects_nonbinary(capsys):
     assert err.startswith("ValueError:")
 
 
+def test_privatize_double_geometric_checks_sensitivity(capsys):
+    rc, _, err = run(capsys, ["privatize", "--values", "3,1,4", "--family",
+                              "double-geometric", "--epsilon", "0.5",
+                              "--sensitivity", "2.5", "--seed", "2"])
+    assert rc == 1
+    assert err.startswith("ValueError:") and "integer" in err
+    values = ",".join(["100"] * 4000)
+    rc, out, _ = run(capsys, ["privatize", "--values", values, "--family",
+                              "double-geometric", "--epsilon", "0.5",
+                              "--sensitivity", "5", "--seed", "2"])
+    assert rc == 0
+    noise = np.array([int(r[1]) for r in csv_rows(out)[1]]) - 100
+    # law at eps/Delta = 0.1: variance about 200; Delta ignored gives 7.8
+    assert 150 < float(np.mean(noise.astype(float) ** 2)) < 250
+
+
 def test_simulate_json_envelope_shape(capsys):
     rc, out, _ = run(capsys, DEMO_ARGS)
     assert rc == 0
@@ -235,6 +251,34 @@ def test_fit_naive_missing_section_is_usage_error(capsys, demo_env, tmp_path):
                               "--on", "confidential"])
     assert rc == 2
     assert "usage error:" in err
+
+
+def nonfinite_env(demo_env, tmp_path, bad):
+    env = body_json(demo_env.read_text())
+    env["privatized"]["x_tilde"][1] = bad
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(env))
+    return path
+
+
+def test_fit_naive_rejects_nonfinite_release(capsys, demo_env, tmp_path):
+    out_path = tmp_path / "fit.json"
+    path = nonfinite_env(demo_env, tmp_path, float("nan"))
+    rc, out, err = run(capsys, ["fit-naive", "--input", str(path),
+                                "--output", str(out_path)])
+    assert rc == 1
+    assert err.startswith("ValueError:") and "finite" in err
+    assert out == "" and not out_path.exists()
+
+
+def test_abc_posterior_rejects_nonfinite_release_at_once(capsys, demo_env, tmp_path):
+    # before any proposal is drawn, not after a 1e7-proposal probe
+    path = nonfinite_env(demo_env, tmp_path, float("inf"))
+    rc, _, err = run(capsys, ["abc-posterior", "--input", str(path), "--draws", "10",
+                              "--seed", "12", "--beta0-range=-8,0",
+                              "--beta1-range", "2,6"])
+    assert rc == 1
+    assert err.startswith("ValueError:") and "finite" in err
 
 
 @pytest.fixture()
@@ -429,6 +473,17 @@ def test_config_unknown_key_exits_2(capsys, tmp_path):
                               "--seed", "2"])
     assert rc == 2
     assert "unknown config key" in err
+
+
+@pytest.mark.parametrize("payload", [[1, 2], 3, "n", None])
+def test_config_must_be_a_json_object(capsys, tmp_path, payload):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    rc, _, err = run(capsys, ["simulate", "--config", str(cfg), "--n", "3",
+                              "--epsilon-x", "1", "--epsilon-y", "1",
+                              "--seed", "2"])
+    assert rc == 2
+    assert err.startswith("usage error:") and "JSON object" in err
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):

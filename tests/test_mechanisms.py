@@ -66,6 +66,12 @@ def test_spec_truth_probability_only_for_rr():
         rr.scale
 
 
+def test_spec_dict_round_trip():
+    spec = MechanismSpec(Family.LAPLACE, 2.0, PrivacyBudget(0.25))
+    assert spec.to_dict() == json.loads(spec.to_json())
+    assert MechanismSpec.from_dict(spec.to_dict()) == spec
+
+
 def test_spec_json_round_trip_recomputes_scale():
     spec = MechanismSpec(Family.DOUBLE_GEOMETRIC, 1.0, PrivacyBudget(0.5))
     again = MechanismSpec.from_json(spec.to_json())
@@ -166,6 +172,50 @@ def test_double_geometric_noise_matches_pmf():
     assert isinstance(single, int)
 
 
+def test_double_geometric_noise_honours_sensitivity():
+    # pmf proportional to e^(-eps |u| / Delta): variance 2 q / (1 - q)^2
+    # with q = e^(-eps / Delta), about 200 at Delta 5 and eps 0.5, where
+    # noise that ignored Delta would have variance 7.8.  The 5-SE band uses
+    # the fourth moment of the near-Laplace law (scale 10): 24 b^4.
+    budget, delta, n = PrivacyBudget(0.5), 5, 200_000
+    q = math.exp(-budget.epsilon / delta)
+    law = 2.0 * q / (1.0 - q) ** 2
+    draws = double_geometric_noise(stream(4, "dg-sens"), budget, n, delta)
+    mean_sq = float(np.mean(draws.astype(float) ** 2))
+    assert abs(mean_sq - law) < 5.0 * math.sqrt((24.0 * 10.0**4 - law**2) / n)
+
+    spec = MechanismSpec(Family.DOUBLE_GEOMETRIC, 5.0, budget)
+    _, record = privatize_vector(np.zeros(n, dtype=int), spec, stream(4, "dg-sens-pv"))
+    assert record.scale == 10.0
+    assert abs(float(np.mean(record.draws.astype(float) ** 2)) / law - 1.0) < 0.03
+
+
+def test_double_geometric_noise_unchanged_at_sensitivity_one():
+    budget = PrivacyBudget(0.7)
+    rng = stream(4, "dg-one-ref")
+    p = -math.expm1(-0.7)
+    ref = rng.geometric(p, 1000) - rng.geometric(p, 1000)
+    for sens in (1, 1.0):
+        np.testing.assert_array_equal(
+            double_geometric_noise(stream(4, "dg-one-ref"), budget, 1000, sens), ref
+        )
+
+
+def test_double_geometric_log_pmf_scales_with_sensitivity():
+    budget = PrivacyBudget(0.5)
+    u = np.arange(-3000, 3001)
+    assert np.exp(double_geometric_log_pmf(u, budget, 5)).sum() == pytest.approx(1.0, abs=1e-12)
+    gap = double_geometric_log_pmf(0, budget, 5) - double_geometric_log_pmf(5, budget, 5)
+    assert gap == pytest.approx(0.5, abs=1e-12)
+
+
+def test_double_geometric_spec_requires_integer_sensitivity():
+    MechanismSpec(Family.DOUBLE_GEOMETRIC, 3.0, PrivacyBudget(1.0))
+    with pytest.raises(ValueError):
+        MechanismSpec(Family.DOUBLE_GEOMETRIC, 2.5, PrivacyBudget(1.0))
+    MechanismSpec(Family.LAPLACE, 2.5, PrivacyBudget(1.0))
+
+
 def test_truth_probability_limits():
     assert truth_probability(PrivacyBudget(math.log(3.0))) == pytest.approx(0.75)
     assert truth_probability(PrivacyBudget(1e-9)) == pytest.approx(0.5, abs=1e-9)
@@ -248,6 +298,25 @@ def test_verify_dp_falsifies_understated_claim():
     )
     assert not report.satisfied
     assert report.epsilon_claimed == 0.125
+
+
+def test_verify_dp_double_geometric_at_sensitivity_five():
+    report = verify_dp_discrete(
+        Family.DOUBLE_GEOMETRIC, PrivacyBudget(0.5), 100, sensitivity=5
+    )
+    assert report.max_log_ratio == 0.5
+    assert report.satisfied
+    # the same mechanism judged on inputs 0 and 1 only would report 0.1
+    assert verify_dp_discrete(Family.DOUBLE_GEOMETRIC, PrivacyBudget(0.1)).max_log_ratio == 0.1
+
+
+def test_verify_dp_rejects_bad_sensitivity():
+    with pytest.raises(ValueError):
+        verify_dp_discrete(Family.DOUBLE_GEOMETRIC, PrivacyBudget(0.5), sensitivity=2.5)
+    with pytest.raises(ValueError):
+        verify_dp_discrete(Family.DOUBLE_GEOMETRIC, PrivacyBudget(0.5), sensitivity=0)
+    with pytest.raises(ValueError):
+        verify_dp_discrete(Family.RANDOMIZED_RESPONSE, PrivacyBudget(0.5), sensitivity=2)
 
 
 def test_verify_dp_rejects_continuous_family():

@@ -1,15 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from transparent_dp.mechanisms import Family, PrivacyBudget
+from transparent_dp.mechanisms import Family, MechanismSpec, PrivacyBudget
 from transparent_dp.rng import stream
 from transparent_dp.simulate import (
     ConfidentialDataset,
     PrivatizedDataset,
     RegressionParams,
+    dataset_from_dict,
     dataset_from_json,
     dataset_to_csv,
+    dataset_to_dict,
     dataset_to_json,
     gen_confidential,
     privatize_dataset,
@@ -138,3 +142,29 @@ def test_json_round_trip_privatized():
 def test_json_rejects_unknown_kind():
     with pytest.raises(ValueError):
         dataset_from_json('{"kind": "mystery"}')
+
+
+def test_dict_forms_match_json_forms():
+    data = gen_confidential(6, REF_PARAMS, stream(11, "dict"), seed=11)
+    priv = privatize_dataset(data, PrivacyBudget(0.5), PrivacyBudget(0.25), stream(11, "dict-n"))
+    for ds in (data, priv):
+        assert dataset_to_json(ds) == json.dumps(dataset_to_dict(ds), sort_keys=True)
+        again = dataset_from_dict(json.loads(dataset_to_json(ds)))
+        assert dataset_to_json(again) == dataset_to_json(ds)
+    with pytest.raises(ValueError):
+        dataset_from_dict(["privatized"])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_datasets_reject_nonfinite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ConfidentialDataset(x=[1.0, bad, 2.0], y=[0.0, 1.0, 2.0], params=REF_PARAMS, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        ConfidentialDataset(x=[1, 2, 3], y=[0.0, bad, 2.0], params=REF_PARAMS, seed=0)
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(1.0))
+    with pytest.raises(ValueError, match="finite"):
+        PrivatizedDataset(x_tilde=[1.0, bad, 2.0], y_tilde=[0.0, 1.0, 2.0],
+                          spec_x=spec, spec_y=spec, parent_seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        PrivatizedDataset(x_tilde=[1.0, 1.5, 2.0], y_tilde=[0.0, 1.0, bad],
+                          spec_x=spec, spec_y=spec, parent_seed=0)
