@@ -4,7 +4,9 @@ Every stochastic subcommand requires an explicit ``--seed``; rerunning any
 command with identical arguments produces byte-identical output.  Outputs
 are CSV or JSON prefixed with a ``#`` comment line echoing the version,
 command, and full parameter set.  A JSON config file may supply any
-parameter via ``--config``; explicit flags override it.
+parameter via ``--config``, checked and typed as its flag would be;
+explicit flags override it.  Each parameter is declared once, in
+``_COMMANDS``, which drives the parser, the defaults and the config check.
 """
 
 from __future__ import annotations
@@ -56,123 +58,129 @@ from .simulate import dataset_from_json, dataset_to_json  # noqa: F401
 __all__ = ["main", "build_parser"]
 
 
-# Per-command defaults; None marks a required parameter.  The config file
-# and explicit flags are merged over these in that order.
-_DEFAULTS: dict[str, dict] = {
-    "privatize": {
-        "values": None,
-        "family": "laplace",
-        "epsilon": None,
-        "sensitivity": 1.0,
-        "seed": None,
-        "output": None,
-    },
-    "simulate": {
-        "n": None,
-        "beta0": -5.0,
-        "beta1": 4.0,
-        "sigma": 5.0,
-        "lam": 10.0,
-        "epsilon_x": None,
-        "epsilon_y": None,
-        "seed": None,
-        "format": "json",
-        "output": None,
-    },
-    "fit-naive": {
-        "input": None,
-        "on": "privatized",
-        "output": None,
-    },
-    "fit-mcem": {
-        "input": None,
-        "seed": None,
-        "k_samples": 5000,
-        "max_iter": 40,
-        "tol": 1e-3,
-        "ess_floor": 0.01,
-        "alpha": 0.05,
-        "sigma": None,
-        "lam": None,
-        "trace": None,
-        "output": None,
-    },
-    "abc-posterior": {
-        "input": None,
-        "draws": 10000,
-        "seed": None,
-        "prior": "uniform-box",
-        "beta0_range": None,
-        "beta1_range": None,
-        "prior_means": None,
-        "prior_sds": None,
-        "sigma": None,
-        "lam": None,
-        "batch_size": 20000,
-        "output": None,
-    },
-    "clt-limits": {
-        "n": 500,
-        "beta1": 0.5,
-        "sigma_sq": 1.0,
-        "sigma_u_max": 2.0,
-        "sigma_v": 0.0,
-        "steps": 9,
-        "alpha": 0.05,
-        "design_seed": REFERENCE_DESIGN_SEED,
-        "output": None,
-    },
-    "coverage-grid": {
-        "n": 500,
-        "beta1": 0.5,
-        "sigma_sq": 1.0,
-        "sigma_u_max": 2.0,
-        "sigma_v_max": 2.0,
-        "steps": 5,
-        "alpha": 0.05,
-        "convention": "both",
-        "design_seed": REFERENCE_DESIGN_SEED,
-        "output": None,
-    },
-    "ellipse-study": {
-        "epsilon_x": None,
-        "epsilon_y": None,
-        "n": 10,
-        "replicates": 100,
-        "seed": None,
-        "beta0": -5.0,
-        "beta1": 4.0,
-        "sigma": 5.0,
-        "lam": 10.0,
-        "k_samples": 5000,
-        "max_iter": 40,
-        "alpha": 0.05,
-        "methods": "naive,mcem",
-        "output": None,
-    },
-    "dissimilarity": {
-        "input": None,
-        "epsilon": None,
-        "replicates": 10000,
-        "seed": None,
-        "output": None,
-    },
-    "verify-dp": {
-        "family": None,
-        "epsilon": None,
-        "claimed_epsilon": None,
-        "support_bound": 100,
-        "output": None,
-    },
-}
+# Marks a parameter with no default; the default None marks an optional one.
+REQUIRED = object()
 
-_STOCHASTIC = {
-    "privatize", "simulate", "fit-mcem", "abc-posterior", "ellipse-study",
+# A row is (name, type or tuple of choices, default, help).  Each row is a
+# flag, a --config key and a header entry; shared rows are written once.
+_OUTPUT = ("output", str, None, "output file path (default: stdout)")
+_SEED = ("seed", int, REQUIRED, "master seed")
+_INPUT = ("input", str, REQUIRED, "JSON envelope from the simulate command")
+_KNOWN = [
+    ("sigma", float, None, "known error sd (default: from envelope)"),
+    ("lam", float, None, "known Poisson mean (default: from envelope)"),
+]
+_MODEL = [
+    ("beta0", float, -5.0, "true intercept"),
+    ("beta1", float, 4.0, "true slope"),
+    ("sigma", float, 5.0, "error sd"),
+    ("lam", float, 10.0, "Poisson mean of x"),
+]
+_BUDGETS = [(f"epsilon_{c}", float, REQUIRED, f"budget for the {c} coordinate") for c in "xy"]
+_EM = [
+    ("k_samples", int, 5000, "EM importance draws per iteration"),
+    ("max_iter", int, 40, "EM iteration cap"),
+]
+_DESIGN = [
+    ("n", int, 500, "design size"),
+    ("beta1", float, 0.5, "true slope"),
+    ("sigma_sq", float, 1.0, "error variance"),
+    ("sigma_u_max", float, 2.0, "max x-noise sd"),
+]
+_DESIGN_SEED = ("design_seed", int, REFERENCE_DESIGN_SEED, "seed of the stored design")
+
+_COMMANDS: dict[str, tuple[str, list]] = {
+    "privatize": ("release a vector through a privacy mechanism", [
+        ("values", str, REQUIRED, "comma-separated values to privatize"),
+        ("family", ("laplace", "double-geometric", "randomized-response"), "laplace",
+         "mechanism family"),
+        ("epsilon", float, REQUIRED, "privacy-loss budget"),
+        ("sensitivity", float, 1.0, "query sensitivity"),
+        _SEED,
+    ]),
+    "simulate": ("generate a confidential sample and its privatized release", [
+        ("n", int, REQUIRED, "sample size"),
+        *_MODEL,
+        *_BUDGETS,
+        _SEED,
+        ("format", ("json", "csv"), "json",
+         "json envelope (both datasets) or csv (release only)"),
+    ]),
+    "fit-naive": ("ordinary least squares on a simulated envelope", [
+        _INPUT,
+        ("on", ("privatized", "confidential"), "privatized", "which dataset to fit"),
+    ]),
+    "fit-mcem": ("EM likelihood correction on a privatized release", [
+        _INPUT,
+        _SEED,
+        *_EM,
+        ("tol", float, 1e-3, "convergence threshold"),
+        ("ess_floor", float, 0.01, "min ESS fraction before doubling"),
+        ("alpha", float, 0.05, "ellipse level"),
+        *_KNOWN,
+        ("trace", str, None, "optional path for the iteration trace CSV"),
+    ]),
+    "abc-posterior": ("exact rejection posterior on a privatized release", [
+        _INPUT,
+        ("draws", int, 10000, "accepted draws to collect"),
+        _SEED,
+        ("prior", ("uniform-box", "independent-normal"), "uniform-box", "prior family"),
+        ("beta0_range", str, None, "lo,hi bounds for beta0 (uniform-box)"),
+        ("beta1_range", str, None, "lo,hi bounds for beta1 (uniform-box)"),
+        ("prior_means", str, None, "m0,m1 prior means (independent-normal)"),
+        ("prior_sds", str, None, "s0,s1 prior sds (independent-normal)"),
+        *_KNOWN,
+        ("batch_size", int, 20000, "proposals per batch"),
+    ]),
+    "clt-limits": ("normal-limit bands for the naive slope vs x-noise", [
+        *_DESIGN,
+        ("sigma_v", float, 0.0, "fixed y-noise sd"),
+        ("steps", int, 9, "grid points along sigma_u"),
+        ("alpha", float, 0.05, "band level"),
+        _DESIGN_SEED,
+    ]),
+    "coverage-grid": ("interval coverage over a noise-level grid", [
+        *_DESIGN,
+        ("sigma_v_max", float, 2.0, "max y-noise sd"),
+        ("steps", int, 5, "grid points per axis"),
+        ("alpha", float, 0.05, "interval level"),
+        ("convention", ("privacy_aware_se", "classical_se", "both"), "both",
+         "standard-error convention"),
+        _DESIGN_SEED,
+    ]),
+    "ellipse-study": ("replicated naive and EM confidence ellipses", [
+        *_BUDGETS,
+        ("n", int, 10, "confidential sample size"),
+        ("replicates", int, 100, "privatization replicates"),
+        _SEED,
+        *_MODEL,
+        *_EM,
+        ("alpha", float, 0.05, "ellipse level"),
+        ("methods", str, "naive,mcem", "comma list from {naive,mcem}"),
+    ]),
+    "dissimilarity": ("dissimilarity index of a tract table", [
+        ("input", str, REQUIRED, "CSV file with header tract,w,b"),
+        ("epsilon", float, None, "if given, run the privatized replication study"),
+        ("replicates", int, 10000, "study replicates"),
+        ("seed", int, None, "master seed (study only)"),
+    ]),
+    "verify-dp": ("brute-force the privacy bound of a discrete mechanism", [
+        ("family", ("double-geometric", "randomized-response"), REQUIRED,
+         "discrete mechanism family"),
+        ("epsilon", float, REQUIRED, "budget the mechanism runs at"),
+        ("claimed_epsilon", float, None,
+         "budget claimed for the bound check (default: epsilon)"),
+        ("support_bound", int, 100, "output scan range"),
+    ]),
 }
 
 
 class _UsageError(Exception):
     pass
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,145 +190,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"tdp {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for command, (help_text, rows) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="JSON file of parameters; flags override")
-        p.add_argument("--output", help="output file path (default: stdout)")
-        return p
-
-    p = add("privatize", "release a vector through a privacy mechanism")
-    p.add_argument("--values", help="comma-separated values to privatize")
-    p.add_argument("--family", choices=["laplace", "double-geometric", "randomized-response"],
-                   help="mechanism family (default laplace)")
-    p.add_argument("--epsilon", type=float, help="privacy-loss budget")
-    p.add_argument("--sensitivity", type=float, help="query sensitivity (default 1)")
-    p.add_argument("--seed", type=int, help="master seed")
-
-    p = add("simulate", "generate a confidential sample and its privatized release")
-    p.add_argument("--n", type=int, help="sample size")
-    p.add_argument("--beta0", type=float, help="intercept (default -5)")
-    p.add_argument("--beta1", type=float, help="slope (default 4)")
-    p.add_argument("--sigma", type=float, help="error sd (default 5)")
-    p.add_argument("--lam", type=float, help="Poisson mean of x (default 10)")
-    p.add_argument("--epsilon-x", type=float, help="budget for the x coordinate")
-    p.add_argument("--epsilon-y", type=float, help="budget for the y coordinate")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--format", choices=["json", "csv"],
-                   help="json envelope (both datasets) or csv (release only)")
-
-    p = add("fit-naive", "ordinary least squares on a simulated envelope")
-    p.add_argument("--input", help="JSON envelope from the simulate command")
-    p.add_argument("--on", choices=["privatized", "confidential"],
-                   help="which dataset to fit (default privatized)")
-
-    p = add("fit-mcem", "EM likelihood correction on a privatized release")
-    p.add_argument("--input", help="JSON envelope from the simulate command")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--k-samples", type=int, help="importance draws per iteration")
-    p.add_argument("--max-iter", type=int, help="iteration cap")
-    p.add_argument("--tol", type=float, help="convergence threshold")
-    p.add_argument("--ess-floor", type=float, help="min ESS fraction before doubling")
-    p.add_argument("--alpha", type=float, help="ellipse level (default 0.05)")
-    p.add_argument("--sigma", type=float, help="known error sd (default: from envelope)")
-    p.add_argument("--lam", type=float, help="known Poisson mean (default: from envelope)")
-    p.add_argument("--trace", help="optional path for the iteration trace CSV")
-
-    p = add("abc-posterior", "exact rejection posterior on a privatized release")
-    p.add_argument("--input", help="JSON envelope from the simulate command")
-    p.add_argument("--draws", type=int, help="accepted draws to collect")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--prior", choices=["uniform-box", "independent-normal"],
-                   help="prior family (default uniform-box)")
-    p.add_argument("--beta0-range", help="lo,hi bounds for beta0 (uniform-box)")
-    p.add_argument("--beta1-range", help="lo,hi bounds for beta1 (uniform-box)")
-    p.add_argument("--prior-means", help="m0,m1 prior means (independent-normal)")
-    p.add_argument("--prior-sds", help="s0,s1 prior sds (independent-normal)")
-    p.add_argument("--sigma", type=float, help="known error sd (default: from envelope)")
-    p.add_argument("--lam", type=float, help="known Poisson mean (default: from envelope)")
-    p.add_argument("--batch-size", type=int, help="proposals per batch")
-
-    p = add("clt-limits", "normal-limit bands for the naive slope vs x-noise")
-    p.add_argument("--n", type=int, help="design size (default 500)")
-    p.add_argument("--beta1", type=float, help="true slope (default 0.5)")
-    p.add_argument("--sigma-sq", type=float, help="error variance (default 1)")
-    p.add_argument("--sigma-u-max", type=float, help="max x-noise sd (default 2)")
-    p.add_argument("--sigma-v", type=float, help="fixed y-noise sd (default 0)")
-    p.add_argument("--steps", type=int, help="grid points along sigma_u")
-    p.add_argument("--alpha", type=float, help="band level (default 0.05)")
-    p.add_argument("--design-seed", type=int, help="seed of the stored design")
-
-    p = add("coverage-grid", "interval coverage over a noise-level grid")
-    p.add_argument("--n", type=int, help="design size (default 500)")
-    p.add_argument("--beta1", type=float, help="true slope (default 0.5)")
-    p.add_argument("--sigma-sq", type=float, help="error variance (default 1)")
-    p.add_argument("--sigma-u-max", type=float, help="max x-noise sd (default 2)")
-    p.add_argument("--sigma-v-max", type=float, help="max y-noise sd (default 2)")
-    p.add_argument("--steps", type=int, help="grid points per axis (default 5)")
-    p.add_argument("--alpha", type=float, help="interval level (default 0.05)")
-    p.add_argument("--convention", choices=["privacy_aware_se", "classical_se", "both"],
-                   help="standard-error convention (default both)")
-    p.add_argument("--design-seed", type=int, help="seed of the stored design")
-
-    p = add("ellipse-study", "replicated naive and EM confidence ellipses")
-    p.add_argument("--epsilon-x", type=float, help="budget for the x coordinate")
-    p.add_argument("--epsilon-y", type=float, help="budget for the y coordinate")
-    p.add_argument("--n", type=int, help="confidential sample size (default 10)")
-    p.add_argument("--replicates", type=int, help="privatization replicates (default 100)")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--beta0", type=float, help="true intercept (default -5)")
-    p.add_argument("--beta1", type=float, help="true slope (default 4)")
-    p.add_argument("--sigma", type=float, help="error sd (default 5)")
-    p.add_argument("--lam", type=float, help="Poisson mean of x (default 10)")
-    p.add_argument("--k-samples", type=int, help="EM importance draws per iteration")
-    p.add_argument("--max-iter", type=int, help="EM iteration cap")
-    p.add_argument("--alpha", type=float, help="ellipse level (default 0.05)")
-    p.add_argument("--methods", help="comma list from {naive,mcem} (default both)")
-
-    p = add("dissimilarity", "dissimilarity index of a tract table")
-    p.add_argument("--input", help="CSV file with header tract,w,b")
-    p.add_argument("--epsilon", type=float,
-                   help="if given, run the privatized replication study")
-    p.add_argument("--replicates", type=int, help="study replicates (default 10000)")
-    p.add_argument("--seed", type=int, help="master seed (study only)")
-
-    p = add("verify-dp", "brute-force the privacy bound of a discrete mechanism")
-    p.add_argument("--family", choices=["double-geometric", "randomized-response"],
-                   help="discrete mechanism family")
-    p.add_argument("--epsilon", type=float, help="budget the mechanism runs at")
-    p.add_argument("--claimed-epsilon", type=float,
-                   help="budget claimed for the bound check (default: epsilon)")
-    p.add_argument("--support-bound", type=int, help="output scan range (default 100)")
-
+        # No argparse defaults: an absent flag must not override --config.
+        for name, kind, default, text in (_OUTPUT, *rows):
+            if default is not None and default is not REQUIRED:
+                text = f"{text} (default {default})"
+            if isinstance(kind, tuple):
+                p.add_argument(_flag(name), choices=kind, help=text)
+            else:
+                p.add_argument(_flag(name), type=kind, help=text)
     return parser
 
 
+def _config_value(row: tuple, val):
+    """A --config value checked and typed as the flag of ``row`` would be parsed.
+
+    JSON null leaves a parameter without a default unset; an int is widened
+    for a float parameter.
+    """
+    name, kind, default, _ = row
+    if val is None and (default is None or default is REQUIRED):
+        return default
+    if isinstance(kind, tuple):
+        ok, want = val in kind, "one of " + ", ".join(kind)
+    else:
+        number = (int, float) if kind is float else kind
+        ok = isinstance(val, number) and not isinstance(val, bool)
+        want = {int: "an integer", float: "a number", str: "a string"}[kind]
+    if not ok:
+        raise _UsageError(f"config key {name!r} must be {want}, got {json.dumps(val)}")
+    return float(val) if kind is float else val
+
+
 def _merge(args: argparse.Namespace, command: str) -> dict:
-    params = dict(_DEFAULTS[command])
-    if getattr(args, "config", None):
+    rows = {row[0]: row for row in (_OUTPUT, *_COMMANDS[command][1])}
+    params = {name: default for name, _, default, _ in rows.values()}
+    if args.config:
         loaded = json.loads(Path(args.config).read_text())
         if not isinstance(loaded, dict):
             raise _UsageError(
                 f"--config must hold a JSON object, got {type(loaded).__name__}"
             )
         for key, val in loaded.items():
-            if key not in params:
+            if key not in rows:
                 raise _UsageError(f"unknown config key {key!r} for {command}")
-            params[key] = val
+            params[key] = _config_value(rows[key], val)
     for key in params:
-        val = getattr(args, key, None)
+        val = getattr(args, key)
         if val is not None:
             params[key] = val
-    if command in _STOCHASTIC and params.get("seed") is None:
-        raise _UsageError(f"{command} requires --seed")
+    _require(params, *(name for name, _, default, _ in rows.values() if default is REQUIRED))
     return params
 
 
 def _require(params: dict, *keys: str) -> None:
-    missing = [k for k in keys if params.get(k) is None]
+    missing = [k for k in keys if params[k] is None or params[k] is REQUIRED]
     if missing:
-        flags = ", ".join("--" + k.replace("_", "-") for k in missing)
-        raise _UsageError(f"missing required argument(s): {flags}")
+        raise _UsageError(f"missing required argument(s): {', '.join(map(_flag, missing))}")
 
 
 def _fmt(val) -> str:
@@ -346,40 +274,63 @@ def _load_json(path: str) -> dict:
 
 
 def _floats(text: str, count: int, what: str) -> tuple:
-    parts = [p for p in str(text).split(",") if p != ""]
+    parts = [p for p in text.split(",") if p != ""]
     if len(parts) != count:
         raise _UsageError(f"{what} must be {count} comma-separated numbers")
     return tuple(float(p) for p in parts)
 
 
 def _family(name: str) -> Family:
-    return Family(str(name).replace("-", "_"))
+    return Family(name.replace("-", "_"))
+
+
+def _model(params: dict) -> RegressionParams:
+    return RegressionParams(**{name: params[name] for name, *_ in _MODEL})
+
+
+def _axis(params: dict, top: str) -> np.ndarray:
+    """``--steps`` evenly spaced noise levels from 0 to ``params[top]``."""
+    if params["steps"] < 1:
+        raise _UsageError("--steps must be at least 1")
+    return np.linspace(0.0, params[top], params["steps"])
+
+
+def _envelope(params: dict, key: str = "privatized") -> tuple[dict, object]:
+    """The ``--input`` envelope and its ``key`` dataset."""
+    env = _load_json(params["input"])
+    if not isinstance(env, dict) or key not in env:
+        raise _UsageError(f"envelope has no {key!r} dataset")
+    kind = env[key].get("kind") if isinstance(env[key], dict) else None
+    if kind != key:
+        raise ValueError(f"envelope section {key!r} holds a dataset of kind {kind!r}")
+    return env, dataset_from_dict(env[key])
 
 
 def _envelope_known(params: dict, env: dict) -> tuple[float, float]:
     """Resolve the known (sigma, lam) from flags, else the envelope."""
-    sigma, lam = params.get("sigma"), params.get("lam")
-    gen = env.get("confidential", {}).get("params", {})
-    if sigma is None:
-        sigma = gen.get("sigma")
-    if lam is None:
-        lam = gen.get("lam")
-    if sigma is None or lam is None:
+    known = {key: params[key] for key in ("sigma", "lam")}
+    if None in known.values():
+        conf = env.get("confidential", {})
+        gen = conf.get("params", {}) if isinstance(conf, dict) else None
+        if not isinstance(gen, dict):
+            raise ValueError("envelope field confidential.params must be an object")
+        known = {key: gen.get(key) if val is None else val for key, val in known.items()}
+    if None in known.values():
         raise _UsageError("--sigma and --lam required when the envelope "
                           "carries no confidential params")
-    return float(sigma), float(lam)
+    for key, val in known.items():
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ValueError(f"envelope field confidential.params.{key} must be a number")
+    return float(known["sigma"]), float(known["lam"])
 
 
 def _cmd_privatize(params: dict) -> str:
-    _require(params, "values", "epsilon")
-    raw = [p for p in str(params["values"]).split(",") if p != ""]
+    raw = [p for p in params["values"].split(",") if p != ""]
     if not raw:
         raise _UsageError("--values must be a nonempty comma-separated list")
     values = np.asarray([float(p) for p in raw])
     spec = MechanismSpec(
-        _family(params["family"]),
-        float(params["sensitivity"]),
-        PrivacyBudget(float(params["epsilon"])),
+        _family(params["family"]), params["sensitivity"], PrivacyBudget(params["epsilon"])
     )
     released, _ = privatize_vector(values, spec, stream(params["seed"], "privatize"))
     lines = ["i,privatized"]
@@ -389,19 +340,14 @@ def _cmd_privatize(params: dict) -> str:
 
 
 def _cmd_simulate(params: dict) -> str:
-    _require(params, "n", "epsilon_x", "epsilon_y")
-    seed = int(params["seed"])
-    gen_params = RegressionParams(
-        beta0=float(params["beta0"]), beta1=float(params["beta1"]),
-        sigma=float(params["sigma"]), lam=float(params["lam"]),
-    )
+    seed = params["seed"]
     conf = gen_confidential(
-        int(params["n"]), gen_params, stream(seed, "simulate", "confidential"), seed=seed
+        params["n"], _model(params), stream(seed, "simulate", "confidential"), seed=seed
     )
     priv = privatize_dataset(
         conf,
-        PrivacyBudget(float(params["epsilon_x"])),
-        PrivacyBudget(float(params["epsilon_y"])),
+        PrivacyBudget(params["epsilon_x"]),
+        PrivacyBudget(params["epsilon_y"]),
         stream(seed, "simulate", "privatize"),
     )
     if params["format"] == "csv":
@@ -411,12 +357,8 @@ def _cmd_simulate(params: dict) -> str:
 
 
 def _cmd_fit_naive(params: dict) -> str:
-    _require(params, "input")
-    env = _load_json(params["input"])
     key = params["on"]
-    if key not in env:
-        raise _UsageError(f"envelope has no {key!r} dataset")
-    ds = dataset_from_dict(env[key])
+    _, ds = _envelope(params, key)
     if key == "privatized":
         fit = ols(ds.x_tilde, ds.y_tilde)
     else:
@@ -425,23 +367,14 @@ def _cmd_fit_naive(params: dict) -> str:
 
 
 def _cmd_fit_mcem(params: dict) -> str:
-    _require(params, "input")
-    env = _load_json(params["input"])
-    if "privatized" not in env:
-        raise _UsageError("envelope has no privatized dataset")
-    data = dataset_from_dict(env["privatized"])
+    env, data = _envelope(params)
     sigma, lam = _envelope_known(params, env)
     config = MCEMConfig(
-        k_samples=int(params["k_samples"]),
-        max_iter=int(params["max_iter"]),
-        tol=float(params["tol"]),
-        ess_floor=float(params["ess_floor"]),
-        alpha=float(params["alpha"]),
-        sigma=sigma,
-        lam=lam,
+        sigma=sigma, lam=lam,
+        **{key: params[key] for key in ("k_samples", "max_iter", "tol", "ess_floor", "alpha")},
     )
-    res = run_mcem(data, config, int(params["seed"]))
-    if params.get("trace"):
+    res = run_mcem(data, config, params["seed"])
+    if params["trace"]:
         Path(params["trace"]).write_text(
             _header("fit-mcem-trace", params) + trace_to_csv(res.trace)
         )
@@ -458,11 +391,7 @@ def _cmd_fit_mcem(params: dict) -> str:
 
 
 def _cmd_abc_posterior(params: dict) -> str:
-    _require(params, "input", "draws")
-    env = _load_json(params["input"])
-    if "privatized" not in env:
-        raise _UsageError("envelope has no privatized dataset")
-    data = dataset_from_dict(env["privatized"])
+    env, data = _envelope(params)
     sigma, lam = _envelope_known(params, env)
     if params["prior"] == "uniform-box":
         _require(params, "beta0_range", "beta1_range")
@@ -481,26 +410,25 @@ def _cmd_abc_posterior(params: dict) -> str:
             sds=_floats(params["prior_sds"], 2, "--prior-sds"),
         )
     res = abc_exact_posterior(
-        data, prior, int(params["draws"]), stream(int(params["seed"]), "abc"),
-        lam=lam, sigma=sigma, batch_size=int(params["batch_size"]),
+        data, prior, params["draws"], stream(params["seed"], "abc"),
+        lam=lam, sigma=sigma, batch_size=params["batch_size"],
     )
     meta = f"# acceptance_rate={res.acceptance_rate!r} proposals={res.proposals}\n"
     return meta + samples_to_csv(res.samples)
 
 
 def _cmd_clt_limits(params: dict) -> str:
-    x = reference_design(int(params["n"]), int(params["design_seed"]))
-    moments = sample_moments(x)
-    beta1 = float(params["beta1"])
-    sigma_sq = float(params["sigma_sq"])
-    sigma_v = float(params["sigma_v"])
-    alpha = float(params["alpha"])
+    sigma_u = _axis(params, "sigma_u_max")
+    moments = sample_moments(reference_design(params["n"], params["design_seed"]))
+    beta1, sigma_sq, sigma_v = params["beta1"], params["sigma_sq"], params["sigma_v"]
     lines = ["sigma_u,sigma_v,gamma,sigma_tilde,center,lower,upper"]
-    for su in np.linspace(0.0, float(params["sigma_u_max"]), int(params["steps"])):
+    for su in sigma_u:
         su = float(su)
         gamma = float(biasing_coefficient(moments, su**2))
         sigma_tilde = float(clt_variance(moments, beta1, sigma_sq, su**2, sigma_v**2))
-        lower, upper = distribution_limits(gamma, beta1, sigma_tilde, moments.n, alpha)
+        lower, upper = distribution_limits(
+            gamma, beta1, sigma_tilde, moments.n, params["alpha"]
+        )
         lines.append(
             f"{su!r},{sigma_v!r},{gamma!r},{sigma_tilde!r},"
             f"{gamma * beta1!r},{float(lower)!r},{float(upper)!r}"
@@ -509,44 +437,27 @@ def _cmd_clt_limits(params: dict) -> str:
 
 
 def _cmd_coverage_grid(params: dict) -> str:
-    x = reference_design(int(params["n"]), int(params["design_seed"]))
-    steps = int(params["steps"])
+    sigma_u, sigma_v = _axis(params, "sigma_u_max"), _axis(params, "sigma_v_max")
     rows = coverage_grid(
-        x,
-        float(params["beta1"]),
-        float(params["sigma_sq"]),
-        np.linspace(0.0, float(params["sigma_u_max"]), steps),
-        np.linspace(0.0, float(params["sigma_v_max"]), steps),
-        alpha=float(params["alpha"]),
-        convention=params["convention"],
+        reference_design(params["n"], params["design_seed"]),
+        params["beta1"], params["sigma_sq"], sigma_u, sigma_v,
+        alpha=params["alpha"], convention=params["convention"],
     )
     return grid_to_csv(rows)
 
 
 def _cmd_ellipse_study(params: dict) -> str:
-    _require(params, "epsilon_x", "epsilon_y")
-    methods = tuple(m for m in str(params["methods"]).split(",") if m)
-    gen_params = RegressionParams(
-        beta0=float(params["beta0"]), beta1=float(params["beta1"]),
-        sigma=float(params["sigma"]), lam=float(params["lam"]),
-    )
+    methods = tuple(m for m in params["methods"].split(",") if m)
+    gen_params = _model(params)
     config = MCEMConfig(
-        k_samples=int(params["k_samples"]),
-        max_iter=int(params["max_iter"]),
-        alpha=float(params["alpha"]),
-        sigma=gen_params.sigma,
-        lam=gen_params.lam,
+        sigma=gen_params.sigma, lam=gen_params.lam,
+        **{key: params[key] for key in ("k_samples", "max_iter", "alpha")},
     )
     rows, rates = ellipse_study(
-        gen_params,
-        int(params["n"]),
-        PrivacyBudget(float(params["epsilon_x"])),
-        PrivacyBudget(float(params["epsilon_y"])),
-        int(params["replicates"]),
-        int(params["seed"]),
-        config=config,
-        methods=methods,
-        alpha=float(params["alpha"]),
+        gen_params, params["n"],
+        PrivacyBudget(params["epsilon_x"]), PrivacyBudget(params["epsilon_y"]),
+        params["replicates"], params["seed"],
+        config=config, methods=methods, alpha=params["alpha"],
     )
     summary = (
         "# coverage " + " ".join(f"{k}={rates[k]!r}" for k in sorted(rates)) + "\n"
@@ -555,33 +466,31 @@ def _cmd_ellipse_study(params: dict) -> str:
 
 
 def _cmd_dissimilarity(params: dict) -> str:
-    _require(params, "input")
     table = county_table_from_csv(Path(params["input"]).read_text())
-    if params.get("epsilon") is None:
+    if params["epsilon"] is None:
         return json.dumps({"d": dissimilarity(table)}, sort_keys=True) + "\n"
-    if params.get("seed") is None:
+    if params["seed"] is None:
         raise _UsageError("the privatized study requires --seed")
     study = privatized_dissimilarity_study(
         table,
-        PrivacyBudget(float(params["epsilon"])),
-        int(params["replicates"]),
-        stream(int(params["seed"]), "dissimilarity"),
+        PrivacyBudget(params["epsilon"]),
+        params["replicates"],
+        stream(params["seed"], "dissimilarity"),
     )
     return study.to_json() + "\n"
 
 
 def _cmd_verify_dp(params: dict) -> str:
-    _require(params, "family", "epsilon")
-    claimed = params.get("claimed_epsilon")
+    claimed = params["claimed_epsilon"]
     report = verify_dp_discrete(
         _family(params["family"]),
-        PrivacyBudget(float(params["epsilon"])),
-        support_bound=int(params["support_bound"]),
-        claimed=None if claimed is None else PrivacyBudget(float(claimed)),
+        PrivacyBudget(params["epsilon"]),
+        support_bound=params["support_bound"],
+        claimed=None if claimed is None else PrivacyBudget(claimed),
     )
     out = {
-        "family": str(params["family"]),
-        "epsilon": float(params["epsilon"]),
+        "family": params["family"],
+        "epsilon": params["epsilon"],
         "claimed_epsilon": report.epsilon_claimed,
         "max_log_ratio": report.max_log_ratio,
         "satisfied": report.satisfied,

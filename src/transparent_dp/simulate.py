@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,22 +218,77 @@ def dataset_to_dict(data) -> dict:
     raise TypeError(f"unsupported dataset type {type(data).__name__}")
 
 
+_NUMBER = (numbers.Real, "a number")
+_INTEGER = (numbers.Integral, "an integer")
+_LIST = (list, "a list")
+_OBJECT = (dict, "an object")
+
+
+def _fields(obj: dict, section: str, kinds: dict) -> dict:
+    """The fields of ``obj`` named in ``kinds``, each present and of its kind.
+
+    A missing or mistyped field raises ``ValueError`` naming ``section`` and
+    the field, so a malformed envelope never escapes as a ``KeyError``.
+    """
+    out = {}
+    for key, (kind, what) in kinds.items():
+        if key not in obj:
+            raise ValueError(f"{section} has no {key!r} field")
+        val = obj[key]
+        if isinstance(val, bool) or not isinstance(val, kind):
+            raise ValueError(
+                f"{section} field {key!r} must be {what}, got {type(val).__name__}"
+            )
+        out[key] = val
+    return out
+
+
+def _numbers(fields: dict, section: str, key: str, dtype=None) -> np.ndarray:
+    try:
+        arr = np.asarray(fields[key], dtype=dtype)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        raise ValueError(f"{section} field {key!r} must be a list of numbers")
+    return arr
+
+
+def _spec_from_dict(obj: dict, key: str) -> MechanismSpec:
+    try:
+        return MechanismSpec.from_dict(obj)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"privatized field {key!r} is malformed: {exc!r}") from None
+
+
 def dataset_from_dict(obj: dict):
-    """Inverse of :func:`dataset_to_dict`; dispatches on the ``kind`` field."""
+    """Inverse of :func:`dataset_to_dict`; dispatches on the ``kind`` field.
+
+    Raises ``ValueError`` naming the field when one is missing or mistyped.
+    """
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "confidential":
-        params = RegressionParams(**obj["params"])
+        f = _fields(obj, "confidential", {
+            "params": _OBJECT, "x": _LIST, "y": _LIST, "seed": _INTEGER,
+        })
+        params = _fields(f["params"], "confidential params", {
+            "beta0": _NUMBER, "beta1": _NUMBER, "sigma": _NUMBER, "lam": _NUMBER,
+        })
         return ConfidentialDataset(
-            x=np.asarray(obj["x"]), y=np.asarray(obj["y"], dtype=float),
-            params=params, seed=int(obj["seed"]),
+            x=_numbers(f, "confidential", "x"),
+            y=_numbers(f, "confidential", "y", float),
+            params=RegressionParams(**params), seed=int(f["seed"]),
         )
     if kind == "privatized":
+        f = _fields(obj, "privatized", {
+            "x_tilde": _LIST, "y_tilde": _LIST, "spec_x": _OBJECT, "spec_y": _OBJECT,
+            "parent_seed": _INTEGER,
+        })
         return PrivatizedDataset(
-            x_tilde=np.asarray(obj["x_tilde"], dtype=float),
-            y_tilde=np.asarray(obj["y_tilde"], dtype=float),
-            spec_x=MechanismSpec.from_dict(obj["spec_x"]),
-            spec_y=MechanismSpec.from_dict(obj["spec_y"]),
-            parent_seed=int(obj["parent_seed"]),
+            x_tilde=_numbers(f, "privatized", "x_tilde", float),
+            y_tilde=_numbers(f, "privatized", "y_tilde", float),
+            spec_x=_spec_from_dict(f["spec_x"], "spec_x"),
+            spec_y=_spec_from_dict(f["spec_y"], "spec_y"),
+            parent_seed=int(f["parent_seed"]),
         )
     raise ValueError(f"unrecognized dataset kind {kind!r}")
 

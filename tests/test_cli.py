@@ -1,9 +1,11 @@
 """Command-line surface: flags, exit codes, output formats, doc examples."""
 
 import json
+import os
 import re
 import shlex
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -484,6 +486,98 @@ def test_config_must_be_a_json_object(capsys, tmp_path, payload):
                               "--seed", "2"])
     assert rc == 2
     assert err.startswith("usage error:") and "JSON object" in err
+
+
+def test_config_ints_match_flags_byte_for_byte(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 3, "sigma": 2, "lam": 5, "epsilon_x": 1,
+                               "epsilon_y": 1, "seed": 5}))
+    rc, from_config, _ = run(capsys, ["simulate", "--config", str(cfg)])
+    assert rc == 0
+    rc, from_flags, _ = run(capsys, ["simulate", "--n", "3", "--sigma", "2", "--lam", "5",
+                                     "--epsilon-x", "1", "--epsilon-y", "1", "--seed", "5"])
+    assert rc == 0
+    assert "epsilon_x=1.0" in from_flags.splitlines()[0]
+    assert from_config == from_flags
+
+
+@pytest.mark.parametrize("command, payload, argv", [
+    ("fit-mcem", {"k_samples": None}, ["--seed", "7", "--max-iter", "2"]),
+    ("simulate", {"n": "three"}, ["--epsilon-x", "1", "--epsilon-y", "1", "--seed", "2"]),
+    ("simulate", {"n": 3.0}, ["--epsilon-x", "1", "--epsilon-y", "1", "--seed", "2"]),
+    ("privatize", {"family": "bogus"}, ["--values", "1,2", "--epsilon", "1", "--seed", "2"]),
+])
+def test_config_values_are_checked_like_flags(capsys, tmp_path, mcem_env,
+                                              command, payload, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(payload))
+    if command == "fit-mcem":
+        argv = argv + ["--input", str(mcem_env)]
+    rc, out, err = run(capsys, [command, "--config", str(cfg)] + argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert repr(next(iter(payload))) in err
+
+
+@pytest.mark.parametrize("command", ["clt-limits", "coverage-grid"])
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_empty_grid_is_usage_error(capsys, command, steps):
+    rc, out, err = run(capsys, [command, f"--steps={steps}"])
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error:") and "--steps" in err
+
+
+def test_help_shows_defaults(capsys):
+    text = " ".join(help_text(capsys, ["fit-mcem", "--help"]).split())
+    assert "(default 5000)" in text and "(default 0.001)" in text
+    assert "(default: from envelope)" in text
+
+
+def malformed_env(src, tmp_path, edit):
+    env = body_json(src.read_text())
+    edit(env)
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(env))
+    return path
+
+
+@pytest.mark.parametrize("argv, edit, field", [
+    (["fit-naive"], lambda e: e["privatized"].pop("x_tilde"), "x_tilde"),
+    (["fit-naive", "--on", "confidential"],
+     lambda e: e["confidential"].update(params=[1, 2]), "params"),
+    (["fit-mcem", "--seed", "7", "--k-samples", "100", "--max-iter", "1"],
+     lambda e: e["confidential"].update(params=[1, 2]), "confidential.params"),
+    (["fit-mcem", "--seed", "7", "--k-samples", "100", "--max-iter", "1"],
+     lambda e: e["confidential"]["params"].update(lam="5"), "confidential.params.lam"),
+    (["fit-naive"], lambda e: e.update(privatized=e["confidential"]), "kind"),
+])
+def test_malformed_envelope_is_named_error(capsys, mcem_env, tmp_path, argv, edit, field):
+    path = malformed_env(mcem_env, tmp_path, edit)
+    rc, out, err = run(capsys, argv + ["--input", str(path)])
+    assert rc == 1 and out == ""
+    assert err.startswith("ValueError:") and field in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_envelope_known_names_mistyped_params():
+    from transparent_dp.cli import _envelope_known
+    flags = {"sigma": None, "lam": None}
+    assert _envelope_known(flags, {"confidential": {"params": {"sigma": 2, "lam": 5}}}) \
+        == (2.0, 5.0)
+    assert _envelope_known({"sigma": 1.0, "lam": 3.0}, {"confidential": []}) == (1.0, 3.0)
+    with pytest.raises(ValueError, match="confidential.params"):
+        _envelope_known(flags, {"confidential": {"params": [2, 5]}})
+    with pytest.raises(ValueError, match="confidential.params.sigma"):
+        _envelope_known(flags, {"confidential": {"params": {"sigma": [2], "lam": 5}}})
+
+
+def test_benchmark_tracer_resolves_cli_names():
+    # install() patches modules process-wide, so it runs in its own process
+    root = Path(__file__).resolve().parent.parent
+    code = "from tdpbench.spans import Tracer, install; install(Tracer())"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": "src:."}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):

@@ -168,3 +168,29 @@ def test_datasets_reject_nonfinite(bad):
     with pytest.raises(ValueError, match="finite"):
         PrivatizedDataset(x_tilde=[1.0, 1.5, 2.0], y_tilde=[0.0, 1.0, bad],
                           spec_x=spec, spec_y=spec, parent_seed=0)
+
+
+def _malformed(kind, edit):
+    data = gen_confidential(4, REF_PARAMS, stream(12, "bad"), seed=12)
+    if kind == "privatized":
+        data = privatize_dataset(data, PrivacyBudget(1.0), PrivacyBudget(1.0),
+                                 stream(12, "bad-n"))
+    obj = json.loads(dataset_to_json(data))
+    edit(obj)
+    return obj
+
+
+@pytest.mark.parametrize("kind, edit, field", [
+    ("privatized", lambda o: o.pop("x_tilde"), "x_tilde"),
+    ("privatized", lambda o: o.update(y_tilde={"0": 1.0}), "y_tilde"),
+    ("privatized", lambda o: o.update(x_tilde=[{}] * 4), "x_tilde"),
+    ("privatized", lambda o: o["spec_x"].pop("family"), "spec_x"),
+    ("confidential", lambda o: o.update(params=[-5.0, 4.0, 5.0, 10.0]), "params"),
+    ("confidential", lambda o: o["params"].pop("lam"), "lam"),
+    ("confidential", lambda o: o.update(seed="12"), "seed"),
+    ("confidential", lambda o: o.update(x=["a"] * 4), "'x'"),
+])
+def test_dataset_from_dict_names_malformed_field(kind, edit, field):
+    # a KeyError or TypeError here would escape the CLI as a traceback
+    with pytest.raises(ValueError, match=field):
+        dataset_from_dict(_malformed(kind, edit))
