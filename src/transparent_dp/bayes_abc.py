@@ -20,18 +20,12 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InfeasibleABCError
-from .mechanisms import (
-    Family,
-    MechanismSpec,
-    PrivacyBudget,
-    double_geometric_log_pmf,
-    double_geometric_noise,
-)
+from .mechanisms import Family, MechanismSpec, PrivacyBudget, privatize_vector
 from .naive_fit import FitResult
 from .simulate import PrivatizedDataset
 
@@ -167,12 +161,6 @@ class DiscreteToy:
         raw = raw / (2.0 * self.sigma**2)
         return raw - _logsumexp(raw, axis=2)[:, :, None]
 
-    def mech_log_pmf(self, delta) -> np.ndarray:
-        """Double-geometric log pmf at integer perturbations ``delta``."""
-        return double_geometric_log_pmf(
-            np.asarray(delta, dtype=float), self.mechanism.budget, self.mechanism.sensitivity
-        )
-
 
 def _as_observation(toy: DiscreteToy, s_tilde_obs) -> tuple[np.ndarray, np.ndarray]:
     x_t, y_t = s_tilde_obs
@@ -195,8 +183,8 @@ def grid_posterior_oracle(toy: DiscreteToy, s_tilde_obs) -> np.ndarray:
     lpx = toy.x_log_pmf()
     lpy = toy.y_log_pmf()
     # Mechanism log pmfs of the observed release given each support value.
-    mech_x = toy.mech_log_pmf(x_t[:, None] - toy.x_support[None, :])
-    mech_y = toy.mech_log_pmf(y_t[:, None] - toy.y_support[None, :])
+    mech_x = toy.mechanism.log_density(x_t[:, None] - toy.x_support[None, :])
+    mech_y = toy.mechanism.log_density(y_t[:, None] - toy.y_support[None, :])
 
     # inner[i, g, x] = log sum_y p(y | x, beta_g) p_mech(y~_i | y)
     inner = _logsumexp(lpy[None, :, :, :] + mech_y[:, None, None, :], axis=3)
@@ -229,14 +217,13 @@ def mixture_posterior_oracle(toy: DiscreteToy, s_tilde_obs) -> np.ndarray:
     )
     xi, yi = xi.ravel(), yi.ravel()
     base = lpx[None, xi] + lpy[:, xi, yi]  # (G, M) model log prob of one obs
+    log_f = toy.mechanism.log_density
 
     # Joint model log likelihood A (configs x G) and mechanism log pmf B.
     log_lik = np.zeros((1, G))
     log_mech = np.zeros(1)
     for i in range(toy.n):
-        mech_i = toy.mech_log_pmf(x_t[i] - toy.x_support[xi]) + toy.mech_log_pmf(
-            y_t[i] - toy.y_support[yi]
-        )
+        mech_i = log_f(x_t[i] - toy.x_support[xi]) + log_f(y_t[i] - toy.y_support[yi])
         log_lik = (log_lik[:, None, :] + base.T[None, :, :]).reshape(-1, G)
         log_mech = (log_mech[:, None] + mech_i[None, :]).reshape(-1)
 
@@ -284,22 +271,8 @@ def misreported_mechanism_bias(
         if math.isinf(eps):
             masses = _identity_mechanism_posterior(toy, s_tilde_obs)
         else:
-            t = DiscreteToy(
-                beta_grid=toy.beta_grid,
-                x_support=toy.x_support,
-                y_support=toy.y_support,
-                n=toy.n,
-                mechanism=MechanismSpec(
-                    Family.DOUBLE_GEOMETRIC,
-                    toy.mechanism.sensitivity,
-                    PrivacyBudget(eps),
-                ),
-                beta0=toy.beta0,
-                sigma=toy.sigma,
-                lam=toy.lam,
-                prior_weights=toy.prior_weights,
-            )
-            masses = grid_posterior_oracle(t, s_tilde_obs)
+            mechanism = replace(toy.mechanism, budget=PrivacyBudget(eps))
+            masses = grid_posterior_oracle(replace(toy, mechanism=mechanism), s_tilde_obs)
         return float(masses @ toy.beta_grid)
 
     mean_true = posterior_mean(true_eps)
@@ -347,10 +320,9 @@ def toy_privatized_observation(toy: DiscreteToy, beta: float, rng: np.random.Gen
     y = np.empty(toy.n, dtype=np.int64)
     for i in range(toy.n):
         y[i] = toy.y_support[rng.choice(toy.y_support.size, p=np.exp(lpy[x_idx[i]]))]
-    budget, sensitivity = toy.mechanism.budget, toy.mechanism.sensitivity
-    noise_x = double_geometric_noise(rng, budget, toy.n, sensitivity)
-    noise_y = double_geometric_noise(rng, budget, toy.n, sensitivity)
-    return (x + noise_x, y + noise_y), (x, y)
+    x_tilde, _ = privatize_vector(x, toy.mechanism, rng)
+    y_tilde, _ = privatize_vector(y, toy.mechanism, rng)
+    return (x_tilde, y_tilde), (x, y)
 
 
 def random_toy(rng: np.random.Generator, n_max: int = 3) -> tuple[DiscreteToy, tuple]:
@@ -438,17 +410,17 @@ def abc_exact_posterior(
     Proposals come from the prior; for each proposal a confidential
     dataset is simulated from the generative law (x Poisson(lam), y normal
     around the line with scale sigma, both known), and the proposal is
-    accepted with probability equal to the Laplace mechanism density of
-    the observed release at that dataset divided by its mode.  The mode
-    normalization cancels the density constants, leaving
-    exp(-sum(|dx|/b_x + |dy|/b_y)), always a valid probability.
+    accepted with probability equal to the declared mechanism density
+    (``data.spec_x`` and ``data.spec_y``) of the observed release at that
+    dataset divided by its mode, always a valid probability.
 
     The acceptance test runs in stages.  Each proposal draws one uniform u
-    and is accepted iff its summed penalties |dx_i|/b_x + |dy_i|/b_y stay
-    below -log u.  The penalties are nonnegative, so a proposal is dropped
-    as soon as its slack, -log u less its running sum, reaches 0: x_i is
-    drawn record by record for the proposals still alive, the parameters
-    only for those that survive every x stage, then y_i record by record.
+    and is accepted iff its summed penalties, mode - log_density(d) for
+    each coordinate's perturbation d, stay below -log u.  The penalties
+    are nonnegative, so a proposal is dropped as soon as its slack, -log u
+    less its running sum, reaches 0: x_i is drawn record by record for the
+    proposals still alive, the parameters only for those that survive
+    every x stage, then y_i record by record.
     The accept event, and so the law of the draws and of the acceptance
     count, is that of drawing everything first; only the order in which
     ``rng`` is consumed differs.  The work per proposal is set by how many
@@ -463,7 +435,8 @@ def abc_exact_posterior(
         raise ValueError("draws must be at least 1")
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    b_x, b_y = data.spec_x.scale, data.spec_y.scale
+    log_fx, log_fy = data.spec_x.log_density, data.spec_y.log_density
+    mode_x, mode_y = log_fx(0.0), log_fy(0.0)
 
     accepted = []
     count = 0
@@ -473,12 +446,12 @@ def abc_exact_posterior(
         xs = []
         for x_obs in data.x_tilde:
             x = rng.poisson(lam, slack.size)
-            slack, xs = _charge(slack, np.abs(x - x_obs) / b_x, [*xs, x])
+            slack, xs = _charge(slack, mode_x - log_fx(x - x_obs), [*xs, x])
         theta = prior.sample(rng, slack.size)
         for y_obs in data.y_tilde:
             x, *rest = xs
             y = theta[:, 0] + theta[:, 1] * x + rng.normal(0.0, sigma, slack.size)
-            slack, (theta, *xs) = _charge(slack, np.abs(y - y_obs) / b_y, [theta, *rest])
+            slack, (theta, *xs) = _charge(slack, mode_y - log_fy(y - y_obs), [theta, *rest])
         proposals += batch_size
         if slack.size:
             accepted.append(theta)
@@ -501,14 +474,14 @@ def abc_toy_posterior(
 ) -> AbcResult:
     """Exact rejection sampler for the discrete toy's slope posterior.
 
-    Same staged acceptance rule as :func:`abc_exact_posterior` with the
-    double geometric density ratio exp(-a * sum(|dx| + |dy|)), where
-    a = eps / sensitivity.
+    Same staged acceptance rule as :func:`abc_exact_posterior`, charging
+    the declared mechanism's log pmf below its mode for every perturbation.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
     x_t, y_t = _as_observation(toy, s_tilde_obs)
-    rate = toy.mechanism.budget.epsilon / toy.mechanism.sensitivity
+    log_f = toy.mechanism.log_density
+    mode = log_f(0)
     prior = np.exp(toy.log_prior())
     px = np.exp(toy.x_log_pmf())
     cdf = np.cumsum(np.exp(toy.y_log_pmf()), axis=2)  # (G, X, Y)
@@ -522,7 +495,7 @@ def abc_toy_posterior(
         ixs = []
         for x_obs in x_t:
             ix = rng.choice(toy.x_support.size, size=slack.size, p=px)
-            penalty = rate * np.abs(x_obs - toy.x_support[ix])
+            penalty = mode - log_f(x_obs - toy.x_support[ix])
             slack, ixs = _charge(slack, penalty, [*ixs, ix])
         g = rng.choice(toy.beta_grid.size, size=slack.size, p=prior)
         for y_obs in y_t:
@@ -531,7 +504,7 @@ def abc_toy_posterior(
             # the clip guards the u > cdf[..., -1] float edge
             u = rng.random((slack.size, 1))
             iy = np.minimum((u > cdf[g, ix]).sum(axis=1), last)
-            penalty = rate * np.abs(y_obs - toy.y_support[iy])
+            penalty = mode - log_f(y_obs - toy.y_support[iy])
             slack, (g, *ixs) = _charge(slack, penalty, [g, *rest])
         proposals += batch_size
         if slack.size:

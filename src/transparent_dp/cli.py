@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -183,6 +184,17 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of a float row: a finite float."""
+    try:
+        val = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(val):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return val
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tdp",
@@ -200,7 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
             if isinstance(kind, tuple):
                 p.add_argument(_flag(name), choices=kind, help=text)
             else:
-                p.add_argument(_flag(name), type=kind, help=text)
+                p.add_argument(_flag(name), type=_finite_float if kind is float else kind,
+                               help=text)
     return parser
 
 
@@ -208,7 +221,8 @@ def _config_value(row: tuple, val):
     """A --config value checked and typed as the flag of ``row`` would be parsed.
 
     JSON null leaves a parameter without a default unset; an int is widened
-    for a float parameter.
+    for a float parameter, and a value that is not a finite float is refused
+    for it as the flag refuses one.
     """
     name, kind, default, _ = row
     if val is None and (default is None or default is REQUIRED):
@@ -218,7 +232,9 @@ def _config_value(row: tuple, val):
     else:
         number = (int, float) if kind is float else kind
         ok = isinstance(val, number) and not isinstance(val, bool)
-        want = {int: "an integer", float: "a number", str: "a string"}[kind]
+        # False for NaN, infinities and ints that would overflow float().
+        ok = ok and (kind is not float or abs(val) <= sys.float_info.max)
+        want = {int: "an integer", float: "a finite number", str: "a string"}[kind]
     if not ok:
         raise _UsageError(f"config key {name!r} must be {want}, got {json.dumps(val)}")
     return float(val) if kind is float else val

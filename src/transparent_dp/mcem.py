@@ -185,22 +185,16 @@ def log_importance_weights(
     """Raw (unnormalized) log weights of complete-data draws.
 
     Each row of the sample matrices is one candidate confidential dataset;
-    its weight is the exact mechanism log density of the observed release
-    given that dataset, summed over coordinates:
+    its weight is the exact log density of the observed release given that
+    dataset under the declared mechanisms, summed over coordinates:
 
-        log w_k = sum_i [ llap(x_ki - x~_i; b_x) + llap(y_ki - y~_i; b_y) ]
+        log w_k = sum_i [ f_x(x_ki - x~_i) + f_y(y_ki - y~_i) ]
 
-    with llap the Laplace log density at the public scales b_x, b_y.
+    with f_x, f_y the ``log_density`` of ``data.spec_x`` and ``data.spec_y``.
     """
-    b_x = data.spec_x.scale
-    b_y = data.spec_y.scale
-    const = -math.log(2.0 * b_x) - math.log(2.0 * b_y)
-    n = data.n
-    terms = (
-        -np.abs(x_samples - data.x_tilde) / b_x
-        - np.abs(y_samples - data.y_tilde) / b_y
-    )
-    return n * const + terms.sum(axis=1)
+    log_w = data.spec_x.log_density(x_samples - data.x_tilde)
+    log_w += data.spec_y.log_density(y_samples - data.y_tilde)
+    return log_w.sum(axis=1)
 
 
 def e_step(

@@ -133,6 +133,19 @@ class MechanismSpec:
             raise UnsupportedFamilyError("truth probability applies to randomized response")
         return truth_probability(self.budget)
 
+    def log_density(self, delta):
+        """Exact log density of the noise at ``delta``, normalization included.
+
+        The Laplace density for the Laplace family, the pmf at integer
+        ``delta`` for the double geometric; this is the one noise law that
+        inference on a release reads from its public spec.
+        """
+        if self.family is Family.LAPLACE:
+            return laplace_log_density(delta, self.scale)
+        if self.family is Family.DOUBLE_GEOMETRIC:
+            return double_geometric_log_pmf(delta, self.budget, self.sensitivity)
+        raise UnsupportedFamilyError("log_density is defined for additive families only")
+
     def to_dict(self) -> dict:
         return {"family": self.family.value, "sensitivity": self.sensitivity,
                 "epsilon": self.budget.epsilon}
@@ -213,8 +226,10 @@ def laplace_log_density(u, scale: float):
     """
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive, got {scale!r}")
-    u = np.asarray(u, dtype=float)
-    out = -math.log(2.0 * scale) - np.abs(u) / scale
+    # In place on abs's fresh array: -log(2 b) - |u| / b, one temporary fewer.
+    out = np.abs(np.asarray(u, dtype=float))
+    out /= -scale
+    out += -math.log(2.0 * scale)
     return float(out) if out.ndim == 0 else out
 
 
@@ -271,7 +286,7 @@ def randomized_response(rng: np.random.Generator, truth: int, budget: PrivacyBud
     rng : numpy.random.Generator
         Source stream.
     truth : int
-        The confidential bit, 0 or 1.
+        The confidential bit, 0 or 1; anything else is a ValueError.
     budget : PrivacyBudget
         Budget eps.
 
@@ -280,10 +295,9 @@ def randomized_response(rng: np.random.Generator, truth: int, budget: PrivacyBud
     int
         ``truth`` with probability p, the flipped bit otherwise.
     """
-    if truth not in (0, 1):
-        raise ValueError(f"truth must be 0 or 1, got {truth!r}")
-    p = truth_probability(budget)
-    return truth if rng.random() < p else 1 - truth
+    spec = MechanismSpec(Family.RANDOMIZED_RESPONSE, 1, budget)
+    released, _ = privatize_vector([truth], spec, rng)
+    return int(released[0])
 
 
 def privatize_vector(values, spec: MechanismSpec, rng: np.random.Generator):

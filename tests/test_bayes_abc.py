@@ -134,7 +134,7 @@ def test_toy_mech_pmf_matches_mechanism_module():
     toy = small_toy(eps=0.5)
     deltas = np.arange(-6, 7)
     expected = [double_geometric_log_pmf(int(d), PrivacyBudget(0.5)) for d in deltas]
-    np.testing.assert_allclose(toy.mech_log_pmf(deltas), expected, rtol=1e-12)
+    np.testing.assert_allclose(toy.mechanism.log_density(deltas), expected, rtol=1e-12)
 
 
 def test_grid_posterior_normalizes_and_single_point_case():
@@ -296,14 +296,21 @@ def point_mass_acceptance(x_tilde, y_tilde, b, beta0, beta1, sigma, lam):
     return p
 
 
-def test_abc_exact_acceptance_count_matches_closed_form():
+@pytest.mark.parametrize("spec_x, x_tilde", [
+    (MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(0.5)), (4.2, 6.9, 3.1)),
+    # The double geometric's ratio to its mode, exp(-eps |dx| / sensitivity),
+    # is the closed form's x factor at b = sensitivity / eps = 2.  Sensitivity
+    # 2 also catches a rate that ignores it.
+    (MechanismSpec(Family.DOUBLE_GEOMETRIC, 2.0, PrivacyBudget(1.0)), (4, 7, 3)),
+], ids=["laplace", "double_geometric_x"])
+def test_abc_exact_acceptance_count_matches_closed_form(spec_x, x_tilde):
     # One batch of N proposals at a point-mass prior: the accepted count is
     # Binomial(N, p) with p in closed form.  A sampler whose Laplace scale
     # is 10% off accepts about 1.37 N p, some 25 standard deviations away.
-    x_tilde, y_tilde = (4.2, 6.9, 3.1), (9.4, 13.8, 7.2)
+    y_tilde = (9.4, 13.8, 7.2)
     spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(0.5))
     priv = PrivatizedDataset(
-        x_tilde=np.array(x_tilde), y_tilde=np.array(y_tilde), spec_x=spec,
+        x_tilde=np.array(x_tilde), y_tilde=np.array(y_tilde), spec_x=spec_x,
         spec_y=spec, parent_seed=0,
     )
     prior = PriorSpec("uniform_box", bounds=((3.0, 3.0), (1.5, 1.5)))

@@ -506,6 +506,10 @@ def test_config_ints_match_flags_byte_for_byte(capsys, tmp_path):
     ("simulate", {"n": "three"}, ["--epsilon-x", "1", "--epsilon-y", "1", "--seed", "2"]),
     ("simulate", {"n": 3.0}, ["--epsilon-x", "1", "--epsilon-y", "1", "--seed", "2"]),
     ("privatize", {"family": "bogus"}, ["--values", "1,2", "--epsilon", "1", "--seed", "2"]),
+    ("clt-limits", {"beta1": float("nan")}, ["--steps", "2"]),
+    ("clt-limits", {"beta1": float("inf")}, ["--steps", "2"]),
+    ("clt-limits", {"sigma_sq": float("-inf")}, ["--steps", "2"]),
+    ("clt-limits", {"alpha": 10**400}, ["--steps", "2"]),
 ])
 def test_config_values_are_checked_like_flags(capsys, tmp_path, mcem_env,
                                               command, payload, argv):
@@ -517,6 +521,21 @@ def test_config_values_are_checked_like_flags(capsys, tmp_path, mcem_env,
     assert rc == 2 and out == ""
     assert err.startswith("usage error:") and "Traceback" not in err
     assert repr(next(iter(payload))) in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["clt-limits", "--sigma-u-max", "nan", "--steps", "2"],
+    ["coverage-grid", "--sigma-v-max", "inf", "--steps", "2"],
+    ["clt-limits", "--sigma-sq", "inf"],
+    ["clt-limits", "--sigma-sq=-inf"],
+    ["clt-limits", "--alpha", "1e400"],
+])
+def test_nonfinite_float_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    cap = capsys.readouterr()
+    assert exc.value.code == 2 and cap.out == ""
+    assert "must be a finite number" in cap.err
 
 
 @pytest.mark.parametrize("command", ["clt-limits", "coverage-grid"])
@@ -574,10 +593,25 @@ def test_envelope_known_names_mistyped_params():
 def test_benchmark_tracer_resolves_cli_names():
     # install() patches modules process-wide, so it runs in its own process
     root = Path(__file__).resolve().parent.parent
-    code = "from tdpbench.spans import Tracer, install; install(Tracer())"
+    # The samplers must be looked up at call time, or the traced noise
+    # draws (and the benchmark's draws_per_s) silently read 0.
+    code = "\n".join([
+        "from tdpbench.spans import Tracer, install",
+        "from transparent_dp.mechanisms import Family, MechanismSpec, PrivacyBudget,"
+        " privatize_vector",
+        "from transparent_dp.rng import stream",
+        "tracer = Tracer()",
+        "install(tracer)",
+        "for family in (Family.LAPLACE, Family.DOUBLE_GEOMETRIC):",
+        "    spec = MechanismSpec(family, 1.0, PrivacyBudget(1.0))",
+        "    privatize_vector([1, 2, 3], spec, stream(0, 'tracer'))",
+        "print(sorted({span[0] for span in tracer.spans}))",
+    ])
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": "src:."}, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert "'mechanisms.laplace_noise'" in proc.stdout
+    assert "'mechanisms.double_geometric_noise'" in proc.stdout
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):

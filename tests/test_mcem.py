@@ -13,6 +13,7 @@ from transparent_dp.mechanisms import (
     Family,
     MechanismSpec,
     PrivacyBudget,
+    double_geometric_log_pmf,
     laplace_log_density,
 )
 from transparent_dp.mcem import (
@@ -111,6 +112,26 @@ def test_log_importance_weights_match_mechanism_density():
         expected = sum(
             laplace_log_density(xs[k, i] - priv.x_tilde[i], b_x)
             + laplace_log_density(ys[k, i] - priv.y_tilde[i], b_y)
+            for i in range(4)
+        )
+        assert raw[k] == pytest.approx(expected, rel=1e-12)
+
+
+def test_log_importance_weights_read_the_declared_family():
+    # A double-geometric x release is weighted by its own pmf, not the
+    # Laplace density at the same scale (their constants differ).
+    _, priv = reference_instance(62, n=4, eps=1.0)
+    dg = MechanismSpec(Family.DOUBLE_GEOMETRIC, 1.0, PrivacyBudget(1.0))
+    priv = PrivatizedDataset(x_tilde=np.round(priv.x_tilde), y_tilde=priv.y_tilde,
+                             spec_x=dg, spec_y=priv.spec_y, parent_seed=62)
+    rng = stream(62, "liw-dg")
+    xs = rng.poisson(10.0, (3, 4)).astype(float)
+    ys = rng.normal(0.0, 5.0, (3, 4))
+    raw = log_importance_weights(xs, ys, priv)
+    for k in range(3):
+        expected = sum(
+            double_geometric_log_pmf(int(xs[k, i] - priv.x_tilde[i]), dg.budget)
+            + laplace_log_density(ys[k, i] - priv.y_tilde[i], priv.spec_y.scale)
             for i in range(4)
         )
         assert raw[k] == pytest.approx(expected, rel=1e-12)

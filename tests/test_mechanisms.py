@@ -66,6 +66,25 @@ def test_spec_truth_probability_only_for_rr():
         rr.scale
 
 
+@pytest.mark.parametrize("sensitivity", [1.0, 5.0])
+def test_spec_log_density_is_the_family_kernel(sensitivity):
+    budget = PrivacyBudget(0.5)
+    deltas = np.arange(-12, 13)
+    lap = MechanismSpec(Family.LAPLACE, sensitivity, budget)
+    np.testing.assert_array_equal(
+        lap.log_density(deltas + 0.25), laplace_log_density(deltas + 0.25, sensitivity / 0.5)
+    )
+    assert lap.log_density(-1.5) == laplace_log_density(-1.5, sensitivity / 0.5)
+    dg = MechanismSpec(Family.DOUBLE_GEOMETRIC, sensitivity, budget)
+    np.testing.assert_array_equal(
+        dg.log_density(deltas), double_geometric_log_pmf(deltas, budget, sensitivity)
+    )
+    assert dg.log_density(3) == double_geometric_log_pmf(3, budget, sensitivity)
+    rr = MechanismSpec(Family.RANDOMIZED_RESPONSE, 1.0, budget)
+    with pytest.raises(UnsupportedFamilyError):
+        rr.log_density(deltas)
+
+
 def test_spec_dict_round_trip():
     spec = MechanismSpec(Family.LAPLACE, 2.0, PrivacyBudget(0.25))
     assert spec.to_dict() == json.loads(spec.to_json())
@@ -229,6 +248,15 @@ def test_randomized_response_empirical_rate():
     assert abs(hits / 100_000 - 0.75) < 0.01
     with pytest.raises(ValueError):
         randomized_response(rng, 2, budget)
+
+
+def test_randomized_response_reads_one_uniform_per_answer():
+    budget = PrivacyBudget(0.7)
+    p = truth_probability(budget)
+    rng, ref = stream(5, "rr-draws"), stream(5, "rr-draws")
+    for truth in (0, 1) * 50:
+        expected = truth if ref.random() < p else 1 - truth
+        assert randomized_response(rng, truth, budget) == expected
 
 
 def test_privatize_vector_laplace_variance():
