@@ -81,6 +81,12 @@ class PriorSpec:
         elif self.kind == "independent_normal":
             if self.means is None or self.sds is None:
                 raise ValueError("independent_normal prior requires means and sds")
+            for name in ("means", "sds"):
+                if np.shape(getattr(self, name)) != (2,):
+                    raise ValueError(f"prior {name} must be a (beta0, beta1) pair, "
+                                     f"got {getattr(self, name)!r}")
+            if any(not math.isfinite(m) for m in self.means):
+                raise ValueError(f"prior means must be finite, got {self.means!r}")
             if any(not (math.isfinite(s) and s > 0) for s in self.sds):
                 raise ValueError("prior sds must be positive")
         else:

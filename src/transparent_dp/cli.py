@@ -79,7 +79,7 @@ _MODEL = [
 ]
 _BUDGETS = [(f"epsilon_{c}", float, REQUIRED, f"budget for the {c} coordinate") for c in "xy"]
 _EM = [
-    ("k_samples", int, 5000, "EM importance draws per iteration"),
+    ("k_samples", int, 5000, "EM importance draws per record and iteration"),
     ("max_iter", int, 40, "EM iteration cap"),
 ]
 _DESIGN = [
@@ -116,7 +116,6 @@ _COMMANDS: dict[str, tuple[str, list]] = {
         _SEED,
         *_EM,
         ("tol", float, 1e-3, "convergence threshold"),
-        ("ess_floor", float, 0.01, "min ESS fraction before doubling"),
         ("alpha", float, 0.05, "ellipse level"),
         *_KNOWN,
         ("trace", str, None, "optional path for the iteration trace CSV"),
@@ -172,6 +171,7 @@ _COMMANDS: dict[str, tuple[str, list]] = {
         ("claimed_epsilon", float, None,
          "budget claimed for the bound check (default: epsilon)"),
         ("support_bound", int, 100, "output scan range"),
+        ("sensitivity", int, 1, "integer query sensitivity (double geometric)"),
     ]),
 }
 
@@ -387,7 +387,7 @@ def _cmd_fit_mcem(params: dict) -> str:
     sigma, lam = _envelope_known(params, env)
     config = MCEMConfig(
         sigma=sigma, lam=lam,
-        **{key: params[key] for key in ("k_samples", "max_iter", "tol", "ess_floor", "alpha")},
+        **{key: params[key] for key in ("k_samples", "max_iter", "tol", "alpha")},
     )
     res = run_mcem(data, config, params["seed"])
     if params["trace"]:
@@ -503,6 +503,7 @@ def _cmd_verify_dp(params: dict) -> str:
         PrivacyBudget(params["epsilon"]),
         support_bound=params["support_bound"],
         claimed=None if claimed is None else PrivacyBudget(claimed),
+        sensitivity=params["sensitivity"],
     )
     out = {
         "family": params["family"],

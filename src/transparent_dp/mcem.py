@@ -1,12 +1,16 @@
 """Maximum likelihood on privatized regression data via Monte Carlo EM.
 
 The privatized pairs are the data; the confidential pairs are missing.
-Each E-step draws complete datasets from the current-parameter generative
-law and weights them by the exact mechanism density of the observed
-release given the draw (importance sampling against the missing data law).
-The M-step is weighted least squares on per-dataset summary means.  A
-Louis-type three-term estimator gives the observed Fisher information at
-the final estimate, from which large-sample confidence ellipses follow.
+Given the parameters, the records are independent, so the posterior of
+the missing pairs factorizes over records and every E-step quantity is a
+sum of per-record terms.  Each E-step draws K values of each record's x
+from its release-conditional pmf q_i(s) ∝ Pois(s; lam) f_x(x~_i - s),
+which does not depend on the parameters, draws y from the regression law
+at the current parameters, and weights each draw by the y mechanism
+density alone; weights are normalized per record.  The M-step is least
+squares on the weighted per-record moments.  Louis's identity, with the
+score variance summed over records, gives the observed Fisher information
+at the final estimate, from which large-sample confidence ellipses follow.
 
 The idiosyncratic scale sigma and the regressor mean lam are treated as
 known constants throughout; only the intercept and slope are estimated.
@@ -17,7 +21,7 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +44,7 @@ __all__ = [
     "TraceRow",
     "MCEMResult",
     "EllipseStudyRow",
+    "x_proposal",
     "log_importance_weights",
     "e_step",
     "m_step",
@@ -51,6 +56,13 @@ __all__ = [
     "study_to_csv",
 ]
 
+# Largest x value the proposal enumerates; a release that needs more is
+# reported as degenerate rather than allocated.
+_MAX_X_SUPPORT = 100_000
+# Bound on the x-proposal mass left past the support, relative to each
+# record's largest term.
+_TAIL_TOL = 1e-15
+
 
 @dataclass(frozen=True)
 class MCEMConfig:
@@ -59,15 +71,12 @@ class MCEMConfig:
     Parameters
     ----------
     k_samples : int
-        Importance draws per iteration, at least 2.
+        Importance draws per record and iteration, at least 2.
     max_iter : int
         Iteration cap.
     tol : float
         Max-norm parameter change below which an iteration counts as
         converged; two consecutive such iterations stop the run.
-    ess_floor : float
-        Minimum acceptable effective-sample-size fraction; one doubling of
-        k_samples is triggered the first time an E-step falls below it.
     alpha : float
         Ellipse level (0.05 gives 95% ellipses).
     sigma : float
@@ -79,7 +88,6 @@ class MCEMConfig:
     k_samples: int = 5000
     max_iter: int = 40
     tol: float = 1e-3
-    ess_floor: float = 0.01
     alpha: float = 0.05
     sigma: float = 5.0
     lam: float = 10.0
@@ -91,8 +99,6 @@ class MCEMConfig:
             raise ValueError("max_iter must be at least 1")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not 0 < self.ess_floor <= 1:
-            raise ValueError("ess_floor must be in (0, 1]")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
         if not self.sigma > 0:
@@ -103,7 +109,12 @@ class MCEMConfig:
 
 @dataclass(frozen=True)
 class MCEMState:
-    """Weighted E-step snapshot at one parameter value."""
+    """Weighted E-step snapshot at one parameter value.
+
+    ``log_weights`` has the (K, n) shape of the samples; each column holds
+    one record's normalized log weights.  ``ess`` is the lowest per-record
+    effective sample size, between 1 and K.
+    """
 
     iteration: int
     theta: tuple[float, float]
@@ -114,7 +125,7 @@ class MCEMState:
 
     @property
     def weights(self) -> np.ndarray:
-        """Normalized importance weights (sum to 1)."""
+        """Normalized importance weights (each column sums to 1)."""
         return np.exp(self.log_weights)
 
 
@@ -177,24 +188,75 @@ class MCEMResult:
     k_final: int
 
 
-def log_importance_weights(
-    x_samples: np.ndarray,
-    y_samples: np.ndarray,
-    data: PrivatizedDataset,
-) -> np.ndarray:
-    """Raw (unnormalized) log weights of complete-data draws.
+def _x_support_end(x_tilde: np.ndarray, lam: float) -> int:
+    """Last point N of the truncated x support 0..N.
 
-    Each row of the sample matrices is one candidate confidential dataset;
-    its weight is the exact log density of the observed release given that
-    dataset under the declared mechanisms, summed over coordinates:
+    From s0 = ceil(max(lam, max x~)) on, each record's term Pois(s; lam)
+    f_x(x~_i - s) shrinks by a factor of at most lam / (s + 1) per step,
+    since the mechanism factor does not grow past x~_i.  So the mass past
+    N is at most term(N) r / (1 - r) with r = lam / (N + 1), and term(N) is
+    at most term(s0) prod_{j=s0+1..N} lam / j.  N is the first point where
+    that bound falls below _TAIL_TOL times the record's largest term.
 
-        log w_k = sum_i [ f_x(x_ki - x~_i) + f_y(y_ki - y~_i) ]
-
-    with f_x, f_y the ``log_density`` of ``data.spec_x`` and ``data.spec_y``.
+    Raises
+    ------
+    DegenerateWeightsError
+        If N would pass _MAX_X_SUPPORT.
     """
-    log_w = data.spec_x.log_density(x_samples - data.x_tilde)
-    log_w += data.spec_y.log_density(y_samples - data.y_tilde)
-    return log_w.sum(axis=1)
+    top = max(lam, float(np.max(x_tilde)))
+    end = math.ceil(top) if top < _MAX_X_SUPPORT else _MAX_X_SUPPORT + 1
+    log_drop, log_tol = 0.0, math.log(_TAIL_TOL)
+    while end <= _MAX_X_SUPPORT:
+        r = lam / (end + 1)
+        if log_drop + math.log(r / (1.0 - r)) <= log_tol:
+            return end
+        end += 1
+        log_drop += math.log(lam / end)
+    raise DegenerateWeightsError(
+        f"x proposal needs support past {_MAX_X_SUPPORT} (max x~ {float(np.max(x_tilde))!r})"
+    )
+
+
+def x_proposal(data: PrivatizedDataset, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's release-conditional pmf of x, the E-step's x proposal.
+
+    q_i(s) ∝ Pois(s; lam) f_x(x~_i - s) on the support 0..N of
+    :func:`_x_support_end`, with f_x the ``log_density`` of ``data.spec_x``.
+    It is the posterior of x_i given x~_i alone, and depends on no
+    regression parameter.
+
+    Returns
+    -------
+    (support, log_q)
+        The support as floats, shape (N + 1,), and the normalized log pmf
+        of each record, shape (n, N + 1).
+    """
+    end = _x_support_end(data.x_tilde, lam)
+    support = np.arange(end + 1, dtype=float)
+    log_fact = np.array([math.lgamma(s + 1.0) for s in range(end + 1)])
+    log_q = data.spec_x.log_density(data.x_tilde[:, None] - support)
+    log_q += support * math.log(lam) - log_fact
+    top = log_q.max(axis=1, keepdims=True)
+    if not np.isfinite(top).all():
+        raise DegenerateWeightsError("x proposal has no finite term for some record")
+    log_q -= top
+    log_q -= np.log(np.exp(log_q).sum(axis=1, keepdims=True))
+    return support, log_q
+
+
+def log_importance_weights(y_samples: np.ndarray, data: PrivatizedDataset) -> np.ndarray:
+    """Raw (unnormalized) per-record log weights of the y draws.
+
+    With x drawn from :func:`x_proposal` and y from the regression law,
+    the importance weight of draw k of record i is the y mechanism density
+    of the observed release:
+
+        log w_ki = f_y(y_ki - y~_i)
+
+    with f_y the ``log_density`` of ``data.spec_y``.  Same shape as
+    ``y_samples``, (K, n).
+    """
+    return data.spec_y.log_density(y_samples - data.y_tilde)
 
 
 def e_step(
@@ -204,67 +266,75 @@ def e_step(
     rng: np.random.Generator,
     iteration: int = 0,
 ):
-    """Draw importance samples at theta and weight them by the mechanism.
+    """Draw K complete values of each record at theta and weight them.
 
-    Proposals follow the complete-data generative law at the current
-    parameters: x ~ Poisson(lam), y = beta0 + beta1 x + Normal(0, sigma^2).
-    Log weights are normalized by max-subtraction inside a log-sum-exp, so
-    the stored log weights exponentiate to a simplex vector.
+    x_i takes the K values of a multinomial(K, q_i) draw over the
+    :func:`x_proposal` support, in support order; y = beta0 + beta1 x +
+    Normal(0, sigma^2).  Weights are the y mechanism density, normalized
+    per record by max-subtraction inside a log-sum-exp.  Row k of the
+    samples is not one joint draw: only the columns' weighted moments are
+    meaningful.
 
     Returns
     -------
     (MCEMState, (x_samples, y_samples))
-        State with normalized log weights and ESS, plus the K x n sample
-        matrices the weights refer to.
+        State with per-record normalized log weights and the lowest
+        per-record ESS, plus the K x n sample matrices the weights refer to.
 
     Raises
     ------
     DegenerateWeightsError
-        If every weight underflows (K too small or theta far from truth).
+        If a record's log weights are all -inf, or the x proposal cannot be
+        built (a release too far out for its truncated support).
     """
     beta0, beta1 = float(theta[0]), float(theta[1])
     if not (math.isfinite(beta0) and math.isfinite(beta1)):
         raise ValueError(f"theta must be finite, got {theta!r}")
     k, n = config.k_samples, data.n
-    x_samples = rng.poisson(config.lam, (k, n)).astype(float)
-    y_samples = beta0 + beta1 * x_samples + rng.normal(0.0, config.sigma, (k, n))
+    support, log_q = x_proposal(data, config.lam)
+    counts = rng.multinomial(k, np.exp(log_q))
+    # Record-major (n, K) storage; the returned (K, n) arrays are its views.
+    x_rec = np.repeat(np.tile(support, n), counts.ravel()).reshape(n, k)
+    y_rec = rng.standard_normal((n, k))
+    y_rec *= config.sigma
+    y_rec += beta1 * x_rec
+    y_rec += beta0
 
-    raw = log_importance_weights(x_samples, y_samples, data)
-    max_raw = float(np.max(raw))
-    if not math.isfinite(max_raw):
-        raise DegenerateWeightsError("all importance weights degenerate")
+    raw = log_importance_weights(y_rec.T, data).T
+    max_raw = raw.max(axis=1, keepdims=True)
+    if not np.isfinite(max_raw).all():
+        raise DegenerateWeightsError("all importance weights of a record degenerate")
     shifted = np.exp(raw - max_raw)
-    total = float(shifted.sum())
-    if total <= 0.0:
-        raise DegenerateWeightsError("importance weights underflowed to zero")
-    log_weights = raw - max_raw - math.log(total)
-    w = shifted / total
-    ess = 1.0 / float(np.sum(w**2))
+    total = shifted.sum(axis=1, keepdims=True)
+    log_weights = raw - max_raw - np.log(total)
+    shifted /= total
+    ess = float(np.min(1.0 / np.einsum("ik,ik->i", shifted, shifted)))
 
     state = MCEMState(
         iteration=iteration,
         theta=(beta0, beta1),
-        log_weights=log_weights,
+        log_weights=log_weights.T,
         ess=ess,
         converged=False,
-        max_raw_log_weight=max_raw,
+        max_raw_log_weight=float(max_raw.sum()),
     )
-    return state, (x_samples, y_samples)
+    return state, (x_rec.T, y_rec.T)
 
 
 def m_step(state: MCEMState, samples) -> tuple[float, float]:
     """Weighted least-squares update of (beta0, beta1).
 
-    Uses the weighted across-sample averages of per-dataset means of x, y,
-    xy, and x^2; with all weight on a single draw this reduces to OLS on
-    that draw.
+    Uses the per-record weighted means of x, y, xy and x^2, averaged over
+    records; with all of a record's weight on one draw this is OLS on
+    those draws.
     """
     x_samples, y_samples = samples
     w = state.weights
-    mx = w @ x_samples.mean(axis=1)
-    my = w @ y_samples.mean(axis=1)
-    mxy = w @ (x_samples * y_samples).mean(axis=1)
-    mxx = w @ (x_samples**2).mean(axis=1)
+    n = x_samples.shape[1]
+    mx = np.einsum("ki,ki->", w, x_samples) / n
+    my = np.einsum("ki,ki->", w, y_samples) / n
+    mxy = np.einsum("ki,ki,ki->", w, x_samples, y_samples) / n
+    mxx = np.einsum("ki,ki,ki->", w, x_samples, x_samples) / n
     var_x = mxx - mx**2
     if var_x <= 0.0:
         raise DegenerateDesignError("weighted variance of x is not positive")
@@ -273,14 +343,14 @@ def m_step(state: MCEMState, samples) -> tuple[float, float]:
     return float(beta0), float(beta1)
 
 
-def _scores(samples, theta, sigma: float) -> np.ndarray:
-    """Complete-data score of each sampled dataset at theta, shape (K, 2)."""
+def _scores(samples, theta, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-record complete-data score of each draw at theta: the (K, n)
+    intercept and slope components r / sigma^2 and x r / sigma^2, with
+    r = y - beta0 - beta1 x."""
     x_samples, y_samples = samples
-    beta0, beta1 = theta
-    resid = y_samples - beta0 - beta1 * x_samples
-    s0 = resid.sum(axis=1)
-    s1 = (x_samples * resid).sum(axis=1)
-    return np.column_stack([s0, s1]) / sigma**2
+    s0 = y_samples - theta[0] - theta[1] * x_samples
+    s0 /= sigma**2
+    return s0, x_samples * s0
 
 
 def observed_fisher(
@@ -291,29 +361,44 @@ def observed_fisher(
 ) -> np.ndarray:
     """Louis-type observed information at theta from weighted samples.
 
-    Three terms: the weighted mean complete-data information, minus the
-    weighted mean outer product of complete-data scores, plus the outer
-    product of the weighted mean score.  The complete-data information for
-    a dataset with regressor column x is (1/sigma^2) [[n, sum x],
-    [sum x, sum x^2]] and does not depend on theta.
+    The weighted mean complete-data information minus the posterior
+    variance of the complete-data score.  Records are independent given
+    the release, so that variance is the sum of per-record score
+    variances E[s_i s_i'] - s̄_i s̄_i'.  The complete-data information for
+    a regressor column x is (1/sigma^2) [[n, sum x], [sum x, sum x^2]] and
+    does not depend on theta.
     """
     x_samples, _ = samples
     w = state.weights
     n = x_samples.shape[1]
-    sigma_sq = config.sigma**2
+    ex = float(np.einsum("ki,ki->", w, x_samples))
+    exx = float(np.einsum("ki,ki,ki->", w, x_samples, x_samples))
+    info = np.array([[n, ex], [ex, exx]]) / config.sigma**2
 
-    sx = x_samples.sum(axis=1)
-    sxx = (x_samples**2).sum(axis=1)
-    info = np.array(
-        [[n, float(w @ sx)], [float(w @ sx), float(w @ sxx)]]
-    ) / sigma_sq
+    s0, s1 = _scores(samples, theta, config.sigma)
+    m0 = np.einsum("ki,ki->i", w, s0)
+    m1 = np.einsum("ki,ki->i", w, s1)
+    v00 = float(np.einsum("ki,ki,ki->", w, s0, s0) - m0 @ m0)
+    v01 = float(np.einsum("ki,ki,ki->", w, s0, s1) - m0 @ m1)
+    v11 = float(np.einsum("ki,ki,ki->", w, s1, s1) - m1 @ m1)
+    return info - np.array([[v00, v01], [v01, v11]])
 
-    scores = _scores(samples, theta, config.sigma)
-    mean_score = w @ scores
-    score_sq = (scores[:, :, None] * scores[:, None, :] * w[:, None, None]).sum(axis=0)
 
-    fisher = info - score_sq + np.outer(mean_score, mean_score)
-    return (fisher + fisher.T) / 2.0
+def _mean_score(state: MCEMState, samples, theta, sigma: float):
+    """Weighted mean complete-data score at theta and its Monte Carlo SE.
+
+    The mean is the sum of per-record weighted means; records are drawn
+    independently, so its variance is the sum over records of the
+    self-normalized estimate sum_k w_ki^2 (s_ki - s̄_i)^2.
+    """
+    w = state.weights
+    mean, var = np.empty(2), np.empty(2)
+    for j, s in enumerate(_scores(samples, theta, sigma)):
+        m = np.einsum("ki,ki->i", w, s)
+        s -= m
+        mean[j] = m.sum()
+        var[j] = np.einsum("ki,ki,ki,ki->", w, w, s, s)
+    return mean, np.sqrt(var)
 
 
 def confidence_ellipse(
@@ -357,50 +442,42 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
     the solution supplies the Fisher information, the mean-score
     diagnostic, and the confidence ellipse; a non-positive-definite
     information matrix is reported via fisher_pd=False with the ellipse
-    suppressed rather than raised.
+    suppressed rather than raised.  Every E-step draws config.k_samples
+    values per record.
     """
     fit0 = ols(data.x_tilde, data.y_tilde)
     theta = (fit0.beta0_hat, fit0.beta1_hat)
 
     trace: list[TraceRow] = []
-    cfg = config
-    doubled = False
     consecutive = 0
     converged = False
 
     for t in range(1, config.max_iter + 1):
-        state, samples = e_step(data, theta, cfg, stream(seed, "mcem-iter", t), iteration=t)
+        state, samples = e_step(data, theta, config, stream(seed, "mcem-iter", t), iteration=t)
         new_theta = m_step(state, samples)
         delta = max(abs(new_theta[0] - theta[0]), abs(new_theta[1] - theta[1]))
         trace.append(
             TraceRow(t, new_theta[0], new_theta[1], state.ess, state.max_raw_log_weight)
         )
         theta = new_theta
-        if delta < cfg.tol:
+        if delta < config.tol:
             consecutive += 1
             if consecutive >= 2:
                 converged = True
                 break
         else:
             consecutive = 0
-        if not doubled and state.ess / cfg.k_samples < cfg.ess_floor:
-            cfg = replace(cfg, k_samples=2 * cfg.k_samples)
-            doubled = True
 
-    state_f, samples_f = e_step(data, theta, cfg, stream(seed, "mcem-fisher"), iteration=len(trace) + 1)
-    fisher = observed_fisher(state_f, samples_f, theta, cfg)
-
-    scores = _scores(samples_f, theta, cfg.sigma)
-    w = state_f.weights
-    mean_score = w @ scores
-    centered = scores - mean_score
-    mean_score_var = (w**2) @ (centered**2)
-    mean_score_se = np.sqrt(mean_score_var)
+    state_f, samples_f = e_step(
+        data, theta, config, stream(seed, "mcem-fisher"), iteration=len(trace) + 1
+    )
+    fisher = observed_fisher(state_f, samples_f, theta, config)
+    mean_score, mean_score_se = _mean_score(state_f, samples_f, theta, config.sigma)
 
     fisher_pd = True
     ellipse = None
     try:
-        ellipse = confidence_ellipse(theta, fisher, cfg.alpha)
+        ellipse = confidence_ellipse(theta, fisher, config.alpha)
         covariance = np.linalg.inv(fisher)
         covariance = (covariance + covariance.T) / 2.0
     except NonPDInformationError:
@@ -411,7 +488,7 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
         beta0_hat=theta[0],
         beta1_hat=theta[1],
         covariance=covariance,
-        residual_variance=cfg.sigma**2,
+        residual_variance=config.sigma**2,
         method="mcem",
         n=data.n,
     )
@@ -424,7 +501,7 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
         fisher_pd=fisher_pd,
         mean_score=mean_score,
         mean_score_se=mean_score_se,
-        k_final=cfg.k_samples,
+        k_final=config.k_samples,
     )
 
 

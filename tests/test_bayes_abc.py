@@ -84,6 +84,19 @@ def test_prior_spec_validation():
         PriorSpec("jeffreys")
 
 
+@pytest.mark.parametrize("means, sds, match", [
+    ((math.nan, 0.0), (1.0, 1.0), "means must be finite"),
+    ((0.0, -math.inf), (1.0, 1.0), "means must be finite"),
+    ((0.0, 0.0, 0.0), (1.0, 1.0), "means must be a"),
+    ((0.0,), (1.0, 1.0), "means must be a"),
+    ((0.0, 0.0), (1.0, 1.0, 1.0), "sds must be a"),
+    ((0.0, 0.0), (math.nan, 1.0), "sds must be positive"),
+])
+def test_prior_spec_rejects_bad_normal_parameters(means, sds, match):
+    with pytest.raises(ValueError, match=match):
+        PriorSpec("independent_normal", means=means, sds=sds)
+
+
 def test_discrete_toy_validation():
     with pytest.raises(ValueError):
         small_toy().__class__(

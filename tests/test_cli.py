@@ -25,7 +25,7 @@ FLAGS = {
                  "--epsilon-x", "--epsilon-y", "--seed", "--format"],
     "fit-naive": ["--input", "--on"],
     "fit-mcem": ["--input", "--seed", "--k-samples", "--max-iter", "--tol",
-                 "--ess-floor", "--alpha", "--sigma", "--lam", "--trace"],
+                 "--alpha", "--sigma", "--lam", "--trace"],
     "abc-posterior": ["--input", "--draws", "--seed", "--prior",
                       "--beta0-range", "--beta1-range", "--prior-means",
                       "--prior-sds", "--sigma", "--lam", "--batch-size"],
@@ -39,7 +39,7 @@ FLAGS = {
                       "--k-samples", "--max-iter", "--alpha", "--methods"],
     "dissimilarity": ["--input", "--epsilon", "--replicates", "--seed"],
     "verify-dp": ["--family", "--epsilon", "--claimed-epsilon",
-                  "--support-bound"],
+                  "--support-bound", "--sensitivity"],
 }
 
 DEMO_ARGS = ["simulate", "--n", "3", "--sigma", "2", "--lam", "5",
@@ -355,6 +355,26 @@ def test_abc_posterior_normal_prior(capsys, demo_env):
     assert len(rows) == 20
 
 
+@pytest.mark.parametrize("flags, match", [
+    (["--prior-means", "nan,0", "--prior-sds", "1,1"], "means must be finite"),
+    (["--prior-means=0,-inf", "--prior-sds", "1,1"], "means must be finite"),
+    (["--prior-means", "0,0", "--prior-sds", "nan,1"], "sds must be positive"),
+])
+def test_abc_posterior_rejects_nonfinite_prior_at_once(capsys, demo_env, monkeypatch,
+                                                       flags, match):
+    # named at PriorSpec construction, before any proposal is drawn
+    def no_probe(*args, **kwargs):
+        raise AssertionError("abc_exact_posterior ran on an invalid prior")
+
+    monkeypatch.setattr("transparent_dp.cli.abc_exact_posterior", no_probe)
+    rc, out, err = run(capsys, ["abc-posterior", "--input", str(demo_env),
+                                "--draws", "20", "--seed", "4",
+                                "--prior", "independent-normal", *flags])
+    assert rc == 1
+    assert err.startswith("ValueError:") and match in err
+    assert out == ""
+
+
 def test_clt_limits_starts_unbiased_then_attenuates(capsys):
     rc, out, _ = run(capsys, ["clt-limits", "--steps", "5"])
     assert rc == 0
@@ -455,6 +475,20 @@ def test_verify_dp_randomized_response(capsys):
     report = body_json(out)
     assert report["claimed_epsilon"] == 0.5
     assert report["satisfied"] is False
+
+
+def test_verify_dp_sensitivity(capsys):
+    rc, out, _ = run(capsys, ["verify-dp", "--family", "double-geometric",
+                              "--epsilon", "0.5", "--sensitivity", "2"])
+    assert rc == 0
+    assert "sensitivity=2 " in out.splitlines()[0]
+    report = body_json(out)
+    assert report["max_log_ratio"] == 0.5
+    assert report["satisfied"] is True
+    rc, _, err = run(capsys, ["verify-dp", "--family", "randomized-response",
+                              "--epsilon", "1", "--sensitivity", "2"])
+    assert rc == 1
+    assert "sensitivity" in err
 
 
 def test_config_file_merges_and_flags_override(capsys, tmp_path):
@@ -602,16 +636,34 @@ def test_benchmark_tracer_resolves_cli_names():
         "from transparent_dp.rng import stream",
         "tracer = Tracer()",
         "install(tracer)",
+        "from transparent_dp import mcem, simulate",
+        "import json",
         "for family in (Family.LAPLACE, Family.DOUBLE_GEOMETRIC):",
         "    spec = MechanismSpec(family, 1.0, PrivacyBudget(1.0))",
         "    privatize_vector([1, 2, 3], spec, stream(0, 'tracer'))",
-        "print(sorted({span[0] for span in tracer.spans}))",
+        # The MCEM per-layer metrics read these counts off the E-step's
+        # state and the fit's result.
+        "params = simulate.RegressionParams(-5.0, 4.0, 5.0, 10.0)",
+        "conf = simulate.gen_confidential(6, params, stream(0, 'tc'), seed=0)",
+        "priv = simulate.privatize_dataset(conf, PrivacyBudget(1.0), PrivacyBudget(1.0),"
+        " stream(0, 'tp'))",
+        "mcem.run_mcem(priv, mcem.MCEMConfig(k_samples=200, max_iter=3), 0)",
+        "print(json.dumps({'spans': sorted({span[0] for span in tracer.spans}),"
+        " 'counts': [c[0:1] + c[2:] for c in tracer.counts]}))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": "src:."}, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert "'mechanisms.laplace_noise'" in proc.stdout
-    assert "'mechanisms.double_geometric_noise'" in proc.stdout
+    traced = json.loads(proc.stdout)
+    assert "mechanisms.laplace_noise" in traced["spans"]
+    assert "mechanisms.double_geometric_noise" in traced["spans"]
+    counts = {}
+    for name, value in traced["counts"]:
+        counts.setdefault(name, []).append(value)
+    # three iterations plus the Fisher step
+    assert len(counts["mcem.e_step.ess_fraction"]) == 4
+    assert all(0.0 < v <= 1.0 for v in counts["mcem.e_step.ess_fraction"])
+    assert counts["mcem.run_mcem.k_final"] == [200]
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):

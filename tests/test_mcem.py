@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate, special, stats
 
 from transparent_dp.errors import (
     DegenerateDesignError,
@@ -29,6 +30,7 @@ from transparent_dp.mcem import (
     run_mcem,
     study_to_csv,
     trace_to_csv,
+    x_proposal,
 )
 from transparent_dp.naive_fit import ols
 from transparent_dp.rng import stream
@@ -50,26 +52,22 @@ def reference_instance(seed, n=10, eps=0.25):
     return data, priv
 
 
-def single_sample_state(n_weights=1):
-    if n_weights == 1:
-        lw = np.array([0.0])
-    else:
-        # second weight underflows to exactly zero
-        lw = np.array([0.0] + [-1e3] * (n_weights - 1))
-    w = np.exp(lw)
-    ess = 1.0 / float((w**2).sum())
+def single_sample_state(n, k=1):
+    # every record's weight on draw 0; the other draws underflow to exactly zero
+    lw = np.full((k, n), -1e3)
+    lw[0] = 0.0
     return MCEMState(
         iteration=1,
         theta=(0.0, 1.0),
         log_weights=lw,
-        ess=ess,
+        ess=1.0,
         converged=False,
         max_raw_log_weight=0.0,
     )
 
 
-def equal_weight_state(k):
-    lw = np.full(k, -math.log(k))
+def equal_weight_state(k, n):
+    lw = np.full((k, n), -math.log(k))
     return MCEMState(
         iteration=1,
         theta=(0.0, 1.0),
@@ -87,8 +85,8 @@ def test_config_validation():
         MCEMConfig(max_iter=0)
     with pytest.raises(ValueError):
         MCEMConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        MCEMConfig(ess_floor=0.0)
+    with pytest.raises(TypeError):
+        MCEMConfig(ess_floor=0.01)
     with pytest.raises(ValueError):
         MCEMConfig(alpha=1.0)
     with pytest.raises(ValueError):
@@ -98,59 +96,99 @@ def test_config_validation():
     cfg = MCEMConfig()
     assert cfg.k_samples == 5000
     assert cfg.tol == 1e-3
-    assert cfg.ess_floor == 0.01
 
 
 def test_log_importance_weights_match_mechanism_density():
+    # per record: the y mechanism density of the release at each draw
     _, priv = reference_instance(60, n=4)
     rng = stream(60, "liw")
-    xs = rng.poisson(10.0, (3, 4)).astype(float)
     ys = rng.normal(0.0, 5.0, (3, 4))
-    raw = log_importance_weights(xs, ys, priv)
-    b_x, b_y = priv.spec_x.scale, priv.spec_y.scale
+    raw = log_importance_weights(ys, priv)
+    assert raw.shape == (3, 4)
     for k in range(3):
-        expected = sum(
-            laplace_log_density(xs[k, i] - priv.x_tilde[i], b_x)
-            + laplace_log_density(ys[k, i] - priv.y_tilde[i], b_y)
-            for i in range(4)
-        )
-        assert raw[k] == pytest.approx(expected, rel=1e-12)
+        for i in range(4):
+            expected = laplace_log_density(ys[k, i] - priv.y_tilde[i], priv.spec_y.scale)
+            assert raw[k, i] == pytest.approx(expected, rel=1e-12)
 
 
 def test_log_importance_weights_read_the_declared_family():
-    # A double-geometric x release is weighted by its own pmf, not the
-    # Laplace density at the same scale (their constants differ).
+    # A double-geometric x release enters through the x proposal, which
+    # is Pois(s; lam) times the release's own pmf, normalized per record.
     _, priv = reference_instance(62, n=4, eps=1.0)
-    dg = MechanismSpec(Family.DOUBLE_GEOMETRIC, 1.0, PrivacyBudget(1.0))
+    dg = MechanismSpec(Family.DOUBLE_GEOMETRIC, 2.0, PrivacyBudget(1.0))
     priv = PrivatizedDataset(x_tilde=np.round(priv.x_tilde), y_tilde=priv.y_tilde,
                              spec_x=dg, spec_y=priv.spec_y, parent_seed=62)
-    rng = stream(62, "liw-dg")
-    xs = rng.poisson(10.0, (3, 4)).astype(float)
-    ys = rng.normal(0.0, 5.0, (3, 4))
-    raw = log_importance_weights(xs, ys, priv)
-    for k in range(3):
-        expected = sum(
-            double_geometric_log_pmf(int(xs[k, i] - priv.x_tilde[i]), dg.budget)
-            + laplace_log_density(ys[k, i] - priv.y_tilde[i], priv.spec_y.scale)
-            for i in range(4)
-        )
-        assert raw[k] == pytest.approx(expected, rel=1e-12)
+    support, log_q = x_proposal(priv, 10.0)
+    assert support[0] == 0.0 and np.all(np.diff(support) == 1.0)
+    for i in range(4):
+        unnorm = stats.poisson.logpmf(support, 10.0) + np.array([
+            double_geometric_log_pmf(int(priv.x_tilde[i] - s), dg.budget, 2)
+            for s in support
+        ])
+        expected = unnorm - special.logsumexp(unnorm)
+        np.testing.assert_allclose(log_q[i], expected, rtol=1e-12, atol=1e-12)
+    ys = stream(62, "liw-dg").normal(0.0, 5.0, (3, 4))
+    np.testing.assert_array_equal(
+        log_importance_weights(ys, priv),
+        laplace_log_density(ys - priv.y_tilde, priv.spec_y.scale),
+    )
 
 
 def test_exact_match_attains_maximal_weight():
     _, priv = reference_instance(61, n=5)
     rng = stream(61, "match")
-    xs = rng.poisson(10.0, (10, 5)).astype(float)
     ys = rng.normal(0.0, 5.0, (10, 5))
-    xs[0] = priv.x_tilde
     ys[0] = priv.y_tilde
-    raw = log_importance_weights(xs, ys, priv)
-    peak = 5 * (
-        laplace_log_density(0.0, priv.spec_x.scale)
-        + laplace_log_density(0.0, priv.spec_y.scale)
-    )
-    assert raw[0] == pytest.approx(peak, rel=1e-12)
-    assert raw.argmax() == 0
+    raw = log_importance_weights(ys, priv)
+    peak = laplace_log_density(0.0, priv.spec_y.scale)
+    np.testing.assert_allclose(raw[0], peak, rtol=1e-12)
+    assert (raw.argmax(axis=0) == 0).all()
+
+
+@pytest.mark.parametrize("eps", [0.25, 1.0, 5.0])
+def test_x_proposal_truncation_matches_wide_support(eps):
+    # The truncated support loses no mass a support of 0..2000 would see.
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(eps))
+    x_tilde = np.array([-20.0, 60.0, 200.0])
+    priv = PrivatizedDataset(x_tilde=x_tilde, y_tilde=np.zeros(3), spec_x=spec,
+                             spec_y=spec, parent_seed=0)
+    support, log_q = x_proposal(priv, 10.0)
+    assert support[-1] >= 200.0
+    wide = np.arange(2001.0)
+    ref = stats.poisson.logpmf(wide, 10.0) - np.abs(x_tilde[:, None] - wide) * eps
+    ref = np.exp(ref - special.logsumexp(ref, axis=1, keepdims=True))
+    m = support.size
+    assert np.abs(np.exp(log_q) - ref[:, :m]).max() <= 1e-12
+    assert ref[:, m:].sum(axis=1).max() <= 1e-12
+
+
+def test_e_step_matches_brute_force_posterior_means():
+    # Per-record posterior means of x and y at theta, against the
+    # Poisson support summed and y integrated on a fine trapezoid grid.
+    x_tilde = np.array([8.747, 7.655, 3.661, 4.664, -1.3])
+    y_tilde = np.array([12.485, 19.217, 7.683, 11.223, 2.0])
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(0.5))
+    priv = PrivatizedDataset(x_tilde=x_tilde, y_tilde=y_tilde, spec_x=spec,
+                             spec_y=spec, parent_seed=0)
+    beta0, beta1, sigma, lam, b = 3.5, 1.6, 2.0, 5.0, 2.0
+    cfg = MCEMConfig(k_samples=20_000, sigma=sigma, lam=lam)
+    state, (xs, ys) = e_step(priv, (beta0, beta1), cfg, stream(80, "brute"))
+    w = state.weights
+    np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=1e-12)
+
+    xg = np.arange(61.0)
+    yg = np.linspace(-60.0, 160.0, 44_001)
+    for i in range(5):
+        log_px = stats.poisson.logpmf(xg, lam) - np.abs(x_tilde[i] - xg) / b
+        dens = (stats.norm.pdf(yg[None, :], beta0 + beta1 * xg[:, None], sigma)
+                * np.exp(-np.abs(y_tilde[i] - yg) / b))
+        mass = np.exp(log_px - log_px.max()) * integrate.trapezoid(dens, yg, axis=1)
+        ey = integrate.trapezoid(dens * yg, yg, axis=1) / integrate.trapezoid(dens, yg, axis=1)
+        exact = (mass @ xg / mass.sum(), mass @ ey / mass.sum())
+        for col, truth in zip((xs[:, i], ys[:, i]), exact):
+            mean = w[:, i] @ col
+            se = math.sqrt(w[:, i] ** 2 @ (col - mean) ** 2)
+            assert abs(mean - truth) <= 4 * se, (i, mean, truth, se)
 
 
 def test_e_step_weights_normalize_and_ess_bounds():
@@ -158,11 +196,15 @@ def test_e_step_weights_normalize_and_ess_bounds():
     cfg = MCEMConfig(k_samples=400)
     state, samples = e_step(priv, (-3.0, 3.5), cfg, stream(62, "estep"))
     w = state.weights
-    assert abs(w.sum() - 1.0) < 1e-12
-    assert 0.0 < state.ess <= 400.0
-    assert state.ess == pytest.approx(1.0 / float((w**2).sum()), rel=1e-12)
+    assert w.shape == (400, 10)
+    np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=1e-12)
+    per_record = 1.0 / (w**2).sum(axis=0)
+    assert 1.0 <= state.ess <= 400.0
+    assert state.ess == pytest.approx(per_record.min(), rel=1e-12)
     assert samples[0].shape == (400, 10)
     assert samples[1].shape == (400, 10)
+    x = samples[0]
+    assert (x >= 0).all() and (x == np.round(x)).all()
 
 
 def test_e_step_deterministic_per_stream():
@@ -181,7 +223,7 @@ def test_e_step_rejects_nonfinite_theta():
 
 
 def test_e_step_degenerate_weights_error():
-    # releases so implausible that every log weight overflows to -inf
+    # a release so far out that the x proposal's support passes its cap
     spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(10_000.0))
     priv = PrivatizedDataset(
         x_tilde=np.full(3, 1e308),
@@ -214,7 +256,7 @@ def test_m_step_single_sample_equals_ols():
     rng = stream(66, "mstep1")
     x = rng.poisson(10.0, 8).astype(float)
     y = -5.0 + 4.0 * x + rng.normal(0.0, 5.0, 8)
-    state = single_sample_state()
+    state = single_sample_state(8)
     beta0, beta1 = m_step(state, (x[None, :], y[None, :]))
     fit = ols(x, y)
     assert beta0 == pytest.approx(fit.beta0_hat, rel=1e-12)
@@ -227,20 +269,25 @@ def test_m_step_identical_samples_equal_weights():
     y = 1.0 + 0.5 * x + rng.normal(0.0, 1.0, 6)
     xs = np.tile(x, (5, 1))
     ys = np.tile(y, (5, 1))
-    beta0, beta1 = m_step(equal_weight_state(5), (xs, ys))
+    beta0, beta1 = m_step(equal_weight_state(5, 6), (xs, ys))
     fit = ols(x, y)
     assert beta0 == pytest.approx(fit.beta0_hat, rel=1e-10)
     assert beta1 == pytest.approx(fit.beta1_hat, rel=1e-10)
 
 
 def test_m_step_zero_weight_sample_is_ignored():
+    # Weights are per record: records 0, 2, 4 keep draw 0 and records
+    # 1, 3, 5 keep draw 1, so the update is OLS on that mix of draws.
     rng = stream(68, "mstep3")
     x1 = rng.poisson(10.0, 6).astype(float)
     y1 = 2.0 - 1.0 * x1 + rng.normal(0.0, 1.0, 6)
     xs = np.vstack([x1, x1 + 3.0])
     ys = np.vstack([y1, -y1])
-    beta0, beta1 = m_step(single_sample_state(2), (xs, ys))
-    fit = ols(x1, y1)
+    keep = np.arange(6) % 2
+    state = single_sample_state(6, k=2)
+    state.log_weights[:] = np.where(np.arange(2)[:, None] == keep, 0.0, -1e3)
+    beta0, beta1 = m_step(state, (xs, ys))
+    fit = ols(xs[keep, np.arange(6)], ys[keep, np.arange(6)])
     assert beta0 == pytest.approx(fit.beta0_hat, rel=1e-12)
     assert beta1 == pytest.approx(fit.beta1_hat, rel=1e-12)
 
@@ -249,7 +296,7 @@ def test_m_step_degenerate_design():
     xs = np.full((1, 5), 7.0)
     ys = np.arange(5.0)[None, :]
     with pytest.raises(DegenerateDesignError):
-        m_step(single_sample_state(), (xs, ys))
+        m_step(single_sample_state(5), (xs, ys))
 
 
 def test_observed_fisher_single_sample_at_its_ols():
@@ -259,10 +306,10 @@ def test_observed_fisher_single_sample_at_its_ols():
     fit = ols(x, y)
     cfg = MCEMConfig(k_samples=2, sigma=5.0)
     fisher = observed_fisher(
-        single_sample_state(), (x[None, :], y[None, :]), (fit.beta0_hat, fit.beta1_hat), cfg
+        single_sample_state(9), (x[None, :], y[None, :]), (fit.beta0_hat, fit.beta1_hat), cfg
     )
-    # mean score vanishes at the sample's own OLS solution, so only the
-    # complete-data information survives
+    # one draw per record has no score variance, so only the complete-data
+    # information survives
     info = np.array([[9.0, x.sum()], [x.sum(), (x**2).sum()]]) / 25.0
     np.testing.assert_allclose(fisher, info, rtol=1e-8)
 
@@ -274,7 +321,7 @@ def test_observed_fisher_identical_samples_is_complete_data_info():
     xs = np.tile(x, (4, 1))
     ys = np.tile(y, (4, 1))
     cfg = MCEMConfig(k_samples=4, sigma=3.0)
-    fisher = observed_fisher(equal_weight_state(4), (xs, ys), (0.3, 1.7), cfg)
+    fisher = observed_fisher(equal_weight_state(4, 7), (xs, ys), (0.3, 1.7), cfg)
     info = np.array([[7.0, x.sum()], [x.sum(), (x**2).sum()]]) / 9.0
     np.testing.assert_allclose(fisher, info, rtol=1e-9, atol=1e-9)
 
@@ -285,6 +332,28 @@ def test_observed_fisher_is_symmetric():
     state, samples = e_step(priv, (-4.0, 3.8), cfg, stream(71, "fish3"))
     fisher = observed_fisher(state, samples, (-4.0, 3.8), cfg)
     np.testing.assert_array_equal(fisher, fisher.T)
+
+
+def test_observed_fisher_sums_per_record_score_variances():
+    # Louis's identity with the score variance summed over records,
+    # against a dense (K, n, 2) evaluation.
+    rng = stream(79, "fish4")
+    k, n, sigma, theta = 50, 4, 2.0, (0.5, 1.5)
+    xs = rng.poisson(5.0, (k, n)).astype(float)
+    ys = theta[0] + theta[1] * xs + rng.normal(0.0, 3.0, (k, n))
+    w = rng.random((k, n))
+    w /= w.sum(axis=0)
+    state = MCEMState(1, theta, np.log(w), 1.0, False, 0.0)
+    fisher = observed_fisher(state, (xs, ys), theta, MCEMConfig(sigma=sigma))
+    r = (ys - theta[0] - theta[1] * xs) / sigma**2
+    scores = np.stack([r, xs * r], axis=-1)
+    expected = np.array([[n, (w * xs).sum()], [(w * xs).sum(), (w * xs**2).sum()]])
+    expected /= sigma**2
+    for i in range(n):
+        mean = w[:, i] @ scores[:, i]
+        second = (w[:, i, None, None] * scores[:, i, :, None] * scores[:, i, None, :]).sum(0)
+        expected -= second - np.outer(mean, mean)
+    np.testing.assert_allclose(fisher, expected, rtol=1e-10)
 
 
 def test_fisher_positive_definite_in_most_replicates():
@@ -380,20 +449,20 @@ def test_run_mcem_trace_and_flags():
         assert np.isnan(res.fit.covariance).all()
 
 
-def test_run_mcem_doubles_k_once_when_ess_low():
+def test_run_mcem_keeps_k_samples():
+    # no ESS-driven growth: every E-step draws k_samples per record
     _, priv = reference_instance(75)
-    cfg = MCEMConfig(k_samples=64, max_iter=3, ess_floor=1.0)
+    cfg = MCEMConfig(k_samples=64, max_iter=3)
     res = run_mcem(priv, cfg, seed=11)
-    assert res.k_final == 128
+    assert res.k_final == 64
+    assert all(1.0 <= row.ess <= 64.0 for row in res.trace)
 
 
 def test_run_mcem_near_noise_free_release():
     # With near-zero noise the naive start already matches the
-    # confidential fit to 1e-3.  The importance sampler itself degenerates
-    # to the closest draw (ESS 1), so the EM estimate wanders at the scale
-    # of single-draw OLS noise instead of shrinking to tol; other seeds
-    # drift further (intercept error up to ~12 along the lam ridge).
-    # Frozen-seed regression values here: d0=0.68, d1=0.25.
+    # confidential fit to 1e-3.  The x proposal puts all its mass on the
+    # released x, and each record's weight falls on its draw of y closest
+    # to the release (ESS 1), so EM stays at the confidential fit.
     data = gen_confidential(10, REF_PARAMS, stream(900, "nf"), seed=900)
     priv = privatize_dataset(
         data, PrivacyBudget(1e6), PrivacyBudget(1e6), stream(900, "nf-n")
