@@ -5,12 +5,16 @@ Given the parameters, the records are independent, so the posterior of
 the missing pairs factorizes over records and every E-step quantity is a
 sum of per-record terms.  Each E-step draws K values of each record's x
 from its release-conditional pmf q_i(s) ∝ Pois(s; lam) f_x(x~_i - s),
-which does not depend on the parameters, draws y from the regression law
-at the current parameters, and weights each draw by the y mechanism
-density alone; weights are normalized per record.  The M-step is least
-squares on the weighted per-record moments.  Louis's identity, with the
-score variance summed over records, gives the observed Fisher information
-at the final estimate, from which large-sample confidence ellipses follow.
+which does not depend on the parameters.  y is not drawn: given x, the
+release and the parameters, the y residual is Normal ⊛ Laplace, so each
+draw of x is weighted by the closed-form density of the y release and
+carries the exact conditional mean and variance of y (Rao–Blackwell).
+Weights are normalized per record, and draws at the same x value share
+theirs, so the E-step is a table over (record, x value) cells weighted by
+how many draws fell on each.  The M-step is least squares on the weighted
+per-record moments.  Louis's identity, with the score variance summed over
+records, gives the observed Fisher information at the final estimate, from
+which large-sample confidence ellipses follow.
 
 The idiosyncratic scale sigma and the regressor mean lam are treated as
 known constants throughout; only the intercept and slope are estimated.
@@ -25,10 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDesignError, DegenerateWeightsError, NonPDInformationError
-from .mechanisms import PrivacyBudget
+from .errors import (
+    DegenerateDesignError,
+    DegenerateWeightsError,
+    NonPDInformationError,
+    UnsupportedFamilyError,
+)
+from .mechanisms import Family, PrivacyBudget
 from .naive_fit import FitResult, ols
-from .normal import chi2_2_quantile
+from .normal import chi2_2_quantile, normal_laplace
 from .rng import derive_seed, stream
 from .simulate import (
     PrivatizedDataset,
@@ -59,9 +68,9 @@ __all__ = [
 # Largest x value the proposal enumerates; a release that needs more is
 # reported as degenerate rather than allocated.
 _MAX_X_SUPPORT = 100_000
-# Bound on the x-proposal mass left past the support, relative to each
-# record's largest term.
-_TAIL_TOL = 1e-15
+# Log of the bound on the x-proposal mass left past the support, relative to
+# each record's largest term.
+_LOG_TAIL_TOL = math.log(1e-15)
 
 
 @dataclass(frozen=True)
@@ -109,24 +118,41 @@ class MCEMConfig:
 
 @dataclass(frozen=True)
 class MCEMState:
-    """Weighted E-step snapshot at one parameter value.
+    """Rao–Blackwellized E-step snapshot at one parameter value.
 
-    ``log_weights`` has the (K, n) shape of the samples; each column holds
-    one record's normalized log weights.  ``ess`` is the lowest per-record
-    effective sample size, between 1 and K.
+    The (n, S) tables are indexed by record i and x value ``support[s]``.
+    ``counts`` holds how many of the K draws of x_i fell on each value, and
+    ``log_weights`` the normalized log weight each of those draws carries
+    (draws at one value share it; -inf where no draw fell).
+    ``cell_weights`` is counts * exp(log_weights), the posterior mass of
+    each cell, and each of its rows sums to 1.  ``mean_r`` and ``var_r`` are
+    the mean and variance of the residual r = y - beta0 - beta1 x given
+    x_i = support[s], y~_i and theta.  ``ess`` is the lowest per-record
+    effective sample size of the K draws, between 1 and K.
     """
 
     iteration: int
     theta: tuple[float, float]
+    support: np.ndarray
+    counts: np.ndarray
     log_weights: np.ndarray
+    cell_weights: np.ndarray
+    mean_r: np.ndarray
+    var_r: np.ndarray
     ess: float
     converged: bool
     max_raw_log_weight: float
 
+    def per_draw(self, table: np.ndarray) -> np.ndarray:
+        """Expand an (n, S) table to the (K, n) layout of the E-step's x
+        draws: entry (k, i) is the table's value at draw k of x_i."""
+        n = self.counts.shape[0]
+        return np.repeat(table.ravel(), self.counts.ravel()).reshape(n, -1).T
+
     @property
     def weights(self) -> np.ndarray:
-        """Normalized importance weights (each column sums to 1)."""
-        return np.exp(self.log_weights)
+        """Normalized weight of each draw, (K, n); each column sums to 1."""
+        return self.per_draw(np.exp(self.log_weights))
 
 
 @dataclass(frozen=True)
@@ -175,11 +201,17 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class MCEMResult:
-    """Full output of an EM run."""
+    """Full output of an EM run.
+
+    ``trace_table`` holds one row (iteration, beta0, beta1, ess,
+    max_log_weight) per EM iteration in one float array, about a fifth of
+    the memory of one :class:`TraceRow` object per iteration; ``trace``
+    lists those rows as records.
+    """
 
     fit: FitResult
     ellipse: Ellipse | None
-    trace: list
+    trace_table: np.ndarray
     converged: bool
     fisher: np.ndarray
     fisher_pd: bool
@@ -187,31 +219,46 @@ class MCEMResult:
     mean_score_se: np.ndarray
     k_final: int
 
+    @property
+    def trace(self) -> list[TraceRow]:
+        return [TraceRow(int(row[0]), *row[1:]) for row in self.trace_table.tolist()]
 
-def _x_support_end(x_tilde: np.ndarray, lam: float) -> int:
-    """Last point N of the truncated x support 0..N.
 
+def _poisson_support(x_tilde: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """The truncated x support 0..N and s log lam - log s! on it.
+
+    log s! is a cumulative sum of log j, and the same sum bounds the tail.
     From s0 = ceil(max(lam, max x~)) on, each record's term Pois(s; lam)
     f_x(x~_i - s) shrinks by a factor of at most lam / (s + 1) per step,
-    since the mechanism factor does not grow past x~_i.  So the mass past
-    N is at most term(N) r / (1 - r) with r = lam / (N + 1), and term(N) is
-    at most term(s0) prod_{j=s0+1..N} lam / j.  N is the first point where
-    that bound falls below _TAIL_TOL times the record's largest term.
+    since the mechanism factor does not grow past x~_i.  So the mass past N
+    is at most term(N) r / (1 - r) with r = lam / (N + 1), and term(N) is at
+    most term(s0) prod_{j=s0+1..N} lam / j.  N is the first point where
+    that bound falls below 1e-15 times the record's largest term.  The sum
+    runs over a window that doubles until it holds N.
 
     Raises
     ------
     DegenerateWeightsError
         If N would pass _MAX_X_SUPPORT.
     """
-    top = max(lam, float(np.max(x_tilde)))
-    end = math.ceil(top) if top < _MAX_X_SUPPORT else _MAX_X_SUPPORT + 1
-    log_drop, log_tol = 0.0, math.log(_TAIL_TOL)
-    while end <= _MAX_X_SUPPORT:
-        r = lam / (end + 1)
-        if log_drop + math.log(r / (1.0 - r)) <= log_tol:
-            return end
-        end += 1
-        log_drop += math.log(lam / end)
+    top = max(lam, float(x_tilde.max()))
+    if top < _MAX_X_SUPPORT:
+        start = math.ceil(top)
+        width = 64
+        while True:
+            last = min(start + width, _MAX_X_SUPPORT)
+            support = np.arange(last + 1.0)
+            terms = support * math.log(lam)
+            terms[1:] -= np.cumsum(np.log(support[1:]))
+            # log of the tail bound at each end N >= s0, less log term(s0)
+            bound = terms[start:] - np.log(support[start:] + (1.0 - lam))
+            hit = np.flatnonzero(bound <= _LOG_TAIL_TOL + terms[start] - math.log(lam))
+            if hit.size:
+                end = start + int(hit[0]) + 1
+                return support[:end], terms[:end]
+            if last == _MAX_X_SUPPORT:
+                break
+            width *= 2
     raise DegenerateWeightsError(
         f"x proposal needs support past {_MAX_X_SUPPORT} (max x~ {float(np.max(x_tilde))!r})"
     )
@@ -221,9 +268,9 @@ def x_proposal(data: PrivatizedDataset, lam: float) -> tuple[np.ndarray, np.ndar
     """Each record's release-conditional pmf of x, the E-step's x proposal.
 
     q_i(s) ∝ Pois(s; lam) f_x(x~_i - s) on the support 0..N of
-    :func:`_x_support_end`, with f_x the ``log_density`` of ``data.spec_x``.
-    It is the posterior of x_i given x~_i alone, and depends on no
-    regression parameter.
+    :func:`_poisson_support`, with f_x the ``log_density`` of
+    ``data.spec_x``.  It is the posterior of x_i given x~_i alone, and
+    depends on no regression parameter.
 
     Returns
     -------
@@ -231,11 +278,9 @@ def x_proposal(data: PrivatizedDataset, lam: float) -> tuple[np.ndarray, np.ndar
         The support as floats, shape (N + 1,), and the normalized log pmf
         of each record, shape (n, N + 1).
     """
-    end = _x_support_end(data.x_tilde, lam)
-    support = np.arange(end + 1, dtype=float)
-    log_fact = np.array([math.lgamma(s + 1.0) for s in range(end + 1)])
+    support, log_pois = _poisson_support(data.x_tilde, lam)
     log_q = data.spec_x.log_density(data.x_tilde[:, None] - support)
-    log_q += support * math.log(lam) - log_fact
+    log_q += log_pois
     top = log_q.max(axis=1, keepdims=True)
     if not np.isfinite(top).all():
         raise DegenerateWeightsError("x proposal has no finite term for some record")
@@ -244,19 +289,47 @@ def x_proposal(data: PrivatizedDataset, lam: float) -> tuple[np.ndarray, np.ndar
     return support, log_q
 
 
-def log_importance_weights(y_samples: np.ndarray, data: PrivatizedDataset) -> np.ndarray:
-    """Raw (unnormalized) per-record log weights of the y draws.
+def log_importance_weights(
+    data: PrivatizedDataset,
+    theta: tuple[float, float],
+    support: np.ndarray,
+    counts: np.ndarray,
+    sigma: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw log weight of the draws in each (record, x value) cell, with the
+    y moments it integrates over.
 
-    With x drawn from :func:`x_proposal` and y from the regression law,
-    the importance weight of draw k of record i is the y mechanism density
-    of the observed release:
+    Given x_i = s, the residual r = y_i - beta0 - beta1 s is N(0, sigma^2)
+    and the release is y~_i = y_i + Laplace noise, so y~_i - beta0 - beta1 s
+    is Normal ⊛ Laplace.  A draw of x_i at s is weighted by that density,
+    g(y~_i - beta0 - beta1 s) (:func:`normal.normal_laplace`): the y
+    density of the draw with y integrated out rather than sampled.  Only
+    cells with a positive count are evaluated.
 
-        log w_ki = f_y(y_ki - y~_i)
+    Returns
+    -------
+    (log_w, mean_r, var_r)
+        (n, S) arrays like ``counts``: log g, and the mean and variance of
+        r given x_i = s, y~_i and theta; -inf, 0 and 0 where no draw fell.
 
-    with f_y the ``log_density`` of ``data.spec_y``.  Same shape as
-    ``y_samples``, (K, n).
+    Raises
+    ------
+    UnsupportedFamilyError
+        If the y release is not Laplace; the other families cannot release
+        the model's real-valued y.
     """
-    return data.spec_y.log_density(y_samples - data.y_tilde)
+    spec = data.spec_y
+    if spec.family is not Family.LAPLACE:
+        raise UnsupportedFamilyError(
+            f"MCEM needs a Laplace y release, got {spec.family.value}"
+        )
+    drawn = counts > 0
+    d = (data.y_tilde[:, None] - theta[0] - theta[1] * support)[drawn]
+    log_w = np.full(counts.shape, -np.inf)
+    mean_r = np.zeros(counts.shape)
+    var_r = np.zeros(counts.shape)
+    log_w[drawn], mean_r[drawn], var_r[drawn] = normal_laplace(d, sigma, spec.scale)
+    return log_w, mean_r, var_r
 
 
 def e_step(
@@ -266,23 +339,28 @@ def e_step(
     rng: np.random.Generator,
     iteration: int = 0,
 ):
-    """Draw K complete values of each record at theta and weight them.
+    """Draw K values of each record's x at theta and weight them, with y
+    integrated out.
 
     x_i takes the K values of a multinomial(K, q_i) draw over the
-    :func:`x_proposal` support, in support order; y = beta0 + beta1 x +
-    Normal(0, sigma^2).  Weights are the y mechanism density, normalized
-    per record by max-subtraction inside a log-sum-exp.  Row k of the
-    samples is not one joint draw: only the columns' weighted moments are
-    meaningful.
+    :func:`x_proposal` support.  Each draw at s gets the raw log weight of
+    :func:`log_importance_weights`; weights are normalized per record by
+    max-subtraction inside a log-sum-exp.
 
     Returns
     -------
-    (MCEMState, (x_samples, y_samples))
-        State with per-record normalized log weights and the lowest
-        per-record ESS, plus the K x n sample matrices the weights refer to.
+    (MCEMState, (x_samples, y_means))
+        The state with its per-record (n, S) tables and the lowest
+        per-record ESS; the K x n draws of x, as integers in support order
+        (row k is not one joint draw: only the columns' weighted moments are
+        meaningful); and the (n, S) table of E[y | x_i = support[s], y~_i,
+        theta], which stands in for draws of y (expand it with
+        :meth:`MCEMState.per_draw`).
 
     Raises
     ------
+    UnsupportedFamilyError
+        If the y release is not Laplace.
     DegenerateWeightsError
         If a record's log weights are all -inf, or the x proposal cannot be
         built (a release too far out for its truncated support).
@@ -293,111 +371,120 @@ def e_step(
     k, n = config.k_samples, data.n
     support, log_q = x_proposal(data, config.lam)
     counts = rng.multinomial(k, np.exp(log_q))
-    # Record-major (n, K) storage; the returned (K, n) arrays are its views.
-    x_rec = np.repeat(np.tile(support, n), counts.ravel()).reshape(n, k)
-    y_rec = rng.standard_normal((n, k))
-    y_rec *= config.sigma
-    y_rec += beta1 * x_rec
-    y_rec += beta0
-
-    raw = log_importance_weights(y_rec.T, data).T
-    max_raw = raw.max(axis=1, keepdims=True)
+    log_w, mean_r, var_r = log_importance_weights(
+        data, (beta0, beta1), support, counts, config.sigma
+    )
+    max_raw = log_w.max(axis=1, keepdims=True)
     if not np.isfinite(max_raw).all():
         raise DegenerateWeightsError("all importance weights of a record degenerate")
-    shifted = np.exp(raw - max_raw)
-    total = shifted.sum(axis=1, keepdims=True)
-    log_weights = raw - max_raw - np.log(total)
-    shifted /= total
-    ess = float(np.min(1.0 / np.einsum("ik,ik->i", shifted, shifted)))
+    log_w -= max_raw
+    w = np.exp(log_w)
+    p = counts * w
+    total = p.sum(axis=1, keepdims=True)
+    w /= total
+    p /= total
+    log_w -= np.log(total)
+    # record i's sum of squared draw weights is sum_s counts w^2 = sum_s p w
+    ess = float(1.0 / np.max(np.einsum("is,is->i", p, w)))
 
     state = MCEMState(
         iteration=iteration,
         theta=(beta0, beta1),
-        log_weights=log_weights.T,
+        support=support,
+        counts=counts,
+        log_weights=log_w,
+        cell_weights=p,
+        mean_r=mean_r,
+        var_r=var_r,
         ess=ess,
         converged=False,
         max_raw_log_weight=float(max_raw.sum()),
     )
-    return state, (x_rec.T, y_rec.T)
+    # Record-major (n, K) storage; the returned (K, n) array is its view.
+    # The support is 0..N, so a value's index is the value; 32-bit integers
+    # halve the largest array the E-step writes.
+    x_index = np.tile(np.arange(support.size, dtype=np.int32), n)
+    x_rec = np.repeat(x_index, counts.ravel()).reshape(n, k)
+    return state, (x_rec.T, mean_r + beta0 + beta1 * support)
 
 
-def m_step(state: MCEMState, samples) -> tuple[float, float]:
-    """Weighted least-squares update of (beta0, beta1).
+def m_step(state: MCEMState) -> tuple[float, float]:
+    """Least-squares update of (beta0, beta1) from the E-step tables.
 
-    Uses the per-record weighted means of x, y, xy and x^2, averaged over
-    records; with all of a record's weight on one draw this is OLS on
-    those draws.
+    The expected complete-data log-likelihood is minus the sum over records
+    of E[(y_i - b0 - b1 x_i)^2] / (2 sigma^2), so the update is OLS on the
+    posterior moments of x, y, xy and x^2 averaged over records.  With
+    y = beta0 + beta1 x + r at the state's theta, that is theta plus the
+    regression of E[r | x] on x.  With all of a record's mass on one x
+    value this is OLS on the pairs (x, E[y | x]).
     """
-    x_samples, y_samples = samples
-    w = state.weights
-    n = x_samples.shape[1]
-    mx = np.einsum("ki,ki->", w, x_samples) / n
-    my = np.einsum("ki,ki->", w, y_samples) / n
-    mxy = np.einsum("ki,ki,ki->", w, x_samples, y_samples) / n
-    mxx = np.einsum("ki,ki,ki->", w, x_samples, x_samples) / n
-    var_x = mxx - mx**2
+    p = state.cell_weights
+    s = state.support
+    n = p.shape[0]
+    mass = p.sum(axis=0)
+    pr = np.einsum("is,is->s", p, state.mean_r)
+    mx = float(mass @ s) / n
+    var_x = float(mass @ (s * s)) / n - mx**2
     if var_x <= 0.0:
         raise DegenerateDesignError("weighted variance of x is not positive")
-    beta1 = (mxy - mx * my) / var_x
-    beta0 = my - beta1 * mx
-    return float(beta0), float(beta1)
+    mr = float(pr.sum()) / n
+    shift = (float(pr @ s) / n - mx * mr) / var_x
+    beta0, beta1 = state.theta
+    return float(beta0 + mr - shift * mx), float(beta1 + shift)
 
 
-def _scores(samples, theta, sigma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record complete-data score of each draw at theta: the (K, n)
-    intercept and slope components r / sigma^2 and x r / sigma^2, with
-    r = y - beta0 - beta1 x."""
-    x_samples, y_samples = samples
-    s0 = y_samples - theta[0] - theta[1] * x_samples
-    s0 /= sigma**2
-    return s0, x_samples * s0
+def _conditional_scores(state: MCEMState, sigma: float):
+    """The complete-data score's intercept and slope components given each
+    x value, as (n, S) tables: E[r] / sigma^2 and x E[r] / sigma^2."""
+    s0 = state.mean_r / sigma**2
+    return s0, s0 * state.support
 
 
-def observed_fisher(
-    state: MCEMState,
-    samples,
-    theta: tuple[float, float],
-    config: MCEMConfig,
-) -> np.ndarray:
-    """Louis-type observed information at theta from weighted samples.
+def observed_fisher(state: MCEMState, sigma: float) -> np.ndarray:
+    """Louis-type observed information at the state's theta.
 
-    The weighted mean complete-data information minus the posterior
-    variance of the complete-data score.  Records are independent given
-    the release, so that variance is the sum of per-record score
-    variances E[s_i s_i'] - s̄_i s̄_i'.  The complete-data information for
-    a regressor column x is (1/sigma^2) [[n, sum x], [sum x, sum x^2]] and
-    does not depend on theta.
+    The mean complete-data information minus the posterior variance of the
+    complete-data score.  Records are independent given the release, so
+    that variance is the sum of per-record score variances, each the
+    variance of the score's conditional mean over the x values plus its
+    mean conditional variance, Var(r | x) / sigma^4 [[1, x], [x, x^2]].
+    The complete-data information for a regressor column x is
+    (1/sigma^2) [[n, sum x], [sum x, sum x^2]] and does not depend on theta.
     """
-    x_samples, _ = samples
-    w = state.weights
-    n = x_samples.shape[1]
-    ex = float(np.einsum("ki,ki->", w, x_samples))
-    exx = float(np.einsum("ki,ki,ki->", w, x_samples, x_samples))
-    info = np.array([[n, ex], [ex, exx]]) / config.sigma**2
+    p = state.cell_weights
+    s = state.support
+    n = p.shape[0]
+    mass = p.sum(axis=0)
+    ex, exx = float(mass @ s), float(mass @ (s * s))
+    info = np.array([[n, ex], [ex, exx]]) / sigma**2
 
-    s0, s1 = _scores(samples, theta, config.sigma)
-    m0 = np.einsum("ki,ki->i", w, s0)
-    m1 = np.einsum("ki,ki->i", w, s1)
-    v00 = float(np.einsum("ki,ki,ki->", w, s0, s0) - m0 @ m0)
-    v01 = float(np.einsum("ki,ki,ki->", w, s0, s1) - m0 @ m1)
-    v11 = float(np.einsum("ki,ki,ki->", w, s1, s1) - m1 @ m1)
+    c0, c1 = _conditional_scores(state, sigma)
+    c0 = c0 - np.einsum("is,is->i", p, c0)[:, None]
+    c1 = c1 - np.einsum("is,is->i", p, c1)[:, None]
+    pv = np.einsum("is,is->s", p, state.var_r) / sigma**4
+    v00 = float(pv.sum() + np.einsum("is,is,is->", p, c0, c0))
+    v01 = float(pv @ s + np.einsum("is,is,is->", p, c0, c1))
+    v11 = float(pv @ (s * s) + np.einsum("is,is,is->", p, c1, c1))
     return info - np.array([[v00, v01], [v01, v11]])
 
 
-def _mean_score(state: MCEMState, samples, theta, sigma: float):
-    """Weighted mean complete-data score at theta and its Monte Carlo SE.
+def _mean_score(state: MCEMState, sigma: float):
+    """Mean complete-data score at the state's theta and its Monte Carlo SE.
 
-    The mean is the sum of per-record weighted means; records are drawn
-    independently, so its variance is the sum over records of the
-    self-normalized estimate sum_k w_ki^2 (s_ki - s̄_i)^2.
+    The mean is the sum of per-record weighted means of the score's
+    conditional mean.  Records are drawn independently, so its variance is
+    the sum over records of the self-normalized estimate
+    sum_k w_ki^2 (s_ki - s̄_i)^2; the draws at one x value share w and s,
+    so the sum over k is one over x values of counts w^2 = cell weight w.
     """
-    w = state.weights
+    p = state.cell_weights
+    pw = p * np.exp(state.log_weights)
     mean, var = np.empty(2), np.empty(2)
-    for j, s in enumerate(_scores(samples, theta, sigma)):
-        m = np.einsum("ki,ki->i", w, s)
-        s -= m
+    for j, c in enumerate(_conditional_scores(state, sigma)):
+        m = np.einsum("is,is->i", p, c)
+        c = c - m[:, None]
         mean[j] = m.sum()
-        var[j] = np.einsum("ki,ki,ki,ki->", w, w, s, s)
+        var[j] = np.einsum("is,is,is->", pw, c, c)
     return mean, np.sqrt(var)
 
 
@@ -448,17 +535,15 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
     fit0 = ols(data.x_tilde, data.y_tilde)
     theta = (fit0.beta0_hat, fit0.beta1_hat)
 
-    trace: list[TraceRow] = []
+    trace = []
     consecutive = 0
     converged = False
 
     for t in range(1, config.max_iter + 1):
-        state, samples = e_step(data, theta, config, stream(seed, "mcem-iter", t), iteration=t)
-        new_theta = m_step(state, samples)
+        state, _ = e_step(data, theta, config, stream(seed, "mcem-iter", t), iteration=t)
+        new_theta = m_step(state)
         delta = max(abs(new_theta[0] - theta[0]), abs(new_theta[1] - theta[1]))
-        trace.append(
-            TraceRow(t, new_theta[0], new_theta[1], state.ess, state.max_raw_log_weight)
-        )
+        trace.append((t, *new_theta, state.ess, state.max_raw_log_weight))
         theta = new_theta
         if delta < config.tol:
             consecutive += 1
@@ -468,11 +553,11 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
         else:
             consecutive = 0
 
-    state_f, samples_f = e_step(
+    state_f, _ = e_step(
         data, theta, config, stream(seed, "mcem-fisher"), iteration=len(trace) + 1
     )
-    fisher = observed_fisher(state_f, samples_f, theta, config)
-    mean_score, mean_score_se = _mean_score(state_f, samples_f, theta, config.sigma)
+    fisher = observed_fisher(state_f, config.sigma)
+    mean_score, mean_score_se = _mean_score(state_f, config.sigma)
 
     fisher_pd = True
     ellipse = None
@@ -495,7 +580,7 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
     return MCEMResult(
         fit=fit,
         ellipse=ellipse,
-        trace=trace,
+        trace_table=np.array(trace),
         converged=converged,
         fisher=fisher,
         fisher_pd=fisher_pd,

@@ -612,6 +612,19 @@ def test_malformed_envelope_is_named_error(capsys, mcem_env, tmp_path, argv, edi
     assert len(err.strip().splitlines()) == 1
 
 
+def test_fit_mcem_refuses_a_double_geometric_y_release(capsys, mcem_env, tmp_path):
+    def edit(env):
+        env["privatized"]["spec_y"]["family"] = "double_geometric"
+        env["privatized"]["y_tilde"] = [round(v) for v in env["privatized"]["y_tilde"]]
+
+    path = malformed_env(mcem_env, tmp_path, edit)
+    rc, out, err = run(capsys, ["fit-mcem", "--input", str(path), "--seed", "7",
+                                "--k-samples", "100", "--max-iter", "2"])
+    assert rc == 1 and out == ""
+    assert err.startswith("UnsupportedFamilyError:") and "Laplace y release" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_envelope_known_names_mistyped_params():
     from transparent_dp.cli import _envelope_known
     flags = {"sigma": None, "lam": None}

@@ -9,18 +9,20 @@ from transparent_dp.errors import (
     DegenerateDesignError,
     DegenerateWeightsError,
     NonPDInformationError,
+    UnsupportedFamilyError,
 )
 from transparent_dp.mechanisms import (
     Family,
     MechanismSpec,
     PrivacyBudget,
     double_geometric_log_pmf,
-    laplace_log_density,
+    privatize_vector,
 )
 from transparent_dp.mcem import (
     Ellipse,
     MCEMConfig,
     MCEMState,
+    _mean_score,
     confidence_ellipse,
     e_step,
     ellipse_study,
@@ -33,6 +35,7 @@ from transparent_dp.mcem import (
     x_proposal,
 )
 from transparent_dp.naive_fit import ols
+from transparent_dp.normal import normal_laplace
 from transparent_dp.rng import stream
 from transparent_dp.simulate import (
     PrivatizedDataset,
@@ -52,30 +55,40 @@ def reference_instance(seed, n=10, eps=0.25):
     return data, priv
 
 
-def single_sample_state(n, k=1):
-    # every record's weight on draw 0; the other draws underflow to exactly zero
-    lw = np.full((k, n), -1e3)
-    lw[0] = 0.0
+def table_state(counts, raw_log_w=None, mean_r=None, var_r=None, theta=(0.0, 1.0)):
+    # An E-step state on the support 0..S-1, with raw per-cell log weights
+    # normalized per record as e_step does (equal raw weights by default).
+    counts = np.asarray(counts)
+    shape = counts.shape
+    raw = np.zeros(shape) if raw_log_w is None else np.asarray(raw_log_w, dtype=float)
+    log_w = np.where(counts > 0, raw, -np.inf)
+    log_w -= log_w.max(axis=1, keepdims=True)
+    log_w -= np.log((counts * np.exp(log_w)).sum(axis=1, keepdims=True))
+    p = counts * np.exp(log_w)
     return MCEMState(
         iteration=1,
-        theta=(0.0, 1.0),
-        log_weights=lw,
-        ess=1.0,
+        theta=theta,
+        support=np.arange(float(shape[1])),
+        counts=counts,
+        log_weights=log_w,
+        cell_weights=p,
+        mean_r=np.zeros(shape) if mean_r is None else np.asarray(mean_r, dtype=float),
+        var_r=np.zeros(shape) if var_r is None else np.asarray(var_r, dtype=float),
+        ess=float(1.0 / np.max((p * np.exp(log_w)).sum(axis=1))),
         converged=False,
         max_raw_log_weight=0.0,
     )
 
 
-def equal_weight_state(k, n):
-    lw = np.full((k, n), -math.log(k))
-    return MCEMState(
-        iteration=1,
-        theta=(0.0, 1.0),
-        log_weights=lw,
-        ess=float(k),
-        converged=False,
-        max_raw_log_weight=0.0,
-    )
+def point_state(x, y, theta=(0.0, 1.0), k=1):
+    # every record's k draws on its own x, with y known exactly there
+    x = np.asarray(x).astype(int)
+    rows = np.arange(x.size)
+    counts = np.zeros((x.size, x.max() + 1), dtype=np.int64)
+    counts[rows, x] = k
+    mean_r = np.zeros(counts.shape)
+    mean_r[rows, x] = np.asarray(y) - theta[0] - theta[1] * x
+    return table_state(counts, mean_r=mean_r, theta=theta)
 
 
 def test_config_validation():
@@ -99,16 +112,30 @@ def test_config_validation():
 
 
 def test_log_importance_weights_match_mechanism_density():
-    # per record: the y mechanism density of the release at each draw
+    # Per drawn cell: the density of the y release given x = s, that is the
+    # regression law convolved with the spec's own Laplace density (by the
+    # trapezoid rule); cells without a draw are -inf with zero moments.
     _, priv = reference_instance(60, n=4)
-    rng = stream(60, "liw")
-    ys = rng.normal(0.0, 5.0, (3, 4))
-    raw = log_importance_weights(ys, priv)
-    assert raw.shape == (3, 4)
-    for k in range(3):
-        for i in range(4):
-            expected = laplace_log_density(ys[k, i] - priv.y_tilde[i], priv.spec_y.scale)
-            assert raw[k, i] == pytest.approx(expected, rel=1e-12)
+    theta, sigma = (-3.0, 3.5), 5.0
+    support = np.arange(12.0)
+    counts = stream(60, "liw").integers(0, 2, (4, 12))
+    log_w, mean_r, var_r = log_importance_weights(priv, theta, support, counts, sigma)
+    assert log_w.shape == mean_r.shape == var_r.shape == (4, 12)
+    r = np.linspace(-80.0, 80.0, 160_001)
+    for i in range(4):
+        for s in range(12):
+            if counts[i, s] == 0:
+                assert (log_w[i, s], mean_r[i, s], var_r[i, s]) == (-np.inf, 0.0, 0.0)
+                continue
+            y = theta[0] + theta[1] * s + r
+            dens = stats.norm.pdf(r, 0.0, sigma) * np.exp(
+                priv.spec_y.log_density(y - priv.y_tilde[i])
+            )
+            mass = integrate.trapezoid(dens, r)
+            assert log_w[i, s] == pytest.approx(math.log(mass), abs=1e-6)
+            assert mean_r[i, s] == pytest.approx(
+                integrate.trapezoid(dens * r, r) / mass, abs=1e-5
+            )
 
 
 def test_log_importance_weights_read_the_declared_family():
@@ -127,22 +154,36 @@ def test_log_importance_weights_read_the_declared_family():
         ])
         expected = unnorm - special.logsumexp(unnorm)
         np.testing.assert_allclose(log_q[i], expected, rtol=1e-12, atol=1e-12)
-    ys = stream(62, "liw-dg").normal(0.0, 5.0, (3, 4))
-    np.testing.assert_array_equal(
-        log_importance_weights(ys, priv),
-        laplace_log_density(ys - priv.y_tilde, priv.spec_y.scale),
-    )
+    # The Laplace y release is read at its own scale ...
+    counts = np.ones((4, support.size), dtype=np.int64)
+    got = log_importance_weights(priv, (1.0, 2.0), support, counts, 5.0)
+    d = priv.y_tilde[:, None] - 1.0 - 2.0 * support
+    for table, expected in zip(got, normal_laplace(d, 5.0, priv.spec_y.scale)):
+        np.testing.assert_array_equal(table, expected)
+    # ... and a double-geometric y release, which has no density at the
+    # real-valued y of the model, is refused.
+    dg_y = PrivatizedDataset(x_tilde=priv.x_tilde, y_tilde=np.round(priv.y_tilde),
+                             spec_x=priv.spec_x, spec_y=dg, parent_seed=62)
+    with pytest.raises(UnsupportedFamilyError):
+        log_importance_weights(dg_y, (1.0, 2.0), support, counts, 5.0)
 
 
 def test_exact_match_attains_maximal_weight():
+    # g is symmetric and peaks at 0, so each record's largest raw weight is
+    # at the x value whose regression line passes through its release,
+    # where it is log g(0) = -log b + kappa^2 / 2 + log Phi(-kappa) with
+    # kappa = sigma / b.
     _, priv = reference_instance(61, n=5)
-    rng = stream(61, "match")
-    ys = rng.normal(0.0, 5.0, (10, 5))
-    ys[0] = priv.y_tilde
-    raw = log_importance_weights(ys, priv)
-    peak = laplace_log_density(0.0, priv.spec_y.scale)
-    np.testing.assert_allclose(raw[0], peak, rtol=1e-12)
-    assert (raw.argmax(axis=0) == 0).all()
+    theta, sigma, b = (2.0, 3.0), 5.0, priv.spec_y.scale
+    x_star = np.array([3, 9, 0, 14, 7])
+    priv = PrivatizedDataset(x_tilde=priv.x_tilde, y_tilde=theta[0] + theta[1] * x_star,
+                             spec_x=priv.spec_x, spec_y=priv.spec_y, parent_seed=61)
+    counts = np.ones((5, 20), dtype=np.int64)
+    raw, _, _ = log_importance_weights(priv, theta, np.arange(20.0), counts, sigma)
+    kappa = sigma / b
+    peak = -math.log(b) + kappa**2 / 2 + special.log_ndtr(-kappa)
+    np.testing.assert_allclose(raw[np.arange(5), x_star], peak, rtol=1e-12)
+    assert (raw.argmax(axis=1) == x_star).all()
 
 
 @pytest.mark.parametrize("eps", [0.25, 1.0, 5.0])
@@ -172,7 +213,8 @@ def test_e_step_matches_brute_force_posterior_means():
                              spec_y=spec, parent_seed=0)
     beta0, beta1, sigma, lam, b = 3.5, 1.6, 2.0, 5.0, 2.0
     cfg = MCEMConfig(k_samples=20_000, sigma=sigma, lam=lam)
-    state, (xs, ys) = e_step(priv, (beta0, beta1), cfg, stream(80, "brute"))
+    state, (xs, y_means) = e_step(priv, (beta0, beta1), cfg, stream(80, "brute"))
+    ys = state.per_draw(y_means)
     w = state.weights
     np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=1e-12)
 
@@ -194,17 +236,40 @@ def test_e_step_matches_brute_force_posterior_means():
 def test_e_step_weights_normalize_and_ess_bounds():
     _, priv = reference_instance(62)
     cfg = MCEMConfig(k_samples=400)
-    state, samples = e_step(priv, (-3.0, 3.5), cfg, stream(62, "estep"))
+    theta = (-3.0, 3.5)
+    state, (x, y_means) = e_step(priv, theta, cfg, stream(62, "estep"))
+    counts = state.counts
+    assert counts.shape == state.log_weights.shape == state.cell_weights.shape
+    assert counts.shape == (10, state.support.size)
+    assert (counts.sum(axis=1) == 400).all()
+    # draws at one x value share a weight; a record's cells hold all its mass
+    np.testing.assert_allclose(state.cell_weights, counts * np.exp(state.log_weights),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(state.cell_weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert (state.log_weights[counts == 0] == -np.inf).all()
+    raw, mean_r, _ = log_importance_weights(priv, theta, state.support, counts, cfg.sigma)
+    unnorm = raw + np.log(np.maximum(counts, 1))
+    np.testing.assert_allclose(
+        state.log_weights[counts > 0],
+        (raw - special.logsumexp(unnorm, axis=1, keepdims=True))[counts > 0],
+        rtol=1e-12,
+    )
+    assert state.max_raw_log_weight == pytest.approx(raw.max(axis=1).sum(), rel=1e-12)
     w = state.weights
     assert w.shape == (400, 10)
     np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=1e-12)
     per_record = 1.0 / (w**2).sum(axis=0)
     assert 1.0 <= state.ess <= 400.0
     assert state.ess == pytest.approx(per_record.min(), rel=1e-12)
-    assert samples[0].shape == (400, 10)
-    assert samples[1].shape == (400, 10)
-    x = samples[0]
-    assert (x >= 0).all() and (x == np.round(x)).all()
+    # the x draws are the support values, in support order per record
+    assert x.shape == (400, 10)
+    np.testing.assert_array_equal(
+        x, state.per_draw(np.broadcast_to(state.support, counts.shape))
+    )
+    assert (np.diff(x, axis=0) >= 0).all()
+    # y is not drawn: each cell carries its conditional mean
+    np.testing.assert_allclose(y_means, theta[0] + theta[1] * state.support + mean_r,
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_e_step_deterministic_per_stream():
@@ -236,6 +301,39 @@ def test_e_step_degenerate_weights_error():
         e_step(priv, (0.0, 1.0), MCEMConfig(k_samples=16), stream(65, "degen"))
 
 
+def test_mcem_refuses_a_y_release_it_cannot_model():
+    # A double-geometric y release would be read through its pmf at
+    # non-integer differences; privatize_vector cannot even make one from a
+    # real-valued y.  Both entry points name the problem instead.
+    _, priv = reference_instance(81, n=4, eps=1.0)
+    dg = MechanismSpec(Family.DOUBLE_GEOMETRIC, 1.0, PrivacyBudget(1.0))
+    bad = PrivatizedDataset(x_tilde=priv.x_tilde, y_tilde=np.round(priv.y_tilde),
+                            spec_x=priv.spec_x, spec_y=dg, parent_seed=81)
+    with pytest.raises(UnsupportedFamilyError, match="Laplace y release"):
+        e_step(bad, (0.0, 1.0), MCEMConfig(k_samples=50), stream(81, "dg"))
+    with pytest.raises(UnsupportedFamilyError, match="Laplace y release"):
+        run_mcem(bad, MCEMConfig(k_samples=50, max_iter=2), seed=3)
+
+
+def test_run_mcem_reads_a_double_geometric_x_release():
+    # the x release may be double geometric: it enters through x_proposal
+    data = gen_confidential(10, REF_PARAMS, stream(82, "dgx"), seed=82)
+    spec_x = MechanismSpec(Family.DOUBLE_GEOMETRIC, 1.0, PrivacyBudget(1.0))
+    spec_y = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(1.0))
+    priv = PrivatizedDataset(
+        x_tilde=privatize_vector(data.x, spec_x, stream(82, "dgx-x"))[0],
+        y_tilde=privatize_vector(data.y, spec_y, stream(82, "dgx-y"))[0],
+        spec_x=spec_x, spec_y=spec_y, parent_seed=82,
+    )
+    res = run_mcem(priv, MCEMConfig(k_samples=500, max_iter=5), seed=4)
+    assert np.isfinite([res.fit.beta0_hat, res.fit.beta1_hat]).all()
+    state, (x, _) = e_step(priv, (res.fit.beta0_hat, res.fit.beta1_hat),
+                           MCEMConfig(k_samples=500), stream(82, "dgx-e"))
+    _, log_q = x_proposal(priv, REF_PARAMS.lam)
+    assert (state.counts[np.exp(log_q) == 0] == 0).all()
+    assert 1.0 <= state.ess <= 500.0
+
+
 def test_e_step_ess_diagnostic_at_reference_config():
     # fixed-seed diagnostic: median ESS fraction over six instances
     fracs = []
@@ -254,106 +352,140 @@ def test_e_step_ess_diagnostic_at_reference_config():
 
 def test_m_step_single_sample_equals_ols():
     rng = stream(66, "mstep1")
-    x = rng.poisson(10.0, 8).astype(float)
+    x = rng.poisson(10.0, 8)
     y = -5.0 + 4.0 * x + rng.normal(0.0, 5.0, 8)
-    state = single_sample_state(8)
-    beta0, beta1 = m_step(state, (x[None, :], y[None, :]))
-    fit = ols(x, y)
-    assert beta0 == pytest.approx(fit.beta0_hat, rel=1e-12)
-    assert beta1 == pytest.approx(fit.beta1_hat, rel=1e-12)
-
-
-def test_m_step_identical_samples_equal_weights():
-    rng = stream(67, "mstep2")
-    x = rng.poisson(10.0, 6).astype(float)
-    y = 1.0 + 0.5 * x + rng.normal(0.0, 1.0, 6)
-    xs = np.tile(x, (5, 1))
-    ys = np.tile(y, (5, 1))
-    beta0, beta1 = m_step(equal_weight_state(5, 6), (xs, ys))
-    fit = ols(x, y)
+    beta0, beta1 = m_step(point_state(x, y, theta=(0.3, 1.7)))
+    fit = ols(x.astype(float), y)
     assert beta0 == pytest.approx(fit.beta0_hat, rel=1e-10)
     assert beta1 == pytest.approx(fit.beta1_hat, rel=1e-10)
 
 
+def test_m_step_identical_samples_equal_weights():
+    rng = stream(67, "mstep2")
+    x = rng.poisson(10.0, 6)
+    y = 1.0 + 0.5 * x + rng.normal(0.0, 1.0, 6)
+    beta0, beta1 = m_step(point_state(x, y, k=5))
+    fit = ols(x.astype(float), y)
+    assert beta0 == pytest.approx(fit.beta0_hat, rel=1e-10)
+    assert beta1 == pytest.approx(fit.beta1_hat, rel=1e-10)
+
+
+def test_m_step_is_weighted_least_squares_on_cells():
+    # The update regresses each cell's E[y | x] on its x, weighted by the
+    # cell's posterior mass; the conditional variance of y does not enter.
+    rng = stream(69, "mstep4")
+    counts = rng.integers(0, 4, (6, 12))
+    counts[:, 5] += 1
+    theta = (0.5, 1.5)
+    state = table_state(counts, rng.normal(0.0, 1.0, (6, 12)),
+                        rng.normal(0.0, 2.0, (6, 12)), rng.random((6, 12)), theta)
+    beta0, beta1 = m_step(state)
+    root_p = np.sqrt(state.cell_weights.ravel())
+    xs = np.tile(state.support, 6)
+    ys = theta[0] + theta[1] * xs + state.mean_r.ravel()
+    design = np.column_stack([np.ones_like(xs), xs]) * root_p[:, None]
+    coef = np.linalg.lstsq(design, ys * root_p, rcond=None)[0]
+    np.testing.assert_allclose((beta0, beta1), coef, rtol=1e-10)
+
+
 def test_m_step_zero_weight_sample_is_ignored():
-    # Weights are per record: records 0, 2, 4 keep draw 0 and records
-    # 1, 3, 5 keep draw 1, so the update is OLS on that mix of draws.
+    # A value drawn but with a raw weight that underflows, and values not
+    # drawn at all, carry no mass whatever moments they hold.
     rng = stream(68, "mstep3")
-    x1 = rng.poisson(10.0, 6).astype(float)
-    y1 = 2.0 - 1.0 * x1 + rng.normal(0.0, 1.0, 6)
-    xs = np.vstack([x1, x1 + 3.0])
-    ys = np.vstack([y1, -y1])
-    keep = np.arange(6) % 2
-    state = single_sample_state(6, k=2)
-    state.log_weights[:] = np.where(np.arange(2)[:, None] == keep, 0.0, -1e3)
-    beta0, beta1 = m_step(state, (xs, ys))
-    fit = ols(xs[keep, np.arange(6)], ys[keep, np.arange(6)])
-    assert beta0 == pytest.approx(fit.beta0_hat, rel=1e-12)
-    assert beta1 == pytest.approx(fit.beta1_hat, rel=1e-12)
+    x = rng.poisson(10.0, 6)
+    y = 2.0 - 1.0 * x + rng.normal(0.0, 1.0, 6)
+    base = point_state(x, y)
+    counts = np.hstack([base.counts, np.full((6, 1), 3)])
+    raw = np.zeros(counts.shape)
+    raw[:, -1] = -1e3
+    mean_r = np.hstack([base.mean_r, np.full((6, 1), 1e6)])
+    mean_r[counts == 0] = -1e6
+    beta0, beta1 = m_step(table_state(counts, raw, mean_r, theta=base.theta))
+    fit = ols(x.astype(float), y)
+    assert beta0 == pytest.approx(fit.beta0_hat, rel=1e-10)
+    assert beta1 == pytest.approx(fit.beta1_hat, rel=1e-10)
 
 
 def test_m_step_degenerate_design():
-    xs = np.full((1, 5), 7.0)
-    ys = np.arange(5.0)[None, :]
     with pytest.raises(DegenerateDesignError):
-        m_step(single_sample_state(5), (xs, ys))
+        m_step(point_state(np.full(5, 7), np.arange(5.0)))
 
 
 def test_observed_fisher_single_sample_at_its_ols():
     rng = stream(69, "fish1")
-    x = rng.poisson(10.0, 9).astype(float)
+    x = rng.poisson(10.0, 9)
     y = -5.0 + 4.0 * x + rng.normal(0.0, 5.0, 9)
-    fit = ols(x, y)
-    cfg = MCEMConfig(k_samples=2, sigma=5.0)
-    fisher = observed_fisher(
-        single_sample_state(9), (x[None, :], y[None, :]), (fit.beta0_hat, fit.beta1_hat), cfg
-    )
-    # one draw per record has no score variance, so only the complete-data
-    # information survives
+    fit = ols(x.astype(float), y)
+    fisher = observed_fisher(point_state(x, y, theta=(fit.beta0_hat, fit.beta1_hat)), 5.0)
+    # one x value per record and y known there: no score variance, so only
+    # the complete-data information survives
     info = np.array([[9.0, x.sum()], [x.sum(), (x**2).sum()]]) / 25.0
     np.testing.assert_allclose(fisher, info, rtol=1e-8)
 
 
 def test_observed_fisher_identical_samples_is_complete_data_info():
     rng = stream(70, "fish2")
-    x = rng.poisson(10.0, 7).astype(float)
+    x = rng.poisson(10.0, 7)
     y = 1.0 + 2.0 * x + rng.normal(0.0, 1.0, 7)
-    xs = np.tile(x, (4, 1))
-    ys = np.tile(y, (4, 1))
-    cfg = MCEMConfig(k_samples=4, sigma=3.0)
-    fisher = observed_fisher(equal_weight_state(4, 7), (xs, ys), (0.3, 1.7), cfg)
+    fisher = observed_fisher(point_state(x, y, theta=(0.3, 1.7), k=4), 3.0)
     info = np.array([[7.0, x.sum()], [x.sum(), (x**2).sum()]]) / 9.0
     np.testing.assert_allclose(fisher, info, rtol=1e-9, atol=1e-9)
+
+
+def test_observed_fisher_subtracts_conditional_y_variance():
+    # y unknown given x: the score (r, x r) / sigma^2 varies with r
+    rng = stream(71, "fish5")
+    x = rng.poisson(10.0, 5)
+    v = rng.random(5) * 3.0
+    state = point_state(x, 1.0 + 2.0 * x)
+    var_r = np.zeros(state.counts.shape)
+    var_r[np.arange(5), x] = v
+    state = table_state(state.counts, mean_r=state.mean_r, var_r=var_r, theta=state.theta)
+    fisher = observed_fisher(state, 2.0)
+    info = np.array([[5.0, x.sum()], [x.sum(), (x**2).sum()]]) / 4.0
+    lost = np.array([[v.sum(), v @ x], [v @ x, v @ x**2]]) / 16.0
+    np.testing.assert_allclose(fisher, info - lost, rtol=1e-12)
 
 
 def test_observed_fisher_is_symmetric():
     _, priv = reference_instance(71, n=6)
     cfg = MCEMConfig(k_samples=300)
-    state, samples = e_step(priv, (-4.0, 3.8), cfg, stream(71, "fish3"))
-    fisher = observed_fisher(state, samples, (-4.0, 3.8), cfg)
+    state, _ = e_step(priv, (-4.0, 3.8), cfg, stream(71, "fish3"))
+    fisher = observed_fisher(state, cfg.sigma)
     np.testing.assert_array_equal(fisher, fisher.T)
 
 
 def test_observed_fisher_sums_per_record_score_variances():
-    # Louis's identity with the score variance summed over records,
-    # against a dense (K, n, 2) evaluation.
+    # Louis's identity with the score variance summed over records, and the
+    # mean score with its Monte Carlo SE, against a draw-by-draw evaluation:
+    # given x, the score (r, x r) / sigma^2 has mean (m, x m) / sigma^2 and
+    # second moment (m^2 + v) [[1, x], [x, x^2]] / sigma^4.
     rng = stream(79, "fish4")
-    k, n, sigma, theta = 50, 4, 2.0, (0.5, 1.5)
-    xs = rng.poisson(5.0, (k, n)).astype(float)
-    ys = theta[0] + theta[1] * xs + rng.normal(0.0, 3.0, (k, n))
-    w = rng.random((k, n))
-    w /= w.sum(axis=0)
-    state = MCEMState(1, theta, np.log(w), 1.0, False, 0.0)
-    fisher = observed_fisher(state, (xs, ys), theta, MCEMConfig(sigma=sigma))
-    r = (ys - theta[0] - theta[1] * xs) / sigma**2
-    scores = np.stack([r, xs * r], axis=-1)
+    n, size, sigma, theta = 4, 15, 2.0, (0.5, 1.5)
+    counts = rng.multinomial(40, np.full(size, 1.0 / size), size=n)
+    state = table_state(counts, rng.normal(0.0, 1.0, (n, size)),
+                        rng.normal(0.0, 3.0, (n, size)), 4.0 * rng.random((n, size)), theta)
+    fisher = observed_fisher(state, sigma)
+    w = state.weights
+    xs = state.per_draw(np.broadcast_to(state.support, counts.shape))
+    m = state.per_draw(state.mean_r)
+    v = state.per_draw(state.var_r)
     expected = np.array([[n, (w * xs).sum()], [(w * xs).sum(), (w * xs**2).sum()]])
     expected /= sigma**2
     for i in range(n):
-        mean = w[:, i] @ scores[:, i]
-        second = (w[:, i, None, None] * scores[:, i, :, None] * scores[:, i, None, :]).sum(0)
-        expected -= second - np.outer(mean, mean)
+        scores = np.stack([m[:, i], xs[:, i] * m[:, i]], axis=-1) / sigma**2
+        mean = w[:, i] @ scores
+        outer = np.stack([np.ones_like(xs[:, i]), xs[:, i], xs[:, i], xs[:, i] ** 2], -1)
+        second = (w[:, i] * (m[:, i] ** 2 + v[:, i])) @ outer / sigma**4
+        expected -= second.reshape(2, 2) - np.outer(mean, mean)
     np.testing.assert_allclose(fisher, expected, rtol=1e-10)
+
+    mean, se = _mean_score(state, sigma)
+    for j, score in enumerate((m / sigma**2, xs * m / sigma**2)):
+        centre = (w * score).sum(axis=0)
+        assert mean[j] == pytest.approx(centre.sum(), rel=1e-12)
+        assert se[j] == pytest.approx(math.sqrt((w**2 * (score - centre) ** 2).sum()),
+                                      rel=1e-12)
 
 
 def test_fisher_positive_definite_in_most_replicates():
@@ -461,8 +593,9 @@ def test_run_mcem_keeps_k_samples():
 def test_run_mcem_near_noise_free_release():
     # With near-zero noise the naive start already matches the
     # confidential fit to 1e-3.  The x proposal puts all its mass on the
-    # released x, and each record's weight falls on its draw of y closest
-    # to the release (ESS 1), so EM stays at the confidential fit.
+    # released x, and y given x and the release is pinned to the release
+    # within its noise scale (sigma / b = 5e6, where a naive Mills ratio
+    # loses every digit), so EM stays at the confidential fit.
     data = gen_confidential(10, REF_PARAMS, stream(900, "nf"), seed=900)
     priv = privatize_dataset(
         data, PrivacyBudget(1e6), PrivacyBudget(1e6), stream(900, "nf-n")
