@@ -5,7 +5,11 @@ perturbation, a prior-predictive proposal can be accepted with probability
 equal to the mechanism density of the observed release over its mode.
 Accepted parameter draws then follow the exact posterior given the
 privatized data; there is no ABC tolerance and no approximation beyond
-Monte Carlo.
+Monte Carlo.  That probability splits into an x and a y factor, and the
+x factor involves no parameter, so the samplers do not simulate x at
+all: the number of proposals in a batch that pass the x test is one
+binomial draw, and each survivor's x is drawn from its release-conditional
+pmf, the x proposal of :mod:`mcem`.  Only the survivors simulate y.
 
 The module also carries a small fully discrete test bed on which the same
 posterior can be computed by exhaustive summation, two different ways: a
@@ -25,6 +29,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleABCError
+from .mcem import _x_release_pmf
 from .mechanisms import Family, MechanismSpec, PrivacyBudget, privatize_vector
 from .naive_fit import FitResult
 from .simulate import PrivatizedDataset
@@ -394,6 +399,33 @@ def _charge(slack: np.ndarray, penalty: np.ndarray, carried: list) -> tuple:
     return slack[alive], [c[alive] for c in carried]
 
 
+def _x_stage_tables(log_pass: np.ndarray) -> tuple[float, np.ndarray]:
+    """Closed form of the x stages from an (n, S) table whose entry (i, s)
+    is log P(x_i = support[s]) plus record i's x-acceptance log ratio.
+
+    Returns the probability that a proposal passes every x stage, the
+    product over records of each row's total, and each row's cumulative
+    pmf of x_i given that it passed.
+    """
+    log_rows = _logsumexp(log_pass, axis=1)
+    cdf = np.cumsum(np.exp(log_pass - log_rows[:, None]), axis=1)
+    # min: a product that is 1 up to rounding must stay a probability
+    return min(1.0, math.exp(float(log_rows.sum()))), cdf
+
+
+def _x_survivors(rng: np.random.Generator, batch_size: int, p_pass: float,
+                 cdf: np.ndarray) -> list:
+    """The proposals of one batch that pass every x stage: their number is
+    Binomial(batch_size, p_pass), and each record's x is drawn from its row
+    of ``cdf`` by inverse CDF.  Returns one array of support indices per
+    record; the clip guards the u > cdf[i, -1] float edge.
+    """
+    m = rng.binomial(batch_size, p_pass)
+    last = cdf.shape[1] - 1
+    return [np.minimum(np.searchsorted(row, rng.random(m), side="right"), last)
+            for row in cdf]
+
+
 def _check_probe(count: int, proposals: int) -> None:
     if proposals >= _PROBE_PROPOSALS and count / proposals < _PROBE_RATE:
         raise InfeasibleABCError(
@@ -420,20 +452,35 @@ def abc_exact_posterior(
     (``data.spec_x`` and ``data.spec_y``) of the observed release at that
     dataset divided by its mode, always a valid probability.
 
-    The acceptance test runs in stages.  Each proposal draws one uniform u
-    and is accepted iff its summed penalties, mode - log_density(d) for
-    each coordinate's perturbation d, stay below -log u.  The penalties
-    are nonnegative, so a proposal is dropped as soon as its slack, -log u
-    less its running sum, reaches 0: x_i is drawn record by record for the
-    proposals still alive, the parameters only for those that survive
-    every x stage, then y_i record by record.
+    That probability is a product A_x A_y of an x and a y factor, each a
+    product over records, so testing A_x and A_y with two independent
+    uniforms gives the same accept event as one uniform against A_x A_y.
+    The x factor does not involve the parameters, so the x stages run in
+    closed form.  Of a batch of N proposals, the number that pass every x
+    stage is Binomial(N, P_x) with P_x = prod_i sum_s Pois(s; lam)
+    f_x(x~_i - s) / f_x(0), and given that a proposal passed, its x_i are
+    independent draws from q_i(s) ∝ Pois(s; lam) f_x(x~_i - s), the
+    :func:`mcem.x_proposal` pmf.  Only those survivors draw parameters from
+    the prior and go through the y stages, which run as a staged rejection:
+    each survivor draws one uniform u and is accepted iff its summed
+    penalties, mode - log_density(y_i - y~_i), stay below -log u, and it is
+    dropped as soon as that slack, -log u less its running sum, reaches 0.
     The accept event, and so the law of the draws and of the acceptance
-    count, is that of drawing everything first; only the order in which
-    ``rng`` is consumed differs.  The work per proposal is set by how many
-    records it survives, not by n.
+    count, is that of simulating every proposal in full; only the order in
+    which ``rng`` is consumed differs.  A batch still counts ``batch_size``
+    proposals.
+
+    The sums over s run over the truncated support of
+    :func:`mcem.x_proposal`; the tail left out, below 1e-15 of each
+    record's largest term, is the only approximation.
 
     Raises
     ------
+    ValueError
+        If the release is empty, or ``lam`` or ``sigma`` is not finite and
+        positive.
+    DegenerateWeightsError
+        If the x support would pass 100 000 (lam or a release that large).
     InfeasibleABCError
         If the acceptance rate stays below 1e-8 over a 1e7-proposal probe.
     """
@@ -441,18 +488,22 @@ def abc_exact_posterior(
         raise ValueError("draws must be at least 1")
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
+    if data.n < 1:
+        raise ValueError("release must hold at least one record")
+    for name, value in (("lam", lam), ("sigma", sigma)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     log_fx, log_fy = data.spec_x.log_density, data.spec_y.log_density
     mode_x, mode_y = log_fx(0.0), log_fy(0.0)
+    support, log_q, log_mass = _x_release_pmf(data, lam)
+    p_x, x_cdf = _x_stage_tables(log_q + (log_mass - lam - mode_x)[:, None])
 
     accepted = []
     count = 0
     proposals = 0
     while count < draws:
-        slack = -np.log(rng.random(batch_size))
-        xs = []
-        for x_obs in data.x_tilde:
-            x = rng.poisson(lam, slack.size)
-            slack, xs = _charge(slack, mode_x - log_fx(x - x_obs), [*xs, x])
+        xs = [support[ix] for ix in _x_survivors(rng, batch_size, p_x, x_cdf)]
+        slack = -np.log(rng.random(xs[0].size))
         theta = prior.sample(rng, slack.size)
         for y_obs in data.y_tilde:
             x, *rest = xs
@@ -480,8 +531,10 @@ def abc_toy_posterior(
 ) -> AbcResult:
     """Exact rejection sampler for the discrete toy's slope posterior.
 
-    Same staged acceptance rule as :func:`abc_exact_posterior`, charging
-    the declared mechanism's log pmf below its mode for every perturbation.
+    Same acceptance rule as :func:`abc_exact_posterior`, charging the
+    declared mechanism's log pmf below its mode for every perturbation:
+    the x stages in closed form over the toy's finite ``x_support``, which
+    needs no truncation, then a staged y test for the survivors.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
@@ -489,7 +542,8 @@ def abc_toy_posterior(
     log_f = toy.mechanism.log_density
     mode = log_f(0)
     prior = np.exp(toy.log_prior())
-    px = np.exp(toy.x_log_pmf())
+    log_pass = toy.x_log_pmf() + log_f(x_t[:, None] - toy.x_support) - mode
+    p_x, x_cdf = _x_stage_tables(log_pass)
     cdf = np.cumsum(np.exp(toy.y_log_pmf()), axis=2)  # (G, X, Y)
     last = toy.y_support.size - 1
 
@@ -497,12 +551,8 @@ def abc_toy_posterior(
     count = 0
     proposals = 0
     while count < draws:
-        slack = -np.log(rng.random(batch_size))
-        ixs = []
-        for x_obs in x_t:
-            ix = rng.choice(toy.x_support.size, size=slack.size, p=px)
-            penalty = mode - log_f(x_obs - toy.x_support[ix])
-            slack, ixs = _charge(slack, penalty, [*ixs, ix])
+        ixs = _x_survivors(rng, batch_size, p_x, x_cdf)
+        slack = -np.log(rng.random(ixs[0].size))
         g = rng.choice(toy.beta_grid.size, size=slack.size, p=prior)
         for y_obs in y_t:
             ix, *rest = ixs

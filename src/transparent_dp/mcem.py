@@ -278,6 +278,20 @@ def x_proposal(data: PrivatizedDataset, lam: float) -> tuple[np.ndarray, np.ndar
         The support as floats, shape (N + 1,), and the normalized log pmf
         of each record, shape (n, N + 1).
     """
+    support, log_q, _ = _x_release_pmf(data, lam)
+    return support, log_q
+
+
+def _x_release_pmf(data: PrivatizedDataset, lam: float):
+    """:func:`x_proposal` with each record's log normalizer.
+
+    Returns
+    -------
+    (support, log_q, log_mass)
+        As :func:`x_proposal`, and log sum_s lam^s / s! f_x(x~_i - s) over
+        the support, shape (n,): less lam, the log of the release density
+        of x~_i with x_i summed out.
+    """
     support, log_pois = _poisson_support(data.x_tilde, lam)
     log_q = data.spec_x.log_density(data.x_tilde[:, None] - support)
     log_q += log_pois
@@ -285,8 +299,9 @@ def x_proposal(data: PrivatizedDataset, lam: float) -> tuple[np.ndarray, np.ndar
     if not np.isfinite(top).all():
         raise DegenerateWeightsError("x proposal has no finite term for some record")
     log_q -= top
-    log_q -= np.log(np.exp(log_q).sum(axis=1, keepdims=True))
-    return support, log_q
+    total = np.log(np.exp(log_q).sum(axis=1, keepdims=True))
+    log_q -= total
+    return support, log_q, (top + total)[:, 0]
 
 
 def log_importance_weights(
@@ -338,6 +353,8 @@ def e_step(
     config: MCEMConfig,
     rng: np.random.Generator,
     iteration: int = 0,
+    *,
+    proposal: tuple[np.ndarray, np.ndarray] | None = None,
 ):
     """Draw K values of each record's x at theta and weight them, with y
     integrated out.
@@ -345,7 +362,9 @@ def e_step(
     x_i takes the K values of a multinomial(K, q_i) draw over the
     :func:`x_proposal` support.  Each draw at s gets the raw log weight of
     :func:`log_importance_weights`; weights are normalized per record by
-    max-subtraction inside a log-sum-exp.
+    max-subtraction inside a log-sum-exp.  ``proposal`` is
+    ``x_proposal(data, config.lam)``, which does not depend on theta; it is
+    built here when omitted.
 
     Returns
     -------
@@ -369,7 +388,7 @@ def e_step(
     if not (math.isfinite(beta0) and math.isfinite(beta1)):
         raise ValueError(f"theta must be finite, got {theta!r}")
     k, n = config.k_samples, data.n
-    support, log_q = x_proposal(data, config.lam)
+    support, log_q = x_proposal(data, config.lam) if proposal is None else proposal
     counts = rng.multinomial(k, np.exp(log_q))
     log_w, mean_r, var_r = log_importance_weights(
         data, (beta0, beta1), support, counts, config.sigma
@@ -530,17 +549,21 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
     diagnostic, and the confidence ellipse; a non-positive-definite
     information matrix is reported via fisher_pd=False with the ellipse
     suppressed rather than raised.  Every E-step draws config.k_samples
-    values per record.
+    values per record, all from one x proposal built once per fit.
     """
     fit0 = ols(data.x_tilde, data.y_tilde)
     theta = (fit0.beta0_hat, fit0.beta1_hat)
+    proposal = x_proposal(data, config.lam)
 
     trace = []
     consecutive = 0
     converged = False
 
     for t in range(1, config.max_iter + 1):
-        state, _ = e_step(data, theta, config, stream(seed, "mcem-iter", t), iteration=t)
+        state, _ = e_step(
+            data, theta, config, stream(seed, "mcem-iter", t), iteration=t,
+            proposal=proposal,
+        )
         new_theta = m_step(state)
         delta = max(abs(new_theta[0] - theta[0]), abs(new_theta[1] - theta[1]))
         trace.append((t, *new_theta, state.ess, state.max_raw_log_weight))
@@ -554,7 +577,8 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
             consecutive = 0
 
     state_f, _ = e_step(
-        data, theta, config, stream(seed, "mcem-fisher"), iteration=len(trace) + 1
+        data, theta, config, stream(seed, "mcem-fisher"), iteration=len(trace) + 1,
+        proposal=proposal,
     )
     fisher = observed_fisher(state_f, config.sigma)
     mean_score, mean_score_se = _mean_score(state_f, config.sigma)

@@ -339,6 +339,59 @@ def test_abc_exact_acceptance_count_matches_closed_form(spec_x, x_tilde):
     assert abs(accepted - expected) <= 4.0 * math.sqrt(expected)
 
 
+def test_abc_exact_truncated_support_far_above_lam():
+    # x~ = 34 lies about 3.1 Poisson SDs above lam = 20, and y~ puts the
+    # slope line at x = 36, so most of the accepted mass has x above x~.  A
+    # support cut at max(lam, x~) keeps about a third of it: some 370 of
+    # the 547 expected acceptances go missing, about 16 SDs.
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(0.25))
+    x_tilde, y_tilde = (34.0,), (183.0,)
+    priv = PrivatizedDataset(
+        x_tilde=np.array(x_tilde), y_tilde=np.array(y_tilde), spec_x=spec,
+        spec_y=spec, parent_seed=0,
+    )
+    prior = PriorSpec("uniform_box", bounds=((3.0, 3.0), (5.0, 5.0)))
+    n_prop = 1_000_000
+    res = abc_exact_posterior(
+        priv, prior, 1, stream(98, "abc-far"), lam=20.0, sigma=2.0,
+        batch_size=n_prop,
+    )
+    assert res.proposals == n_prop
+    accepted = round(res.acceptance_rate * res.proposals)
+    expected = n_prop * point_mass_acceptance(x_tilde, y_tilde, spec.scale, 3.0, 5.0, 2.0, 20.0)
+    assert expected >= 100
+    assert abs(accepted - expected) <= 4.0 * math.sqrt(expected)
+
+
+@pytest.mark.parametrize("name, lam, sigma", [
+    ("lam", 0.0, 1.0), ("lam", -1.0, 1.0), ("lam", math.nan, 1.0),
+    ("lam", math.inf, 1.0), ("sigma", 1.0, 0.0), ("sigma", 1.0, -2.0),
+    ("sigma", 1.0, math.inf),
+])
+def test_abc_exact_rejects_bad_lam_and_sigma_before_drawing(name, lam, sigma):
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(1.0))
+    priv = PrivatizedDataset(
+        x_tilde=np.array([1.0]), y_tilde=np.array([0.0]), spec_x=spec, spec_y=spec,
+        parent_seed=0,
+    )
+    prior = PriorSpec("uniform_box", bounds=((0.0, 1.0), (0.0, 1.0)))
+    rng = stream(99, "abc-bad")
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        abc_exact_posterior(priv, prior, 5, rng, lam=lam, sigma=sigma)
+    assert rng.random() == stream(99, "abc-bad").random()  # nothing was drawn
+
+
+def test_abc_exact_rejects_an_empty_release():
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(1.0))
+    priv = PrivatizedDataset(
+        x_tilde=np.array([]), y_tilde=np.array([]), spec_x=spec, spec_y=spec,
+        parent_seed=0,
+    )
+    prior = PriorSpec("uniform_box", bounds=((0.0, 1.0), (0.0, 1.0)))
+    with pytest.raises(ValueError, match="at least one record"):
+        abc_exact_posterior(priv, prior, 5, stream(99, "abc-empty"), lam=1.0, sigma=1.0)
+
+
 def test_abc_exact_deterministic_per_stream():
     spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(0.5))
     priv = PrivatizedDataset(
@@ -366,6 +419,46 @@ def test_abc_toy_posterior_matches_oracle():
     assert np.isin(res.samples, toy.beta_grid).all()
     assert res.proposals >= 20000
     assert 0.0 < res.acceptance_rate <= 1.0
+
+
+def test_abc_toy_acceptance_count_matches_closed_form():
+    # One batch of N proposals on a one-point slope grid: the accepted count
+    # is Binomial(N, p), with p the product over records of
+    # sum_x P(x) a(x~ - x) sum_y P(y | x) a(y~ - y) summed over the finite
+    # supports, where a(d) = exp(-eps |d|) is the double geometric's ratio
+    # to its mode.
+    eps, beta, beta0, sigma, lam = 0.5, 1.0, 0.5, 1.2, 1.5
+    toy = DiscreteToy(
+        beta_grid=np.array([beta]),
+        x_support=np.arange(0, 4),
+        y_support=np.arange(-4, 9),
+        n=2,
+        mechanism=dg_spec(eps),
+        beta0=beta0,
+        sigma=sigma,
+        lam=lam,
+    )
+    x_tilde, y_tilde = (1, 5), (2, 7)
+    px = stats.poisson.pmf(toy.x_support, lam)
+    px = px / px.sum()
+    p = 1.0
+    for x_obs, y_obs in zip(x_tilde, y_tilde):
+        total = 0.0
+        for x, p_x in zip(toy.x_support, px):
+            py = np.exp(-((toy.y_support - beta0 - beta * x) ** 2) / (2.0 * sigma**2))
+            py = py / py.sum()
+            a_y = float(py @ np.exp(-eps * np.abs(y_obs - toy.y_support)))
+            total += p_x * math.exp(-eps * abs(x_obs - x)) * a_y
+        p *= total
+    n_prop = 1_000_000
+    res = abc_toy_posterior(
+        toy, (np.array(x_tilde), np.array(y_tilde)), 1, stream(161, "toy-rate"),
+        batch_size=n_prop,
+    )
+    assert res.proposals == n_prop
+    assert np.all(res.samples == beta)
+    accepted = round(res.acceptance_rate * res.proposals)
+    assert abs(accepted - n_prop * p) <= 4.0 * math.sqrt(n_prop * p * (1.0 - p))
 
 
 def test_abc_se_halves_when_draws_double():

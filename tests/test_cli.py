@@ -375,6 +375,20 @@ def test_abc_posterior_rejects_nonfinite_prior_at_once(capsys, demo_env, monkeyp
     assert out == ""
 
 
+@pytest.mark.parametrize("flags, name", [
+    (["--sigma", "0"], "sigma"),
+    (["--lam", "0"], "lam"),
+    (["--lam=-1"], "lam"),
+])
+def test_abc_posterior_rejects_nonpositive_sigma_and_lam(capsys, demo_env, flags, name):
+    rc, out, err = run(capsys, ["abc-posterior", "--input", str(demo_env),
+                                "--draws", "20", "--seed", "4",
+                                "--beta0-range=-8,0", "--beta1-range", "2,6", *flags])
+    assert rc == 1 and out == ""
+    assert err.startswith(f"ValueError: {name} must be finite and positive")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_clt_limits_starts_unbiased_then_attenuates(capsys):
     rc, out, _ = run(capsys, ["clt-limits", "--steps", "5"])
     assert rc == 0
@@ -677,6 +691,21 @@ def test_benchmark_tracer_resolves_cli_names():
     assert len(counts["mcem.e_step.ess_fraction"]) == 4
     assert all(0.0 < v <= 1.0 for v in counts["mcem.e_step.ess_fraction"])
     assert counts["mcem.run_mcem.k_final"] == [200]
+
+
+def test_benchmark_abc_posterior_workload_passes_its_checks():
+    # The workload's checks compare the accepted count with the exact
+    # likelihood and the posterior mean with it within 4 SE.
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "tdpbench/run.py", "--workload", "abc_posterior",
+         "--seed", "1", "--seconds", "0.2"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, result
+    assert result["attempted"] > 0 and result["failed"] == 0
 
 
 def test_output_file_matches_stdout(capsys, tmp_path):

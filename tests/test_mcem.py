@@ -281,6 +281,18 @@ def test_e_step_deterministic_per_stream():
     assert s1.ess == s2.ess
 
 
+def test_e_step_given_proposal_matches_built_one():
+    # run_mcem builds the x proposal once per fit and passes it in
+    _, priv = reference_instance(63)
+    cfg = MCEMConfig(k_samples=200)
+    built, _ = e_step(priv, (-3.0, 3.5), cfg, stream(63, "eprop"))
+    given, _ = e_step(priv, (-3.0, 3.5), cfg, stream(63, "eprop"),
+                      proposal=x_proposal(priv, cfg.lam))
+    for field in ("support", "counts", "log_weights", "cell_weights", "mean_r", "var_r"):
+        np.testing.assert_array_equal(getattr(given, field), getattr(built, field))
+    assert (given.ess, given.max_raw_log_weight) == (built.ess, built.max_raw_log_weight)
+
+
 def test_e_step_rejects_nonfinite_theta():
     _, priv = reference_instance(64)
     with pytest.raises(ValueError):
