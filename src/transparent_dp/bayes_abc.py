@@ -6,10 +6,11 @@ equal to the mechanism density of the observed release over its mode.
 Accepted parameter draws then follow the exact posterior given the
 privatized data; there is no ABC tolerance and no approximation beyond
 Monte Carlo.  That probability splits into an x and a y factor, and the
-x factor involves no parameter, so the samplers do not simulate x at
-all: the number of proposals in a batch that pass the x test is one
-binomial draw, and each survivor's x is drawn from its release-conditional
-pmf, the x proposal of :mod:`mcem`.  Only the survivors simulate y.
+x factor involves no parameter, so the number of proposals in a batch
+that pass the x test is one binomial draw.  Only the survivors simulate
+y, record by record, each drawing record i's x from its release-conditional
+pmf (the x proposal of :mod:`mcem`) on reaching record i; one loop runs
+many batches per pass for both samplers.
 
 The module also carries a small fully discrete test bed on which the same
 posterior can be computed by exhaustive summation, two different ways: a
@@ -29,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleABCError
-from .mcem import _x_release_pmf
+from .mcem import _check_finite_positive, _x_release_pmf
 from .mechanisms import Family, MechanismSpec, PrivacyBudget, privatize_vector
 from .naive_fit import FitResult
 from .simulate import PrivatizedDataset
@@ -54,6 +55,10 @@ __all__ = [
 # Probe thresholds for declaring rejection sampling infeasible.
 _PROBE_PROPOSALS = 10_000_000
 _PROBE_RATE = 1e-8
+# Bounds on one pass of the rejection samplers: batches, and expected
+# x-stage survivors, so a tiny P_x or batch_size cannot grow a pass freely.
+_PASS_BATCHES = 1 << 12
+_PASS_SURVIVORS = 1 << 13
 
 
 def _logsumexp(a: np.ndarray, axis=None):
@@ -142,10 +147,7 @@ class DiscreteToy:
             raise ValueError(f"n must be between 1 and 4, got {self.n}")
         if self.mechanism.family is not Family.DOUBLE_GEOMETRIC:
             raise ValueError("toy mechanism must be double geometric")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        _check_finite_positive(sigma=self.sigma, lam=self.lam)
         if self.prior_weights is not None:
             w = np.asarray(self.prior_weights, dtype=float)
             if w.shape != self.beta_grid.shape or np.any(w < 0) or w.sum() <= 0:
@@ -388,17 +390,6 @@ class AbcResult:
     proposals: int
 
 
-def _charge(slack: np.ndarray, penalty: np.ndarray, carried: list) -> tuple:
-    """Charge one coordinate's penalty and keep the proposals still alive.
-
-    Returns the remaining slack of the survivors and the survivors' rows
-    of every array in ``carried``.
-    """
-    slack = slack - penalty
-    alive = np.flatnonzero(slack > 0)
-    return slack[alive], [c[alive] for c in carried]
-
-
 def _x_stage_tables(log_pass: np.ndarray) -> tuple[float, np.ndarray]:
     """Closed form of the x stages from an (n, S) table whose entry (i, s)
     is log P(x_i = support[s]) plus record i's x-acceptance log ratio.
@@ -413,24 +404,63 @@ def _x_stage_tables(log_pass: np.ndarray) -> tuple[float, np.ndarray]:
     return min(1.0, math.exp(float(log_rows.sum()))), cdf
 
 
-def _x_survivors(rng: np.random.Generator, batch_size: int, p_pass: float,
-                 cdf: np.ndarray) -> list:
-    """The proposals of one batch that pass every x stage: their number is
-    Binomial(batch_size, p_pass), and each record's x is drawn from its row
-    of ``cdf`` by inverse CDF.  Returns one array of support indices per
-    record; the clip guards the u > cdf[i, -1] float edge.
+def _rejection_passes(rng: np.random.Generator, draws: int, batch_size: int,
+                      p_x: float, x_cdf: np.ndarray, draw_theta, y_penalty) -> AbcResult:
+    """The rejection loop of both exact samplers, many batches per pass.
+
+    A pass draws the x-stage survivor counts of its batches in one
+    binomial call, tags each survivor with its batch and gives it
+    ``draw_theta(m)`` parameters and a uniform u.  Record by record, the
+    survivors still alive draw x_i from row i of ``x_cdf`` and are charged
+    ``y_penalty(i, theta, ix)`` against the slack -log u.
+
+    The sampler stops at the first batch whose running accepted count
+    reaches ``draws``, or at which the probe fails, and drops every later
+    batch of the pass, so ``proposals`` is a whole number of batches, as in
+    a batch-at-a-time loop.  The first pass holds one batch, later ones the
+    number the running rate expects to finish, at most twice the batches
+    run so far (doubling while nothing is accepted), ``_PASS_BATCHES`` and
+    ``_PASS_SURVIVORS`` expected survivors, unless one batch holds more.
     """
-    m = rng.binomial(batch_size, p_pass)
-    last = cdf.shape[1] - 1
-    return [np.minimum(np.searchsorted(row, rng.random(m), side="right"), last)
-            for row in cdf]
-
-
-def _check_probe(count: int, proposals: int) -> None:
-    if proposals >= _PROBE_PROPOSALS and count / proposals < _PROBE_RATE:
-        raise InfeasibleABCError(
-            f"acceptance rate {count / proposals:.3g} after {proposals} proposals"
-        )
+    if draws < 1:
+        raise ValueError("draws must be at least 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    last = x_cdf.shape[1] - 1
+    cap = max(1, min(_PASS_BATCHES, int(_PASS_SURVIVORS / max(1.0, batch_size * p_x))))
+    accepted = []
+    count = batches = 0
+    size = 1
+    while True:
+        batch = np.repeat(np.arange(size), rng.binomial(batch_size, p_x, size))
+        slack = -np.log(rng.random(batch.size))
+        theta = draw_theta(batch.size)
+        for i, row in enumerate(x_cdf):
+            # the clip guards the u > row[-1] float edge
+            ix = np.minimum(np.searchsorted(row, rng.random(slack.size), side="right"), last)
+            slack = slack - y_penalty(i, theta, ix)
+            alive = np.flatnonzero(slack > 0)
+            slack, theta, batch = slack[alive], theta[alive], batch[alive]
+        running = count + np.cumsum(np.bincount(batch, minlength=size))
+        props = batch_size * (batches + np.arange(1, size + 1))
+        probe = (props >= _PROBE_PROPOSALS) & (running / props < _PROBE_RATE)
+        stop = np.flatnonzero(probe | (running >= draws))
+        end = int(stop[0]) + 1 if stop.size else size
+        count, batches = int(running[end - 1]), batches + end
+        proposals = batches * batch_size
+        if probe[end - 1]:
+            raise InfeasibleABCError(
+                f"acceptance rate {count / proposals:.3g} after {proposals} proposals"
+            )
+        # survivors stay in batch order: the first `draws` lie in batches up to `end`
+        accepted.append(theta)
+        if stop.size:
+            break
+        expect = math.ceil((draws - count) * batches / count) if count else 2 * size
+        size = min(cap, 2 * batches, expect)
+    # a copy, so the result does not keep the last batch's surplus rows alive
+    samples = np.concatenate(accepted)[:draws].copy()
+    return AbcResult(samples=samples, acceptance_rate=count / proposals, proposals=proposals)
 
 
 def abc_exact_posterior(
@@ -465,10 +495,13 @@ def abc_exact_posterior(
     each survivor draws one uniform u and is accepted iff its summed
     penalties, mode - log_density(y_i - y~_i), stay below -log u, and it is
     dropped as soon as that slack, -log u less its running sum, reaches 0.
-    The accept event, and so the law of the draws and of the acceptance
-    count, is that of simulating every proposal in full; only the order in
-    which ``rng`` is consumed differs.  A batch still counts ``batch_size``
-    proposals.
+    The records are independent given that a proposal passed every x
+    stage, so a survivor draws x_i only on reaching record i.  The accept
+    event, and so the law of the draws and of the acceptance count, is that
+    of simulating every proposal in full; only the order in which ``rng``
+    is consumed differs.  ``batch_size`` stays the unit of accounting:
+    ``proposals`` counts whole batches up to the first that completes
+    ``draws``, though many batches run in one pass (:func:`_rejection_passes`).
 
     The sums over s run over the truncated support of
     :func:`mcem.x_proposal`; the tail left out, below 1e-15 of each
@@ -477,49 +510,27 @@ def abc_exact_posterior(
     Raises
     ------
     ValueError
-        If the release is empty, or ``lam`` or ``sigma`` is not finite and
-        positive.
+        If ``draws`` or ``batch_size`` is below 1, the release is empty, or
+        ``lam`` or ``sigma`` is not finite and positive.
     DegenerateWeightsError
         If the x support would pass 100 000 (lam or a release that large).
     InfeasibleABCError
         If the acceptance rate stays below 1e-8 over a 1e7-proposal probe.
     """
-    if draws < 1:
-        raise ValueError("draws must be at least 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
     if data.n < 1:
         raise ValueError("release must hold at least one record")
-    for name, value in (("lam", lam), ("sigma", sigma)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    _check_finite_positive(lam=lam, sigma=sigma)
     log_fx, log_fy = data.spec_x.log_density, data.spec_y.log_density
     mode_x, mode_y = log_fx(0.0), log_fy(0.0)
     support, log_q, log_mass = _x_release_pmf(data, lam)
     p_x, x_cdf = _x_stage_tables(log_q + (log_mass - lam - mode_x)[:, None])
 
-    accepted = []
-    count = 0
-    proposals = 0
-    while count < draws:
-        xs = [support[ix] for ix in _x_survivors(rng, batch_size, p_x, x_cdf)]
-        slack = -np.log(rng.random(xs[0].size))
-        theta = prior.sample(rng, slack.size)
-        for y_obs in data.y_tilde:
-            x, *rest = xs
-            y = theta[:, 0] + theta[:, 1] * x + rng.normal(0.0, sigma, slack.size)
-            slack, (theta, *xs) = _charge(slack, mode_y - log_fy(y - y_obs), [theta, *rest])
-        proposals += batch_size
-        if slack.size:
-            accepted.append(theta)
-            count += slack.size
-        _check_probe(count, proposals)
-    samples = np.concatenate(accepted, axis=0)[:draws]
-    return AbcResult(
-        samples=samples,
-        acceptance_rate=count / proposals,
-        proposals=proposals,
-    )
+    def y_penalty(i, theta, ix):
+        y = theta[:, 0] + theta[:, 1] * support[ix] + rng.normal(0.0, sigma, ix.size)
+        return mode_y - log_fy(y - data.y_tilde[i])
+
+    return _rejection_passes(rng, draws, batch_size, p_x, x_cdf,
+                             lambda m: prior.sample(rng, m), y_penalty)
 
 
 def abc_toy_posterior(
@@ -531,13 +542,12 @@ def abc_toy_posterior(
 ) -> AbcResult:
     """Exact rejection sampler for the discrete toy's slope posterior.
 
-    Same acceptance rule as :func:`abc_exact_posterior`, charging the
-    declared mechanism's log pmf below its mode for every perturbation:
-    the x stages in closed form over the toy's finite ``x_support``, which
-    needs no truncation, then a staged y test for the survivors.
+    Same acceptance rule, passes and batch accounting as
+    :func:`abc_exact_posterior`, charging the declared mechanism's log pmf
+    below its mode for every perturbation: the x stages in closed form over
+    the toy's finite ``x_support``, which needs no truncation, then a
+    staged y test for the survivors, each drawing x_i at record i's stage.
     """
-    if draws < 1:
-        raise ValueError("draws must be at least 1")
     x_t, y_t = _as_observation(toy, s_tilde_obs)
     log_f = toy.mechanism.log_density
     mode = log_f(0)
@@ -547,32 +557,17 @@ def abc_toy_posterior(
     cdf = np.cumsum(np.exp(toy.y_log_pmf()), axis=2)  # (G, X, Y)
     last = toy.y_support.size - 1
 
-    accepted = []
-    count = 0
-    proposals = 0
-    while count < draws:
-        ixs = _x_survivors(rng, batch_size, p_x, x_cdf)
-        slack = -np.log(rng.random(ixs[0].size))
-        g = rng.choice(toy.beta_grid.size, size=slack.size, p=prior)
-        for y_obs in y_t:
-            ix, *rest = ixs
-            # inverse-CDF y draw from the row of cdf selected by (g, ix);
-            # the clip guards the u > cdf[..., -1] float edge
-            u = rng.random((slack.size, 1))
-            iy = np.minimum((u > cdf[g, ix]).sum(axis=1), last)
-            penalty = mode - log_f(y_obs - toy.y_support[iy])
-            slack, (g, *ixs) = _charge(slack, penalty, [g, *rest])
-        proposals += batch_size
-        if slack.size:
-            accepted.append(toy.beta_grid[g])
-            count += slack.size
-        _check_probe(count, proposals)
-    samples = np.concatenate(accepted)[:draws]
-    return AbcResult(
-        samples=samples,
-        acceptance_rate=count / proposals,
-        proposals=proposals,
-    )
+    def y_penalty(i, g, ix):
+        # inverse-CDF y draw from the row of cdf selected by (g, ix);
+        # the clip guards the u > cdf[..., -1] float edge
+        u = rng.random((ix.size, 1))
+        iy = np.minimum((u > cdf[g, ix]).sum(axis=1), last)
+        return mode - log_f(y_t[i] - toy.y_support[iy])
+
+    res = _rejection_passes(rng, draws, batch_size, p_x, x_cdf,
+                            lambda m: rng.choice(toy.beta_grid.size, size=m, p=prior),
+                            y_penalty)
+    return replace(res, samples=toy.beta_grid[res.samples])
 
 
 def posterior_fit(samples: np.ndarray, n: int, sigma_sq: float) -> FitResult:

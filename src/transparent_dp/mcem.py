@@ -73,6 +73,13 @@ _MAX_X_SUPPORT = 100_000
 _LOG_TAIL_TOL = math.log(1e-15)
 
 
+def _check_finite_positive(**values: float) -> None:
+    """Raise a ValueError naming the first value that is not finite and positive."""
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MCEMConfig:
     """Tuning knobs and known constants for the EM run.
@@ -110,10 +117,7 @@ class MCEMConfig:
             raise ValueError("tol must be positive")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        _check_finite_positive(sigma=self.sigma, lam=self.lam)
 
 
 @dataclass(frozen=True)

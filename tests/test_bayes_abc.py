@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,18 @@ def test_discrete_toy_validation():
         )
     with pytest.raises(ValueError):
         small_toy(prior_weights=np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("name", ["sigma", "lam"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_discrete_toy_rejects_nonfinite_sigma_and_lam(name, value):
+    toy = small_toy()
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        DiscreteToy(
+            beta_grid=toy.beta_grid, x_support=toy.x_support, y_support=toy.y_support,
+            n=toy.n, mechanism=toy.mechanism, beta0=toy.beta0,
+            **{"sigma": toy.sigma, "lam": toy.lam, name: value},
+        )
 
 
 def test_toy_x_pmf_matches_truncated_poisson():
@@ -483,6 +496,144 @@ def test_abc_infeasible_prior_raises():
             priv, prior, 5, stream(7, "inf"), lam=1.0, sigma=0.5,
             batch_size=1_000_000,
         )
+
+
+def test_abc_probe_fires_at_the_batch_that_reaches_it():
+    # Batches of 3e6 proposals reach the 1e7 probe at the fourth batch,
+    # whatever the number of batches a pass holds.
+    prior = PriorSpec("uniform_box", bounds=((1000.0, 1001.0), (0.0, 0.0)))
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(50.0))
+    priv = PrivatizedDataset(
+        x_tilde=np.array([1.0]), y_tilde=np.array([0.0]), spec_x=spec, spec_y=spec,
+        parent_seed=0,
+    )
+    with pytest.raises(InfeasibleABCError, match="after 12000000 proposals"):
+        abc_exact_posterior(
+            priv, prior, 5, stream(7, "inf"), lam=1.0, sigma=0.5,
+            batch_size=3_000_000,
+        )
+
+
+def test_abc_tiny_x_pass_rate_raises_with_bounded_passes():
+    # x~ = 60 at lam = 1 and b = 1 puts P_x near 1e-26, so no proposal
+    # survives the x stages.  At batch_size=1 the probe needs 1e7 batches;
+    # the pass cap keeps each pass small instead of doubling it to millions
+    # of batches.
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(1.0))
+    priv = PrivatizedDataset(
+        x_tilde=np.array([60.0]), y_tilde=np.array([0.0]), spec_x=spec, spec_y=spec,
+        parent_seed=0,
+    )
+    prior = PriorSpec("uniform_box", bounds=((0.0, 1.0), (0.0, 1.0)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InfeasibleABCError, match="after 10000000 proposals"):
+            abc_exact_posterior(
+                priv, prior, 5, stream(8, "tiny"), lam=1.0, sigma=1.0, batch_size=1
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+def exact_case():
+    # The laplace release of test_abc_exact_acceptance_count_matches_closed_form
+    # and its acceptance probability p.
+    x_tilde, y_tilde = (4.2, 6.9, 3.1), (9.4, 13.8, 7.2)
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(0.5))
+    priv = PrivatizedDataset(
+        x_tilde=np.array(x_tilde), y_tilde=np.array(y_tilde), spec_x=spec,
+        spec_y=spec, parent_seed=0,
+    )
+    prior = PriorSpec("uniform_box", bounds=((3.0, 3.0), (1.5, 1.5)))
+
+    def run(batch_size, draws, seed):
+        return abc_exact_posterior(
+            priv, prior, draws, stream(seed, "abc-acct"), lam=5.0, sigma=2.0,
+            batch_size=batch_size,
+        )
+
+    return run, point_mass_acceptance(x_tilde, y_tilde, spec.scale, 3.0, 1.5, 2.0, 5.0)
+
+
+def toy_case():
+    # A one-point slope grid, whose acceptance probability p is a finite sum
+    # over the supports of P(x) a(x~ - x) P(y | x) a(y~ - y) per record, with
+    # a(d) = exp(-eps |d|) the double geometric's ratio to its mode.
+    eps, beta, beta0, sigma, lam = 0.5, 1.0, 0.5, 1.2, 1.5
+    toy = DiscreteToy(
+        beta_grid=np.array([beta]), x_support=np.arange(0, 4),
+        y_support=np.arange(-4, 9), n=2, mechanism=dg_spec(eps), beta0=beta0,
+        sigma=sigma, lam=lam,
+    )
+    x_tilde, y_tilde = np.array([1, 3]), np.array([2, 4])
+    px = stats.poisson.pmf(toy.x_support, lam)
+    py = np.exp(-((toy.y_support - beta0 - beta * toy.x_support[:, None]) ** 2)
+                / (2.0 * sigma**2))
+    px, py = px / px.sum(), py / py.sum(axis=1, keepdims=True)
+    p = 1.0
+    for x_obs, y_obs in zip(x_tilde, y_tilde):
+        a_y = py @ np.exp(-eps * np.abs(y_obs - toy.y_support))
+        p *= float(np.sum(px * np.exp(-eps * np.abs(x_obs - toy.x_support)) * a_y))
+
+    def run(batch_size, draws, seed):
+        return abc_toy_posterior(
+            toy, (x_tilde, y_tilde), draws, stream(seed, "toy-acct"), batch_size=batch_size
+        )
+
+    return run, p
+
+
+@pytest.mark.parametrize("case", [exact_case, toy_case], ids=["exact", "toy"])
+def test_abc_batch_size_one_stops_at_the_last_acceptance(case):
+    # A batch of one proposal accepts at most one, so the sampler stops at
+    # the draws-th acceptance: it accepted exactly `draws`, and the number of
+    # proposals, draws plus the rejections before the last acceptance, is
+    # negative binomial with mean draws / p.  Passes run up to thousands of
+    # batches here, so most end past the last acceptance.
+    run, p = case()
+    draws = 400
+    res = run(1, draws, 11)
+    assert round(res.acceptance_rate * res.proposals) == draws
+    assert res.acceptance_rate == draws / res.proposals
+    assert len(res.samples) == draws
+    sd = math.sqrt(draws * (1.0 - p)) / p
+    assert abs(res.proposals - draws / p) <= 4.0 * sd
+
+
+@pytest.mark.parametrize("case", [exact_case, toy_case], ids=["exact", "toy"])
+def test_abc_proposals_are_whole_batches(case):
+    # About 40 batches of 1000 proposals, which take several passes.
+    run, p = case()
+    draws = round(40 * 1000 * p)
+    res = run(1000, draws, 12)
+    assert res.proposals % 1000 == 0
+    assert res.proposals >= 10_000
+    assert len(res.samples) == draws
+    assert round(res.acceptance_rate * res.proposals) >= draws
+
+
+def test_abc_toy_certain_acceptance_counts_whole_batches():
+    # One-point supports equal to the release accept every proposal, so the
+    # sampler must stop after ceil(draws / batch_size) batches.
+    toy = DiscreteToy(
+        beta_grid=np.array([1.0]), x_support=np.array([2]), y_support=np.array([3]),
+        n=2, mechanism=dg_spec(0.5), beta0=1.0, sigma=1.0, lam=2.0,
+    )
+    obs = (np.array([2, 2]), np.array([3, 3]))
+    for draws, batch_size, proposals in ((100, 7, 105), (10, 1, 10), (3, 1000, 1000)):
+        res = abc_toy_posterior(toy, obs, draws, stream(13, "sure"), batch_size=batch_size)
+        assert (res.proposals, res.acceptance_rate) == (proposals, 1.0)
+        assert res.samples.shape == (draws,)
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+@pytest.mark.parametrize("case", [exact_case, toy_case], ids=["exact", "toy"])
+def test_abc_rejects_batch_size_below_one(case, batch_size):
+    run, _ = case()
+    with pytest.raises(ValueError, match="batch_size must be at least 1"):
+        run(batch_size, 5, 14)
 
 
 def test_abc_argument_validation():

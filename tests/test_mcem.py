@@ -111,6 +111,13 @@ def test_config_validation():
     assert cfg.tol == 1e-3
 
 
+@pytest.mark.parametrize("name", ["sigma", "lam"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_config_rejects_nonfinite_sigma_and_lam(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+        MCEMConfig(**{name: value})
+
+
 def test_log_importance_weights_match_mechanism_density():
     # Per drawn cell: the density of the y release given x = s, that is the
     # regression law convolved with the spec's own Laplace density (by the
