@@ -18,7 +18,6 @@ from .errors import (
 from .mechanisms import (
     Family,
     MechanismSpec,
-    NoiseRecord,
     PrivacyBudget,
     compose,
     double_geometric_log_pmf,
@@ -26,8 +25,6 @@ from .mechanisms import (
     laplace_log_density,
     laplace_noise,
     privatize_vector,
-    randomized_response,
-    truth_probability,
     verify_dp_discrete,
 )
 from .rng import derive_seed, stream

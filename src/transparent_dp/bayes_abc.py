@@ -333,8 +333,8 @@ def toy_privatized_observation(toy: DiscreteToy, beta: float, rng: np.random.Gen
     y = np.empty(toy.n, dtype=np.int64)
     for i in range(toy.n):
         y[i] = toy.y_support[rng.choice(toy.y_support.size, p=np.exp(lpy[x_idx[i]]))]
-    x_tilde, _ = privatize_vector(x, toy.mechanism, rng)
-    y_tilde, _ = privatize_vector(y, toy.mechanism, rng)
+    x_tilde = privatize_vector(x, toy.mechanism, rng)
+    y_tilde = privatize_vector(y, toy.mechanism, rng)
     return (x_tilde, y_tilde), (x, y)
 
 
@@ -510,15 +510,13 @@ def abc_exact_posterior(
     Raises
     ------
     ValueError
-        If ``draws`` or ``batch_size`` is below 1, the release is empty, or
-        ``lam`` or ``sigma`` is not finite and positive.
+        If ``draws`` or ``batch_size`` is below 1, or ``lam`` or ``sigma``
+        is not finite and positive.
     DegenerateWeightsError
         If the x support would pass 100 000 (lam or a release that large).
     InfeasibleABCError
         If the acceptance rate stays below 1e-8 over a 1e7-proposal probe.
     """
-    if data.n < 1:
-        raise ValueError("release must hold at least one record")
     _check_finite_positive(lam=lam, sigma=sigma)
     log_fx, log_fy = data.spec_x.log_density, data.spec_y.log_density
     mode_x, mode_y = log_fx(0.0), log_fy(0.0)

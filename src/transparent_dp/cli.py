@@ -348,7 +348,7 @@ def _cmd_privatize(params: dict) -> str:
     spec = MechanismSpec(
         _family(params["family"]), params["sensitivity"], PrivacyBudget(params["epsilon"])
     )
-    released, _ = privatize_vector(values, spec, stream(params["seed"], "privatize"))
+    released = privatize_vector(values, spec, stream(params["seed"], "privatize"))
     lines = ["i,privatized"]
     for i, val in enumerate(released):
         lines.append(f"{i},{_fmt(float(val)) if spec.family is Family.LAPLACE else int(val)}")
@@ -473,7 +473,7 @@ def _cmd_ellipse_study(params: dict) -> str:
         gen_params, params["n"],
         PrivacyBudget(params["epsilon_x"]), PrivacyBudget(params["epsilon_y"]),
         params["replicates"], params["seed"],
-        config=config, methods=methods, alpha=params["alpha"],
+        config=config, methods=methods,
     )
     summary = (
         "# coverage " + " ".join(f"{k}={rates[k]!r}" for k in sorted(rates)) + "\n"

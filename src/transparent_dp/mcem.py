@@ -33,9 +33,8 @@ from .errors import (
     DegenerateDesignError,
     DegenerateWeightsError,
     NonPDInformationError,
-    UnsupportedFamilyError,
 )
-from .mechanisms import Family, PrivacyBudget
+from .mechanisms import PrivacyBudget
 from .naive_fit import FitResult, ols
 from .normal import chi2_2_quantile, normal_laplace
 from .rng import derive_seed, stream
@@ -135,7 +134,6 @@ class MCEMState:
     effective sample size of the K draws, between 1 and K.
     """
 
-    iteration: int
     theta: tuple[float, float]
     support: np.ndarray
     counts: np.ndarray
@@ -144,7 +142,6 @@ class MCEMState:
     mean_r: np.ndarray
     var_r: np.ndarray
     ess: float
-    converged: bool
     max_raw_log_weight: float
 
     def per_draw(self, table: np.ndarray) -> np.ndarray:
@@ -323,31 +320,21 @@ def log_importance_weights(
     is Normal ⊛ Laplace.  A draw of x_i at s is weighted by that density,
     g(y~_i - beta0 - beta1 s) (:func:`normal.normal_laplace`): the y
     density of the draw with y integrated out rather than sampled.  Only
-    cells with a positive count are evaluated.
+    cells with a positive count are evaluated.  The y release is Laplace,
+    as :class:`PrivatizedDataset` requires.
 
     Returns
     -------
     (log_w, mean_r, var_r)
         (n, S) arrays like ``counts``: log g, and the mean and variance of
         r given x_i = s, y~_i and theta; -inf, 0 and 0 where no draw fell.
-
-    Raises
-    ------
-    UnsupportedFamilyError
-        If the y release is not Laplace; the other families cannot release
-        the model's real-valued y.
     """
-    spec = data.spec_y
-    if spec.family is not Family.LAPLACE:
-        raise UnsupportedFamilyError(
-            f"MCEM needs a Laplace y release, got {spec.family.value}"
-        )
     drawn = counts > 0
     d = (data.y_tilde[:, None] - theta[0] - theta[1] * support)[drawn]
     log_w = np.full(counts.shape, -np.inf)
     mean_r = np.zeros(counts.shape)
     var_r = np.zeros(counts.shape)
-    log_w[drawn], mean_r[drawn], var_r[drawn] = normal_laplace(d, sigma, spec.scale)
+    log_w[drawn], mean_r[drawn], var_r[drawn] = normal_laplace(d, sigma, data.spec_y.scale)
     return log_w, mean_r, var_r
 
 
@@ -356,7 +343,6 @@ def e_step(
     theta: tuple[float, float],
     config: MCEMConfig,
     rng: np.random.Generator,
-    iteration: int = 0,
     *,
     proposal: tuple[np.ndarray, np.ndarray] | None = None,
 ):
@@ -382,8 +368,6 @@ def e_step(
 
     Raises
     ------
-    UnsupportedFamilyError
-        If the y release is not Laplace.
     DegenerateWeightsError
         If a record's log weights are all -inf, or the x proposal cannot be
         built (a release too far out for its truncated support).
@@ -411,7 +395,6 @@ def e_step(
     ess = float(1.0 / np.max(np.einsum("is,is->i", p, w)))
 
     state = MCEMState(
-        iteration=iteration,
         theta=(beta0, beta1),
         support=support,
         counts=counts,
@@ -420,7 +403,6 @@ def e_step(
         mean_r=mean_r,
         var_r=var_r,
         ess=ess,
-        converged=False,
         max_raw_log_weight=float(max_raw.sum()),
     )
     # Record-major (n, K) storage; the returned (K, n) array is its view.
@@ -565,8 +547,7 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
 
     for t in range(1, config.max_iter + 1):
         state, _ = e_step(
-            data, theta, config, stream(seed, "mcem-iter", t), iteration=t,
-            proposal=proposal,
+            data, theta, config, stream(seed, "mcem-iter", t), proposal=proposal
         )
         new_theta = m_step(state)
         delta = max(abs(new_theta[0] - theta[0]), abs(new_theta[1] - theta[1]))
@@ -580,10 +561,7 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
         else:
             consecutive = 0
 
-    state_f, _ = e_step(
-        data, theta, config, stream(seed, "mcem-fisher"), iteration=len(trace) + 1,
-        proposal=proposal,
-    )
+    state_f, _ = e_step(data, theta, config, stream(seed, "mcem-fisher"), proposal=proposal)
     fisher = observed_fisher(state_f, config.sigma)
     mean_score, mean_score_se = _mean_score(state_f, config.sigma)
 
@@ -651,7 +629,6 @@ def ellipse_study(
     seed: int,
     config: MCEMConfig | None = None,
     methods: tuple = ("naive", "mcem"),
-    alpha: float = 0.05,
 ):
     """Repeatedly privatize one confidential dataset and collect ellipses.
 
@@ -659,7 +636,8 @@ def ellipse_study(
     is an independent privatization of it.  For each replicate the naive
     OLS ellipse (textbook covariance on the noisy pairs) and/or the EM
     ellipse (inverse observed information) is computed and checked for
-    coverage of the generating (beta0, beta1).
+    coverage of the generating (beta0, beta1).  Both ellipses are at level
+    ``config.alpha``.
 
     Returns
     -------
@@ -690,7 +668,7 @@ def ellipse_study(
                 ell = confidence_ellipse(
                     (fit.beta0_hat, fit.beta1_hat),
                     np.linalg.inv(fit.covariance),
-                    alpha,
+                    config.alpha,
                 )
                 covered, area = ell.contains(target), ell.area
             except NonPDInformationError:

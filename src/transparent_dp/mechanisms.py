@@ -26,14 +26,11 @@ __all__ = [
     "Family",
     "PrivacyBudget",
     "MechanismSpec",
-    "NoiseRecord",
     "DpReport",
     "laplace_noise",
     "laplace_log_density",
     "double_geometric_noise",
     "double_geometric_log_pmf",
-    "randomized_response",
-    "truth_probability",
     "privatize_vector",
     "compose",
     "verify_dp_discrete",
@@ -128,10 +125,10 @@ class MechanismSpec:
 
     @property
     def truth_probability(self) -> float:
-        """Randomized-response probability of answering truthfully."""
+        """Randomized-response truth probability p = e^eps / (1 + e^eps)."""
         if self.family is not Family.RANDOMIZED_RESPONSE:
             raise UnsupportedFamilyError("truth probability applies to randomized response")
-        return truth_probability(self.budget)
+        return 1.0 / (1.0 + math.exp(-self.budget.epsilon))
 
     def log_density(self, delta):
         """Exact log density of the noise at ``delta``, normalization included.
@@ -166,19 +163,6 @@ class MechanismSpec:
     @classmethod
     def from_json(cls, text: str) -> "MechanismSpec":
         return cls.from_dict(json.loads(text))
-
-
-@dataclass(frozen=True)
-class NoiseRecord:
-    """Realized noise draws behind a privatized release.
-
-    Retained for test oracles only; the public release path drops it, which
-    mirrors the information boundary between curator and analyst.
-    """
-
-    draws: np.ndarray
-    family: Family
-    scale: float
 
 
 def laplace_noise(rng: np.random.Generator, scale: float, count: int) -> np.ndarray:
@@ -234,9 +218,9 @@ def laplace_log_density(u, scale: float):
 
 
 def double_geometric_noise(
-    rng: np.random.Generator, budget: PrivacyBudget, count=None, sensitivity=1
-):
-    """Draw integer noise from the double geometric distribution.
+    rng: np.random.Generator, budget: PrivacyBudget, count: int, sensitivity=1
+) -> np.ndarray:
+    """Draw i.i.d. integer noise from the double geometric distribution.
 
     With rate a = eps / sensitivity, the draw is the difference of two
     i.i.d. geometric variables with success probability 1 - e^(-a), which
@@ -250,15 +234,18 @@ def double_geometric_noise(
         Source stream.
     budget : PrivacyBudget
         Budget eps of the mechanism.
-    count : int, optional
-        If given, return an array of ``count`` draws; otherwise a single int.
+    count : int
+        Number of draws.
     sensitivity : int
         Integer sensitivity of the released counts (default 1).
+
+    Returns
+    -------
+    numpy.ndarray
+        ``count`` integer draws.
     """
     p = -math.expm1(-budget.epsilon / sensitivity)
-    n = 1 if count is None else int(count)
-    draws = rng.geometric(p, n) - rng.geometric(p, n)
-    return int(draws[0]) if count is None else draws
+    return rng.geometric(p, count) - rng.geometric(p, count)
 
 
 def double_geometric_log_pmf(u, budget: PrivacyBudget, sensitivity=1):
@@ -273,34 +260,7 @@ def double_geometric_log_pmf(u, budget: PrivacyBudget, sensitivity=1):
     return float(out) if out.ndim == 0 else out
 
 
-def truth_probability(budget: PrivacyBudget) -> float:
-    """Randomized-response truth probability p = e^eps / (1 + e^eps)."""
-    return 1.0 / (1.0 + math.exp(-budget.epsilon))
-
-
-def randomized_response(rng: np.random.Generator, truth: int, budget: PrivacyBudget) -> int:
-    """Report a binary answer truthfully with probability e^eps/(1+e^eps).
-
-    Parameters
-    ----------
-    rng : numpy.random.Generator
-        Source stream.
-    truth : int
-        The confidential bit, 0 or 1; anything else is a ValueError.
-    budget : PrivacyBudget
-        Budget eps.
-
-    Returns
-    -------
-    int
-        ``truth`` with probability p, the flipped bit otherwise.
-    """
-    spec = MechanismSpec(Family.RANDOMIZED_RESPONSE, 1, budget)
-    released, _ = privatize_vector([truth], spec, rng)
-    return int(released[0])
-
-
-def privatize_vector(values, spec: MechanismSpec, rng: np.random.Generator):
+def privatize_vector(values, spec: MechanismSpec, rng: np.random.Generator) -> np.ndarray:
     """Release a vector through the mechanism described by ``spec``.
 
     Parameters
@@ -315,9 +275,10 @@ def privatize_vector(values, spec: MechanismSpec, rng: np.random.Generator):
 
     Returns
     -------
-    (numpy.ndarray, NoiseRecord)
-        The privatized vector and the realized noise.  The record exists
-        for test oracles; it is never part of a public release.
+    numpy.ndarray
+        The privatized vector, the same size as ``values``: floats for the
+        Laplace family, integers otherwise.  The realized noise stays with
+        the curator and is not returned.
     """
     values = np.asarray(values)
     if values.size == 0:
@@ -327,24 +288,20 @@ def privatize_vector(values, spec: MechanismSpec, rng: np.random.Generator):
     n = values.size
 
     if spec.family is Family.LAPLACE:
-        noise = laplace_noise(rng, spec.scale, n)
-        released = values.astype(float) + noise
-        return released, NoiseRecord(noise, spec.family, spec.scale)
+        return values.astype(float) + laplace_noise(rng, spec.scale, n)
 
     if spec.family is Family.DOUBLE_GEOMETRIC:
         if not np.all(values == np.floor(values)):
             raise ValueError("double geometric mechanism requires integer values")
         ints = values.astype(np.int64)
-        noise = double_geometric_noise(rng, spec.budget, n, spec.sensitivity)
-        return ints + noise, NoiseRecord(noise, spec.family, spec.scale)
+        return ints + double_geometric_noise(rng, spec.budget, n, spec.sensitivity)
 
     if np.any((values != 0) & (values != 1)):
         raise ValueError("randomized response requires binary values")
     p = spec.truth_probability
     bits = values.astype(np.int64)
     flips = rng.random(n) >= p
-    released = np.where(flips, 1 - bits, bits)
-    return released, NoiseRecord(released - bits, spec.family, float("nan"))
+    return np.where(flips, 1 - bits, bits)
 
 
 @dataclass(frozen=True)

@@ -53,9 +53,17 @@ class CountyTable:
 
     @classmethod
     def from_counts(cls, w, b) -> "CountyTable":
-        """Build a confidential table; totals are the column sums."""
+        """Build a confidential table; totals are the column sums.
+
+        Raises ``ValueError`` naming each count that is not finite, and on
+        any negative count.
+        """
         w = np.asarray(w, dtype=float)
         b = np.asarray(b, dtype=float)
+        bad = [f"{name}[{i}]={float(col[i])!r}" for name, col in (("w", w), ("b", b))
+               for i in np.flatnonzero(~np.isfinite(col))]
+        if bad:
+            raise ValueError(f"confidential counts must be finite, got {', '.join(bad)}")
         if np.any(w < 0) or np.any(b < 0):
             raise ValueError("confidential counts must be nonnegative")
         return cls(w=w, b=b, w_cty=float(w.sum()), b_cty=float(b.sum()))

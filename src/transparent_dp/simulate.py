@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import UnsupportedFamilyError
 from .mechanisms import Family, MechanismSpec, PrivacyBudget, privatize_vector
 
 __all__ = [
@@ -78,7 +79,21 @@ class ConfidentialDataset:
 
 @dataclass(frozen=True)
 class PrivatizedDataset:
-    """Released regression sample with its public mechanism specs."""
+    """Released regression sample with its public mechanism specs.
+
+    The specs must be able to describe the values: the model's y is
+    real-valued, so ``spec_y`` is Laplace; x is a count, so ``spec_x`` is
+    Laplace or, with integer ``x_tilde``, double geometric.  Any other
+    release, or an empty one, is refused when it is built.
+
+    Raises
+    ------
+    UnsupportedFamilyError
+        If ``spec_y`` is not Laplace or ``spec_x`` is randomized response.
+    ValueError
+        If the release is empty, not finite, or double geometric in x with a
+        non-integer ``x_tilde``.
+    """
 
     x_tilde: np.ndarray
     y_tilde: np.ndarray
@@ -93,6 +108,19 @@ class PrivatizedDataset:
             raise ValueError("x_tilde and y_tilde must be 1-d arrays of equal length")
         if not (np.isfinite(self.x_tilde).all() and np.isfinite(self.y_tilde).all()):
             raise ValueError("x_tilde and y_tilde must be finite")
+        if self.x_tilde.size == 0:
+            raise ValueError("release must hold at least one record")
+        fx, fy = self.spec_x.family, self.spec_y.family
+        if fy is not Family.LAPLACE:
+            raise UnsupportedFamilyError(
+                f"the model's real-valued y needs a Laplace y release, got {fy.value}"
+            )
+        if not fx.additive:
+            raise UnsupportedFamilyError(
+                f"x needs a Laplace or double geometric release, got {fx.value}"
+            )
+        if fx is Family.DOUBLE_GEOMETRIC and not np.all(self.x_tilde == np.floor(self.x_tilde)):
+            raise ValueError("a double geometric x release must hold integer x_tilde")
 
     @property
     def n(self) -> int:
@@ -160,11 +188,9 @@ def privatize_dataset(
     """
     spec_x = MechanismSpec(Family.LAPLACE, 1.0, eps_x)
     spec_y = MechanismSpec(Family.LAPLACE, 1.0, eps_y)
-    x_tilde, _ = privatize_vector(data.x, spec_x, rng)
-    y_tilde, _ = privatize_vector(data.y, spec_y, rng)
     return PrivatizedDataset(
-        x_tilde=x_tilde,
-        y_tilde=y_tilde,
+        x_tilde=privatize_vector(data.x, spec_x, rng),
+        y_tilde=privatize_vector(data.y, spec_y, rng),
         spec_x=spec_x,
         spec_y=spec_y,
         parent_seed=data.seed,

@@ -395,14 +395,14 @@ def test_abc_exact_rejects_bad_lam_and_sigma_before_drawing(name, lam, sigma):
 
 
 def test_abc_exact_rejects_an_empty_release():
+    # An empty release is refused when it is built, so the sampler never
+    # sees one.
     spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(1.0))
-    priv = PrivatizedDataset(
-        x_tilde=np.array([]), y_tilde=np.array([]), spec_x=spec, spec_y=spec,
-        parent_seed=0,
-    )
-    prior = PriorSpec("uniform_box", bounds=((0.0, 1.0), (0.0, 1.0)))
     with pytest.raises(ValueError, match="at least one record"):
-        abc_exact_posterior(priv, prior, 5, stream(99, "abc-empty"), lam=1.0, sigma=1.0)
+        PrivatizedDataset(
+            x_tilde=np.array([]), y_tilde=np.array([]), spec_x=spec, spec_y=spec,
+            parent_seed=0,
+        )
 
 
 def test_abc_exact_deterministic_per_stream():

@@ -475,6 +475,18 @@ def test_dissimilarity_epsilon_without_seed_exits_2(capsys, tract_csv):
     assert err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("count", ["nan", "1e400"])
+@pytest.mark.parametrize("study", [[], ["--epsilon", "0.25", "--replicates", "50",
+                                        "--seed", "9"]], ids=["exact", "study"])
+def test_dissimilarity_rejects_nonfinite_counts(capsys, tmp_path, count, study):
+    path = tmp_path / "tracts.csv"
+    path.write_text(f"tract,w,b\n0,{count},5\n1,3,4\n")
+    rc, out, err = run(capsys, ["dissimilarity", "--input", str(path), *study])
+    assert rc == 1 and out == ""
+    assert err.startswith("ValueError:") and "w[0]=" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_verify_dp_randomized_response(capsys):
     rc, out, _ = run(capsys, ["verify-dp", "--family", "randomized-response",
                               "--epsilon", "1.0986"])
@@ -626,14 +638,29 @@ def test_malformed_envelope_is_named_error(capsys, mcem_env, tmp_path, argv, edi
     assert len(err.strip().splitlines()) == 1
 
 
-def test_fit_mcem_refuses_a_double_geometric_y_release(capsys, mcem_env, tmp_path):
-    def edit(env):
-        env["privatized"]["spec_y"]["family"] = "double_geometric"
-        env["privatized"]["y_tilde"] = [round(v) for v in env["privatized"]["y_tilde"]]
+def double_geometric_y(env):
+    env["privatized"]["spec_y"]["family"] = "double_geometric"
+    env["privatized"]["y_tilde"] = [round(v) for v in env["privatized"]["y_tilde"]]
 
-    path = malformed_env(mcem_env, tmp_path, edit)
+
+def test_fit_mcem_refuses_a_double_geometric_y_release(capsys, mcem_env, tmp_path):
+    path = malformed_env(mcem_env, tmp_path, double_geometric_y)
     rc, out, err = run(capsys, ["fit-mcem", "--input", str(path), "--seed", "7",
                                 "--k-samples", "100", "--max-iter", "2"])
+    assert rc == 1 and out == ""
+    assert err.startswith("UnsupportedFamilyError:") and "Laplace y release" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit-naive"],
+    ["abc-posterior", "--draws", "10", "--seed", "12", "--beta0-range=-8,0",
+     "--beta1-range", "2,6"],
+], ids=["fit-naive", "abc-posterior"])
+def test_commands_refuse_a_double_geometric_y_release_at_load(capsys, mcem_env, tmp_path,
+                                                             argv):
+    path = malformed_env(mcem_env, tmp_path, double_geometric_y)
+    rc, out, err = run(capsys, argv + ["--input", str(path)])
     assert rc == 1 and out == ""
     assert err.startswith("UnsupportedFamilyError:") and "Laplace y release" in err
     assert len(err.strip().splitlines()) == 1

@@ -35,7 +35,7 @@ from transparent_dp.mcem import (
     x_proposal,
 )
 from transparent_dp.naive_fit import ols
-from transparent_dp.normal import normal_laplace
+from transparent_dp.normal import chi2_2_quantile, normal_laplace
 from transparent_dp.rng import stream
 from transparent_dp.simulate import (
     PrivatizedDataset,
@@ -66,7 +66,6 @@ def table_state(counts, raw_log_w=None, mean_r=None, var_r=None, theta=(0.0, 1.0
     log_w -= np.log((counts * np.exp(log_w)).sum(axis=1, keepdims=True))
     p = counts * np.exp(log_w)
     return MCEMState(
-        iteration=1,
         theta=theta,
         support=np.arange(float(shape[1])),
         counts=counts,
@@ -75,7 +74,6 @@ def table_state(counts, raw_log_w=None, mean_r=None, var_r=None, theta=(0.0, 1.0
         mean_r=np.zeros(shape) if mean_r is None else np.asarray(mean_r, dtype=float),
         var_r=np.zeros(shape) if var_r is None else np.asarray(var_r, dtype=float),
         ess=float(1.0 / np.max((p * np.exp(log_w)).sum(axis=1))),
-        converged=False,
         max_raw_log_weight=0.0,
     )
 
@@ -168,11 +166,10 @@ def test_log_importance_weights_read_the_declared_family():
     for table, expected in zip(got, normal_laplace(d, 5.0, priv.spec_y.scale)):
         np.testing.assert_array_equal(table, expected)
     # ... and a double-geometric y release, which has no density at the
-    # real-valued y of the model, is refused.
-    dg_y = PrivatizedDataset(x_tilde=priv.x_tilde, y_tilde=np.round(priv.y_tilde),
-                             spec_x=priv.spec_x, spec_y=dg, parent_seed=62)
+    # real-valued y of the model, cannot be built to reach it.
     with pytest.raises(UnsupportedFamilyError):
-        log_importance_weights(dg_y, (1.0, 2.0), support, counts, 5.0)
+        PrivatizedDataset(x_tilde=priv.x_tilde, y_tilde=np.round(priv.y_tilde),
+                          spec_x=priv.spec_x, spec_y=dg, parent_seed=62)
 
 
 def test_exact_match_attains_maximal_weight():
@@ -323,15 +320,13 @@ def test_e_step_degenerate_weights_error():
 def test_mcem_refuses_a_y_release_it_cannot_model():
     # A double-geometric y release would be read through its pmf at
     # non-integer differences; privatize_vector cannot even make one from a
-    # real-valued y.  Both entry points name the problem instead.
+    # real-valued y.  The release refuses it when built, so neither MCEM
+    # entry point can be handed one.
     _, priv = reference_instance(81, n=4, eps=1.0)
     dg = MechanismSpec(Family.DOUBLE_GEOMETRIC, 1.0, PrivacyBudget(1.0))
-    bad = PrivatizedDataset(x_tilde=priv.x_tilde, y_tilde=np.round(priv.y_tilde),
-                            spec_x=priv.spec_x, spec_y=dg, parent_seed=81)
     with pytest.raises(UnsupportedFamilyError, match="Laplace y release"):
-        e_step(bad, (0.0, 1.0), MCEMConfig(k_samples=50), stream(81, "dg"))
-    with pytest.raises(UnsupportedFamilyError, match="Laplace y release"):
-        run_mcem(bad, MCEMConfig(k_samples=50, max_iter=2), seed=3)
+        PrivatizedDataset(x_tilde=priv.x_tilde, y_tilde=np.round(priv.y_tilde),
+                          spec_x=priv.spec_x, spec_y=dg, parent_seed=81)
 
 
 def test_run_mcem_reads_a_double_geometric_x_release():
@@ -340,8 +335,8 @@ def test_run_mcem_reads_a_double_geometric_x_release():
     spec_x = MechanismSpec(Family.DOUBLE_GEOMETRIC, 1.0, PrivacyBudget(1.0))
     spec_y = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(1.0))
     priv = PrivatizedDataset(
-        x_tilde=privatize_vector(data.x, spec_x, stream(82, "dgx-x"))[0],
-        y_tilde=privatize_vector(data.y, spec_y, stream(82, "dgx-y"))[0],
+        x_tilde=privatize_vector(data.x, spec_x, stream(82, "dgx-x")),
+        y_tilde=privatize_vector(data.y, spec_y, stream(82, "dgx-y")),
         spec_x=spec_x, spec_y=spec_y, parent_seed=82,
     )
     res = run_mcem(priv, MCEMConfig(k_samples=500, max_iter=5), seed=4)
@@ -673,6 +668,20 @@ def test_ellipse_study_naive_only():
     )
     assert all(r.method == "naive" for r in rows)
     assert set(rates) == {"naive"}
+
+
+def test_ellipse_study_builds_both_ellipses_at_config_alpha():
+    # The naive ellipse's level is the chi-square(2) quantile at
+    # 1 - config.alpha, as the MCEM ellipse's is, so only the area changes.
+    def naive_areas(alpha):
+        rows, _ = ellipse_study(
+            REF_PARAMS, 8, PrivacyBudget(0.5), PrivacyBudget(0.5), replicates=3, seed=6,
+            config=MCEMConfig(alpha=alpha), methods=("naive",),
+        )
+        return np.array([row.area for row in rows])
+
+    ratio = chi2_2_quantile(0.90) / chi2_2_quantile(0.95)
+    np.testing.assert_allclose(naive_areas(0.10) / naive_areas(0.05), ratio, rtol=1e-12)
 
 
 def test_ellipse_study_argument_errors():

@@ -16,8 +16,6 @@ from transparent_dp.mechanisms import (
     laplace_log_density,
     laplace_noise,
     privatize_vector,
-    randomized_response,
-    truth_probability,
     verify_dp_discrete,
 )
 from transparent_dp.rng import stream
@@ -187,8 +185,8 @@ def test_double_geometric_noise_matches_pmf():
         want = math.exp(double_geometric_log_pmf(u, budget))
         got = float(np.mean(draws == u))
         assert abs(got - want) < 0.005
-    single = double_geometric_noise(stream(4, "dg-one"), budget)
-    assert isinstance(single, int)
+    single = double_geometric_noise(stream(4, "dg-one"), budget, 1)
+    assert single.shape == (1,) and single.dtype.kind == "i"
 
 
 def test_double_geometric_noise_honours_sensitivity():
@@ -204,9 +202,10 @@ def test_double_geometric_noise_honours_sensitivity():
     assert abs(mean_sq - law) < 5.0 * math.sqrt((24.0 * 10.0**4 - law**2) / n)
 
     spec = MechanismSpec(Family.DOUBLE_GEOMETRIC, 5.0, budget)
-    _, record = privatize_vector(np.zeros(n, dtype=int), spec, stream(4, "dg-sens-pv"))
-    assert record.scale == 10.0
-    assert abs(float(np.mean(record.draws.astype(float) ** 2)) / law - 1.0) < 0.03
+    assert spec.scale == 10.0
+    zeros = np.zeros(n, dtype=int)
+    noise = privatize_vector(zeros, spec, stream(4, "dg-sens-pv")) - zeros
+    assert abs(float(np.mean(noise.astype(float) ** 2)) / law - 1.0) < 0.03
 
 
 def test_double_geometric_noise_unchanged_at_sensitivity_one():
@@ -235,61 +234,68 @@ def test_double_geometric_spec_requires_integer_sensitivity():
     MechanismSpec(Family.LAPLACE, 2.5, PrivacyBudget(1.0))
 
 
+def rr_spec(eps):
+    return MechanismSpec(Family.RANDOMIZED_RESPONSE, 1.0, PrivacyBudget(eps))
+
+
 def test_truth_probability_limits():
-    assert truth_probability(PrivacyBudget(math.log(3.0))) == pytest.approx(0.75)
-    assert truth_probability(PrivacyBudget(1e-9)) == pytest.approx(0.5, abs=1e-9)
-    assert 0.5 < truth_probability(PrivacyBudget(0.1)) < 1.0
+    assert rr_spec(math.log(3.0)).truth_probability == pytest.approx(0.75)
+    assert rr_spec(1e-9).truth_probability == pytest.approx(0.5, abs=1e-9)
+    assert 0.5 < rr_spec(0.1).truth_probability < 1.0
 
 
 def test_randomized_response_empirical_rate():
-    budget = PrivacyBudget(math.log(3.0))
-    rng = stream(5, "rr-rate")
-    hits = sum(randomized_response(rng, 1, budget) == 1 for _ in range(100_000))
-    assert abs(hits / 100_000 - 0.75) < 0.01
+    spec = rr_spec(math.log(3.0))
+    released = privatize_vector(np.ones(100_000, dtype=int), spec, stream(5, "rr-rate"))
+    assert abs(np.mean(released == 1) - 0.75) < 0.01
     with pytest.raises(ValueError):
-        randomized_response(rng, 2, budget)
+        privatize_vector([2], spec, stream(5, "rr-rate"))
 
 
 def test_randomized_response_reads_one_uniform_per_answer():
-    budget = PrivacyBudget(0.7)
-    p = truth_probability(budget)
-    rng, ref = stream(5, "rr-draws"), stream(5, "rr-draws")
-    for truth in (0, 1) * 50:
-        expected = truth if ref.random() < p else 1 - truth
-        assert randomized_response(rng, truth, budget) == expected
+    spec = rr_spec(0.7)
+    truths = np.array((0, 1) * 50)
+    u = stream(5, "rr-draws").random(truths.size)
+    expected = np.where(u < spec.truth_probability, truths, 1 - truths)
+    released = privatize_vector(truths, spec, stream(5, "rr-draws"))
+    np.testing.assert_array_equal(released, expected)
+    # one answer at a time reads the same uniforms in the same order
+    rng = stream(5, "rr-draws")
+    assert [int(privatize_vector([t], spec, rng)[0]) for t in truths] == expected.tolist()
 
 
 def test_privatize_vector_laplace_variance():
     spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(0.25))
     x = np.arange(200_000) % 17
-    released, record = privatize_vector(x, spec, stream(6, "pv-lap"))
-    assert released.shape == x.shape
-    assert record.draws.shape == x.shape
-    assert record.family is Family.LAPLACE
+    released = privatize_vector(x, spec, stream(6, "pv-lap"))
+    assert isinstance(released, np.ndarray) and released.shape == x.shape
+    assert released.dtype.kind == "f"
     assert abs((released - x).var() / 32.0 - 1.0) < 0.02
-    np.testing.assert_array_equal(released, x.astype(float) + record.draws)
+    noise = laplace_noise(stream(6, "pv-lap"), spec.scale, x.size)
+    np.testing.assert_array_equal(released, x.astype(float) + noise)
 
 
 def test_privatize_vector_tiny_scale_is_identity():
     spec = MechanismSpec(Family.LAPLACE, 1e-12, PrivacyBudget(1.0))
     x = np.array([3.0, -1.5, 8.0])
-    released, _ = privatize_vector(x, spec, stream(6, "pv-id"))
+    released = privatize_vector(x, spec, stream(6, "pv-id"))
     np.testing.assert_allclose(released, x, atol=1e-9)
 
 
 def test_privatize_vector_double_geometric_integer_closure():
     spec = MechanismSpec(Family.DOUBLE_GEOMETRIC, 1.0, PrivacyBudget(0.5))
     counts = np.array([0, 5, 12, 3])
-    released, record = privatize_vector(counts, spec, stream(7, "pv-dg"))
+    released = privatize_vector(counts, spec, stream(7, "pv-dg"))
     assert released.dtype.kind == "i"
-    np.testing.assert_array_equal(released - counts, record.draws)
+    noise = double_geometric_noise(stream(7, "pv-dg"), spec.budget, counts.size)
+    np.testing.assert_array_equal(released - counts, noise)
     with pytest.raises(ValueError):
         privatize_vector(np.array([1.5, 2.0]), spec, stream(7, "pv-dg-frac"))
 
 
 def test_privatize_vector_rr_requires_bits():
     spec = MechanismSpec(Family.RANDOMIZED_RESPONSE, 1.0, PrivacyBudget(1.0))
-    released, _ = privatize_vector(np.array([0, 1, 1, 0]), spec, stream(8, "pv-rr"))
+    released = privatize_vector(np.array([0, 1, 1, 0]), spec, stream(8, "pv-rr"))
     assert set(np.unique(released)) <= {0, 1}
     with pytest.raises(ValueError):
         privatize_vector(np.array([0, 2]), spec, stream(8, "pv-rr-bad"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from transparent_dp.errors import UnsupportedFamilyError
 from transparent_dp.mechanisms import Family, MechanismSpec, PrivacyBudget
 from transparent_dp.rng import stream
 from transparent_dp.simulate import (
@@ -168,6 +169,31 @@ def test_datasets_reject_nonfinite(bad):
     with pytest.raises(ValueError, match="finite"):
         PrivatizedDataset(x_tilde=[1.0, 1.5, 2.0], y_tilde=[0.0, 1.0, bad],
                           spec_x=spec, spec_y=spec, parent_seed=0)
+
+
+LAP = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(1.0))
+DG = MechanismSpec(Family.DOUBLE_GEOMETRIC, 1.0, PrivacyBudget(1.0))
+RR = MechanismSpec(Family.RANDOMIZED_RESPONSE, 1.0, PrivacyBudget(1.0))
+
+
+@pytest.mark.parametrize("x_tilde, y_tilde, spec_x, spec_y, error, match", [
+    ([1.0, 2.0], [3.0, 4.0], LAP, DG, UnsupportedFamilyError, "Laplace y release"),
+    ([0.0, 1.0], [3.0, 4.0], RR, LAP, UnsupportedFamilyError, "randomized_response"),
+    ([1.0, 2.5], [3.0, 4.0], DG, LAP, ValueError, "integer x_tilde"),
+    ([], [], LAP, LAP, ValueError, "at least one record"),
+], ids=["double_geometric_y", "randomized_response_x", "fractional_double_geometric_x",
+        "empty"])
+def test_privatized_dataset_refuses_a_spec_its_values_cannot_have(
+    x_tilde, y_tilde, spec_x, spec_y, error, match
+):
+    with pytest.raises(error, match=match):
+        PrivatizedDataset(x_tilde=x_tilde, y_tilde=y_tilde, spec_x=spec_x,
+                          spec_y=spec_y, parent_seed=0)
+    # the envelope form is built through the same constructor
+    obj = {"kind": "privatized", "parent_seed": 0, "x_tilde": x_tilde, "y_tilde": y_tilde,
+           "spec_x": spec_x.to_dict(), "spec_y": spec_y.to_dict()}
+    with pytest.raises(error, match=match):
+        dataset_from_dict(obj)
 
 
 def _malformed(kind, edit):
