@@ -43,10 +43,8 @@ from .naive_fit import (
     residual_variance_inflated,
 )
 from .asymptotics import (
-    CltSummary,
     FixedDesignMoments,
     biasing_coefficient,
-    clt_summary,
     clt_variance,
     coverage_grid,
     distribution_limits,

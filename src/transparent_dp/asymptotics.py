@@ -28,11 +28,9 @@ __all__ = [
     "CONVENTIONS",
     "REFERENCE_DESIGN_SEED",
     "FixedDesignMoments",
-    "CltSummary",
     "sample_moments",
     "biasing_coefficient",
     "clt_variance",
-    "clt_summary",
     "distribution_limits",
     "limit_coverage",
     "coverage_grid",
@@ -62,23 +60,6 @@ class FixedDesignMoments:
         # Cauchy-Schwarz on central moments; allow float slack at equality.
         if self.k < self.v**2 * (1.0 - 1e-12):
             raise ValueError("k must be at least v^2")
-
-
-@dataclass(frozen=True)
-class CltSummary:
-    """Normal-limit summary of the naive slope at a given level."""
-
-    gamma: float
-    sigma_tilde: float
-    center: float
-    half_width: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.alpha < 1:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha!r}")
-        if self.sigma_tilde > 0 and not self.half_width > 0:
-            raise ValueError("half_width must be positive when sigma_tilde > 0")
 
 
 def sample_moments(x) -> FixedDesignMoments:
@@ -147,27 +128,6 @@ def clt_variance(
     )
     denom = (v + su) ** 2
     return (beta1**2 * bracket + (sigma_v_sq + sigma_sq) * (v + su)) / denom
-
-
-def clt_summary(
-    moments: FixedDesignMoments,
-    beta1: float,
-    sigma_sq: float,
-    sigma_u_sq: float,
-    sigma_v_sq: float,
-    alpha: float = 0.05,
-) -> CltSummary:
-    """Bundle the normal-limit center and half-width at level alpha."""
-    gamma = biasing_coefficient(moments, sigma_u_sq)
-    sigma_tilde = clt_variance(moments, beta1, sigma_sq, sigma_u_sq, sigma_v_sq)
-    z = std_normal_quantile(1.0 - alpha / 2.0)
-    return CltSummary(
-        gamma=gamma,
-        sigma_tilde=sigma_tilde,
-        center=gamma * beta1,
-        half_width=z * math.sqrt(sigma_tilde / moments.n),
-        alpha=alpha,
-    )
 
 
 def distribution_limits(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleABCError
-from .mcem import _check_finite_positive, _x_release_pmf
+from .mcem import _check_finite_positive, x_proposal
 from .mechanisms import Family, MechanismSpec, PrivacyBudget, privatize_vector
 from .naive_fit import FitResult
 from .simulate import PrivatizedDataset
@@ -520,7 +520,7 @@ def abc_exact_posterior(
     _check_finite_positive(lam=lam, sigma=sigma)
     log_fx, log_fy = data.spec_x.log_density, data.spec_y.log_density
     mode_x, mode_y = log_fx(0.0), log_fy(0.0)
-    support, log_q, log_mass = _x_release_pmf(data, lam)
+    support, log_q, log_mass = x_proposal(data, lam)
     p_x, x_cdf = _x_stage_tables(log_q + (log_mass - lam - mode_x)[:, None])
 
     def y_penalty(i, theta, ix):

@@ -49,7 +49,6 @@ __all__ = [
     "MCEMConfig",
     "MCEMState",
     "Ellipse",
-    "TraceRow",
     "MCEMResult",
     "EllipseStudyRow",
     "x_proposal",
@@ -124,36 +123,22 @@ class MCEMState:
     """Rao–Blackwellized E-step snapshot at one parameter value.
 
     The (n, S) tables are indexed by record i and x value ``support[s]``.
-    ``counts`` holds how many of the K draws of x_i fell on each value, and
-    ``log_weights`` the normalized log weight each of those draws carries
-    (draws at one value share it; -inf where no draw fell).
-    ``cell_weights`` is counts * exp(log_weights), the posterior mass of
-    each cell, and each of its rows sums to 1.  ``mean_r`` and ``var_r`` are
-    the mean and variance of the residual r = y - beta0 - beta1 x given
-    x_i = support[s], y~_i and theta.  ``ess`` is the lowest per-record
-    effective sample size of the K draws, between 1 and K.
+    ``counts`` holds how many of the K draws of x_i fell on each value.
+    ``cell_weights`` is the posterior mass of each cell, the normalized
+    weight of one draw there times the count (0 where no draw fell), and
+    each of its rows sums to 1.  ``mean_r`` and ``var_r`` are the mean and
+    variance of the residual r = y - beta0 - beta1 x given x_i = support[s],
+    y~_i and theta.  ``ess`` is the lowest per-record effective sample size
+    of the K draws, between 1 and K.
     """
 
     theta: tuple[float, float]
     support: np.ndarray
     counts: np.ndarray
-    log_weights: np.ndarray
     cell_weights: np.ndarray
     mean_r: np.ndarray
     var_r: np.ndarray
     ess: float
-    max_raw_log_weight: float
-
-    def per_draw(self, table: np.ndarray) -> np.ndarray:
-        """Expand an (n, S) table to the (K, n) layout of the E-step's x
-        draws: entry (k, i) is the table's value at draw k of x_i."""
-        n = self.counts.shape[0]
-        return np.repeat(table.ravel(), self.counts.ravel()).reshape(n, -1).T
-
-    @property
-    def weights(self) -> np.ndarray:
-        """Normalized weight of each draw, (K, n); each column sums to 1."""
-        return self.per_draw(np.exp(self.log_weights))
 
 
 @dataclass(frozen=True)
@@ -190,39 +175,22 @@ class Ellipse:
 
 
 @dataclass(frozen=True)
-class TraceRow:
-    """One EM iteration in the run trace."""
-
-    iteration: int
-    beta0: float
-    beta1: float
-    ess: float
-    max_log_weight: float
-
-
-@dataclass(frozen=True)
 class MCEMResult:
     """Full output of an EM run.
 
-    ``trace_table`` holds one row (iteration, beta0, beta1, ess,
-    max_log_weight) per EM iteration in one float array, about a fifth of
-    the memory of one :class:`TraceRow` object per iteration; ``trace``
-    lists those rows as records.
+    ``trace`` holds one row (iteration, beta0, beta1, ess) per EM iteration
+    in one (iterations, 4) float array.
     """
 
     fit: FitResult
     ellipse: Ellipse | None
-    trace_table: np.ndarray
+    trace: np.ndarray
     converged: bool
     fisher: np.ndarray
     fisher_pd: bool
     mean_score: np.ndarray
     mean_score_se: np.ndarray
     k_final: int
-
-    @property
-    def trace(self) -> list[TraceRow]:
-        return [TraceRow(int(row[0]), *row[1:]) for row in self.trace_table.tolist()]
 
 
 def _poisson_support(x_tilde: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -265,7 +233,9 @@ def _poisson_support(x_tilde: np.ndarray, lam: float) -> tuple[np.ndarray, np.nd
     )
 
 
-def x_proposal(data: PrivatizedDataset, lam: float) -> tuple[np.ndarray, np.ndarray]:
+def x_proposal(
+    data: PrivatizedDataset, lam: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each record's release-conditional pmf of x, the E-step's x proposal.
 
     q_i(s) ∝ Pois(s; lam) f_x(x~_i - s) on the support 0..N of
@@ -275,23 +245,12 @@ def x_proposal(data: PrivatizedDataset, lam: float) -> tuple[np.ndarray, np.ndar
 
     Returns
     -------
-    (support, log_q)
-        The support as floats, shape (N + 1,), and the normalized log pmf
-        of each record, shape (n, N + 1).
-    """
-    support, log_q, _ = _x_release_pmf(data, lam)
-    return support, log_q
-
-
-def _x_release_pmf(data: PrivatizedDataset, lam: float):
-    """:func:`x_proposal` with each record's log normalizer.
-
-    Returns
-    -------
     (support, log_q, log_mass)
-        As :func:`x_proposal`, and log sum_s lam^s / s! f_x(x~_i - s) over
-        the support, shape (n,): less lam, the log of the release density
-        of x~_i with x_i summed out.
+        The support as floats, shape (N + 1,); the normalized log pmf of
+        each record, shape (n, N + 1); and each record's log normalizer,
+        log sum_s lam^s / s! f_x(x~_i - s) over the support, shape (n,):
+        less lam, the log of the release density of x~_i with x_i summed
+        out.
     """
     support, log_pois = _poisson_support(data.x_tilde, lam)
     log_q = data.spec_x.log_density(data.x_tilde[:, None] - support)
@@ -344,7 +303,7 @@ def e_step(
     config: MCEMConfig,
     rng: np.random.Generator,
     *,
-    proposal: tuple[np.ndarray, np.ndarray] | None = None,
+    proposal: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ):
     """Draw K values of each record's x at theta and weight them, with y
     integrated out.
@@ -363,8 +322,7 @@ def e_step(
         per-record ESS; the K x n draws of x, as integers in support order
         (row k is not one joint draw: only the columns' weighted moments are
         meaningful); and the (n, S) table of E[y | x_i = support[s], y~_i,
-        theta], which stands in for draws of y (expand it with
-        :meth:`MCEMState.per_draw`).
+        theta], which stands in for draws of y.
 
     Raises
     ------
@@ -376,7 +334,7 @@ def e_step(
     if not (math.isfinite(beta0) and math.isfinite(beta1)):
         raise ValueError(f"theta must be finite, got {theta!r}")
     k, n = config.k_samples, data.n
-    support, log_q = x_proposal(data, config.lam) if proposal is None else proposal
+    support, log_q, _ = x_proposal(data, config.lam) if proposal is None else proposal
     counts = rng.multinomial(k, np.exp(log_q))
     log_w, mean_r, var_r = log_importance_weights(
         data, (beta0, beta1), support, counts, config.sigma
@@ -390,7 +348,6 @@ def e_step(
     total = p.sum(axis=1, keepdims=True)
     w /= total
     p /= total
-    log_w -= np.log(total)
     # record i's sum of squared draw weights is sum_s counts w^2 = sum_s p w
     ess = float(1.0 / np.max(np.einsum("is,is->i", p, w)))
 
@@ -398,12 +355,10 @@ def e_step(
         theta=(beta0, beta1),
         support=support,
         counts=counts,
-        log_weights=log_w,
         cell_weights=p,
         mean_r=mean_r,
         var_r=var_r,
         ess=ess,
-        max_raw_log_weight=float(max_raw.sum()),
     )
     # Record-major (n, K) storage; the returned (K, n) array is its view.
     # The support is 0..N, so a value's index is the value; 32-bit integers
@@ -480,10 +435,11 @@ def _mean_score(state: MCEMState, sigma: float):
     conditional mean.  Records are drawn independently, so its variance is
     the sum over records of the self-normalized estimate
     sum_k w_ki^2 (s_ki - s̄_i)^2; the draws at one x value share w and s,
-    so the sum over k is one over x values of counts w^2 = cell weight w.
+    so the sum over k is one over x values of counts w^2 = cell weight^2 /
+    counts.
     """
     p = state.cell_weights
-    pw = p * np.exp(state.log_weights)
+    pw = np.divide(p * p, state.counts, out=np.zeros(p.shape), where=state.counts > 0)
     mean, var = np.empty(2), np.empty(2)
     for j, c in enumerate(_conditional_scores(state, sigma)):
         m = np.einsum("is,is->i", p, c)
@@ -551,7 +507,7 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
         )
         new_theta = m_step(state)
         delta = max(abs(new_theta[0] - theta[0]), abs(new_theta[1] - theta[1]))
-        trace.append((t, *new_theta, state.ess, state.max_raw_log_weight))
+        trace.append((t, *new_theta, state.ess))
         theta = new_theta
         if delta < config.tol:
             consecutive += 1
@@ -586,7 +542,7 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
     return MCEMResult(
         fit=fit,
         ellipse=ellipse,
-        trace_table=np.array(trace),
+        trace=np.array(trace),
         converged=converged,
         fisher=fisher,
         fisher_pd=fisher_pd,
@@ -596,15 +552,12 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
     )
 
 
-def trace_to_csv(trace) -> str:
+def trace_to_csv(trace: np.ndarray) -> str:
     """Render an iteration trace as CSV."""
     buf = io.StringIO()
-    buf.write("iter,beta0,beta1,ess,max_log_weight\n")
-    for row in trace:
-        buf.write(
-            f"{row.iteration},{row.beta0!r},{row.beta1!r},"
-            f"{row.ess!r},{row.max_log_weight!r}\n"
-        )
+    buf.write("iter,beta0,beta1,ess\n")
+    for t, beta0, beta1, ess in trace.tolist():
+        buf.write(f"{int(t)},{beta0!r},{beta1!r},{ess!r}\n")
     return buf.getvalue()
 
 

@@ -115,6 +115,10 @@ class MechanismSpec:
             raise ValueError(
                 f"double geometric sensitivity must be an integer, got {self.sensitivity!r}"
             )
+        if self.family is Family.RANDOMIZED_RESPONSE and self.sensitivity != 1:
+            raise ValueError(
+                f"randomized response has sensitivity 1, got {self.sensitivity!r}"
+            )
 
     @property
     def scale(self) -> float:
@@ -235,7 +239,7 @@ def double_geometric_noise(
     budget : PrivacyBudget
         Budget eps of the mechanism.
     count : int
-        Number of draws.
+        Number of draws, at least 1.
     sensitivity : int
         Integer sensitivity of the released counts (default 1).
 
@@ -244,6 +248,8 @@ def double_geometric_noise(
     numpy.ndarray
         ``count`` integer draws.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
     p = -math.expm1(-budget.epsilon / sensitivity)
     return rng.geometric(p, count) - rng.geometric(p, count)
 

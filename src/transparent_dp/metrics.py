@@ -35,7 +35,8 @@ class CountyTable:
 
     On confidential input the totals equal the column sums
     (:meth:`from_counts` enforces this); privatized tables may carry
-    independently noised totals that do not.
+    independently noised totals that do not.  Every count and total must
+    be finite; a ``ValueError`` names each one that is not.
     """
 
     w: np.ndarray
@@ -48,6 +49,12 @@ class CountyTable:
         b = np.asarray(self.b, dtype=float)
         if w.shape != b.shape or w.ndim != 1 or w.size == 0:
             raise ValueError("w and b must be 1-d arrays of equal, nonzero length")
+        bad = [f"{name}[{i}]={float(col[i])!r}" for name, col in (("w", w), ("b", b))
+               for i in np.flatnonzero(~np.isfinite(col))]
+        bad += [f"{name}={float(total)!r}" for name, total in
+                (("w_cty", self.w_cty), ("b_cty", self.b_cty)) if not math.isfinite(total)]
+        if bad:
+            raise ValueError(f"counts must be finite, got {', '.join(bad)}")
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "b", b)
 
@@ -60,13 +67,10 @@ class CountyTable:
         """
         w = np.asarray(w, dtype=float)
         b = np.asarray(b, dtype=float)
-        bad = [f"{name}[{i}]={float(col[i])!r}" for name, col in (("w", w), ("b", b))
-               for i in np.flatnonzero(~np.isfinite(col))]
-        if bad:
-            raise ValueError(f"confidential counts must be finite, got {', '.join(bad)}")
-        if np.any(w < 0) or np.any(b < 0):
+        table = cls(w=w, b=b, w_cty=float(w.sum()), b_cty=float(b.sum()))
+        if np.any(table.w < 0) or np.any(table.b < 0):
             raise ValueError("confidential counts must be nonnegative")
-        return cls(w=w, b=b, w_cty=float(w.sum()), b_cty=float(b.sum()))
+        return table
 
 
 def dissimilarity(table: CountyTable) -> float:

@@ -8,7 +8,6 @@ from scipy import stats
 from transparent_dp.asymptotics import (
     FixedDesignMoments,
     biasing_coefficient,
-    clt_summary,
     clt_variance,
     coverage_grid,
     distribution_limits,
@@ -128,20 +127,6 @@ def test_clt_variance_rejects_negative_arguments():
         clt_variance(m, 1.0, 1.0, 0.0, -1.0)
 
 
-def test_clt_summary_bundles_center_and_width():
-    m = sample_moments(reference_design())
-    summ = clt_summary(m, 0.5, 1.0, 4.0, 4.0)
-    gamma = biasing_coefficient(m, 4.0)
-    st = clt_variance(m, 0.5, 1.0, 4.0, 4.0)
-    assert summ.gamma == gamma
-    assert summ.sigma_tilde == st
-    assert summ.center == pytest.approx(gamma * 0.5, rel=1e-14)
-    assert summ.half_width == pytest.approx(Z975 * math.sqrt(st / 500), rel=1e-9)
-    assert summ.alpha == 0.05
-    with pytest.raises(ValueError):
-        clt_summary(m, 0.5, 1.0, 4.0, 4.0, alpha=1.5)
-
-
 def test_distribution_limits_values():
     lo, hi = distribution_limits(0.7, 2.0, 0.0, 100, 0.05)
     assert lo == hi == pytest.approx(1.4)
@@ -151,6 +136,8 @@ def test_distribution_limits_values():
     assert hi == pytest.approx(0.5 + half, rel=1e-9)
     with pytest.raises(ValueError):
         distribution_limits(1.0, 0.5, 1.0, 500, 0.0)
+    with pytest.raises(ValueError):
+        distribution_limits(1.0, 0.5, 1.0, 500, 1.5)
     with pytest.raises(ValueError):
         distribution_limits(1.0, 0.5, -1.0, 500, 0.05)
 

@@ -184,6 +184,15 @@ def test_privatize_randomized_response_rejects_nonbinary(capsys):
     assert err.startswith("ValueError:")
 
 
+def test_privatize_randomized_response_refuses_other_sensitivity(capsys):
+    # the sampler has sensitivity 1; publishing another would misstate it
+    rc, out, err = run(capsys, ["privatize", "--values", "1,0,1", "--family",
+                                "randomized-response", "--epsilon", "1",
+                                "--sensitivity", "7", "--seed", "1"])
+    assert rc == 1 and out == ""
+    assert err.startswith("ValueError: randomized response has sensitivity 1, got 7.0")
+
+
 def test_privatize_double_geometric_checks_sensitivity(capsys):
     rc, _, err = run(capsys, ["privatize", "--values", "3,1,4", "--family",
                               "double-geometric", "--epsilon", "0.5",
@@ -307,7 +316,7 @@ def test_fit_mcem_report_and_trace(capsys, mcem_env, tmp_path):
     lines = trace.read_text().splitlines()
     assert lines[0].startswith("# transparent-dp")
     assert "command=fit-mcem-trace" in lines[0]
-    assert lines[1] == "iter,beta0,beta1,ess,max_log_weight"
+    assert lines[1] == "iter,beta0,beta1,ess"
     assert len(lines) - 2 == report["iterations"]
 
 

@@ -62,20 +62,30 @@ def table_state(counts, raw_log_w=None, mean_r=None, var_r=None, theta=(0.0, 1.0
     shape = counts.shape
     raw = np.zeros(shape) if raw_log_w is None else np.asarray(raw_log_w, dtype=float)
     log_w = np.where(counts > 0, raw, -np.inf)
-    log_w -= log_w.max(axis=1, keepdims=True)
-    log_w -= np.log((counts * np.exp(log_w)).sum(axis=1, keepdims=True))
-    p = counts * np.exp(log_w)
+    p = counts * np.exp(log_w - log_w.max(axis=1, keepdims=True))
+    p /= p.sum(axis=1, keepdims=True)
     return MCEMState(
         theta=theta,
         support=np.arange(float(shape[1])),
         counts=counts,
-        log_weights=log_w,
         cell_weights=p,
         mean_r=np.zeros(shape) if mean_r is None else np.asarray(mean_r, dtype=float),
         var_r=np.zeros(shape) if var_r is None else np.asarray(var_r, dtype=float),
-        ess=float(1.0 / np.max((p * np.exp(log_w)).sum(axis=1))),
-        max_raw_log_weight=0.0,
+        ess=float(1.0 / np.max((p * p / np.maximum(counts, 1)).sum(axis=1))),
     )
+
+
+def per_draw(counts, table):
+    # Expand an (n, S) table to the (K, n) layout of the E-step's x draws:
+    # entry (k, i) is the table's value at draw k of x_i.
+    n = counts.shape[0]
+    return np.repeat(table.ravel(), counts.ravel()).reshape(n, -1).T
+
+
+def draw_weights(counts, cell_weights):
+    # The normalized weight of each draw, (K, n): a cell's mass split
+    # evenly over the draws that fell on it.
+    return per_draw(counts, cell_weights / np.maximum(counts, 1))
 
 
 def point_state(x, y, theta=(0.0, 1.0), k=1):
@@ -150,7 +160,7 @@ def test_log_importance_weights_read_the_declared_family():
     dg = MechanismSpec(Family.DOUBLE_GEOMETRIC, 2.0, PrivacyBudget(1.0))
     priv = PrivatizedDataset(x_tilde=np.round(priv.x_tilde), y_tilde=priv.y_tilde,
                              spec_x=dg, spec_y=priv.spec_y, parent_seed=62)
-    support, log_q = x_proposal(priv, 10.0)
+    support, log_q, _ = x_proposal(priv, 10.0)
     assert support[0] == 0.0 and np.all(np.diff(support) == 1.0)
     for i in range(4):
         unnorm = stats.poisson.logpmf(support, 10.0) + np.array([
@@ -197,10 +207,14 @@ def test_x_proposal_truncation_matches_wide_support(eps):
     x_tilde = np.array([-20.0, 60.0, 200.0])
     priv = PrivatizedDataset(x_tilde=x_tilde, y_tilde=np.zeros(3), spec_x=spec,
                              spec_y=spec, parent_seed=0)
-    support, log_q = x_proposal(priv, 10.0)
+    support, log_q, log_mass = x_proposal(priv, 10.0)
     assert support[-1] >= 200.0
     wide = np.arange(2001.0)
     ref = stats.poisson.logpmf(wide, 10.0) - np.abs(x_tilde[:, None] - wide) * eps
+    # log_mass is log sum_s lam^s / s! f_x(x~ - s): the wide sum above, less
+    # the Poisson's -lam, with the Laplace's log normalizer log(eps / 2)
+    wide_mass = special.logsumexp(ref, axis=1) + 10.0 + math.log(eps / 2.0)
+    np.testing.assert_allclose(log_mass, wide_mass, rtol=1e-12, atol=1e-12)
     ref = np.exp(ref - special.logsumexp(ref, axis=1, keepdims=True))
     m = support.size
     assert np.abs(np.exp(log_q) - ref[:, :m]).max() <= 1e-12
@@ -218,8 +232,8 @@ def test_e_step_matches_brute_force_posterior_means():
     beta0, beta1, sigma, lam, b = 3.5, 1.6, 2.0, 5.0, 2.0
     cfg = MCEMConfig(k_samples=20_000, sigma=sigma, lam=lam)
     state, (xs, y_means) = e_step(priv, (beta0, beta1), cfg, stream(80, "brute"))
-    ys = state.per_draw(y_means)
-    w = state.weights
+    ys = per_draw(state.counts, y_means)
+    w = draw_weights(state.counts, state.cell_weights)
     np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=1e-12)
 
     xg = np.arange(61.0)
@@ -243,23 +257,19 @@ def test_e_step_weights_normalize_and_ess_bounds():
     theta = (-3.0, 3.5)
     state, (x, y_means) = e_step(priv, theta, cfg, stream(62, "estep"))
     counts = state.counts
-    assert counts.shape == state.log_weights.shape == state.cell_weights.shape
-    assert counts.shape == (10, state.support.size)
+    assert counts.shape == state.cell_weights.shape == (10, state.support.size)
     assert (counts.sum(axis=1) == 400).all()
     # draws at one x value share a weight; a record's cells hold all its mass
-    np.testing.assert_allclose(state.cell_weights, counts * np.exp(state.log_weights),
-                               rtol=1e-12, atol=0)
     np.testing.assert_allclose(state.cell_weights.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    assert (state.log_weights[counts == 0] == -np.inf).all()
+    assert (state.cell_weights[counts == 0] == 0).all()
     raw, mean_r, _ = log_importance_weights(priv, theta, state.support, counts, cfg.sigma)
     unnorm = raw + np.log(np.maximum(counts, 1))
     np.testing.assert_allclose(
-        state.log_weights[counts > 0],
-        (raw - special.logsumexp(unnorm, axis=1, keepdims=True))[counts > 0],
+        state.cell_weights[counts > 0],
+        (counts * np.exp(raw - special.logsumexp(unnorm, axis=1, keepdims=True)))[counts > 0],
         rtol=1e-12,
     )
-    assert state.max_raw_log_weight == pytest.approx(raw.max(axis=1).sum(), rel=1e-12)
-    w = state.weights
+    w = draw_weights(counts, state.cell_weights)
     assert w.shape == (400, 10)
     np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=0, atol=1e-12)
     per_record = 1.0 / (w**2).sum(axis=0)
@@ -268,7 +278,7 @@ def test_e_step_weights_normalize_and_ess_bounds():
     # the x draws are the support values, in support order per record
     assert x.shape == (400, 10)
     np.testing.assert_array_equal(
-        x, state.per_draw(np.broadcast_to(state.support, counts.shape))
+        x, per_draw(counts, np.broadcast_to(state.support, counts.shape))
     )
     assert (np.diff(x, axis=0) >= 0).all()
     # y is not drawn: each cell carries its conditional mean
@@ -281,7 +291,8 @@ def test_e_step_deterministic_per_stream():
     cfg = MCEMConfig(k_samples=200)
     s1, _ = e_step(priv, (-3.0, 3.5), cfg, stream(63, "edet"))
     s2, _ = e_step(priv, (-3.0, 3.5), cfg, stream(63, "edet"))
-    np.testing.assert_array_equal(s1.log_weights, s2.log_weights)
+    np.testing.assert_array_equal(s1.counts, s2.counts)
+    np.testing.assert_array_equal(s1.cell_weights, s2.cell_weights)
     assert s1.ess == s2.ess
 
 
@@ -292,9 +303,9 @@ def test_e_step_given_proposal_matches_built_one():
     built, _ = e_step(priv, (-3.0, 3.5), cfg, stream(63, "eprop"))
     given, _ = e_step(priv, (-3.0, 3.5), cfg, stream(63, "eprop"),
                       proposal=x_proposal(priv, cfg.lam))
-    for field in ("support", "counts", "log_weights", "cell_weights", "mean_r", "var_r"):
+    for field in ("support", "counts", "cell_weights", "mean_r", "var_r"):
         np.testing.assert_array_equal(getattr(given, field), getattr(built, field))
-    assert (given.ess, given.max_raw_log_weight) == (built.ess, built.max_raw_log_weight)
+    assert given.ess == built.ess
 
 
 def test_e_step_rejects_nonfinite_theta():
@@ -343,7 +354,7 @@ def test_run_mcem_reads_a_double_geometric_x_release():
     assert np.isfinite([res.fit.beta0_hat, res.fit.beta1_hat]).all()
     state, (x, _) = e_step(priv, (res.fit.beta0_hat, res.fit.beta1_hat),
                            MCEMConfig(k_samples=500), stream(82, "dgx-e"))
-    _, log_q = x_proposal(priv, REF_PARAMS.lam)
+    _, log_q, _ = x_proposal(priv, REF_PARAMS.lam)
     assert (state.counts[np.exp(log_q) == 0] == 0).all()
     assert 1.0 <= state.ess <= 500.0
 
@@ -480,10 +491,10 @@ def test_observed_fisher_sums_per_record_score_variances():
     state = table_state(counts, rng.normal(0.0, 1.0, (n, size)),
                         rng.normal(0.0, 3.0, (n, size)), 4.0 * rng.random((n, size)), theta)
     fisher = observed_fisher(state, sigma)
-    w = state.weights
-    xs = state.per_draw(np.broadcast_to(state.support, counts.shape))
-    m = state.per_draw(state.mean_r)
-    v = state.per_draw(state.var_r)
+    w = draw_weights(counts, state.cell_weights)
+    xs = per_draw(counts, np.broadcast_to(state.support, counts.shape))
+    m = per_draw(counts, state.mean_r)
+    v = per_draw(counts, state.var_r)
     expected = np.array([[n, (w * xs).sum()], [(w * xs).sum(), (w * xs**2).sum()]])
     expected /= sigma**2
     for i in range(n):
@@ -569,7 +580,7 @@ def test_run_mcem_deterministic():
     a = run_mcem(priv, cfg, seed=9)
     b = run_mcem(priv, cfg, seed=9)
     assert a.fit.to_json() == b.fit.to_json()
-    assert a.trace == b.trace
+    np.testing.assert_array_equal(a.trace, b.trace)
     np.testing.assert_array_equal(a.fisher, b.fisher)
     assert a.converged == b.converged
 
@@ -578,8 +589,8 @@ def test_run_mcem_trace_and_flags():
     _, priv = reference_instance(74)
     cfg = MCEMConfig(k_samples=400, max_iter=5)
     res = run_mcem(priv, cfg, seed=10)
-    assert 1 <= len(res.trace) <= 5
-    assert [row.iteration for row in res.trace] == list(range(1, len(res.trace) + 1))
+    assert res.trace.shape[1] == 4 and 1 <= len(res.trace) <= 5
+    np.testing.assert_array_equal(res.trace[:, 0], np.arange(1, len(res.trace) + 1))
     assert res.fit.method == "mcem"
     assert res.fit.n == 10
     assert isinstance(res.converged, bool)
@@ -601,7 +612,7 @@ def test_run_mcem_keeps_k_samples():
     cfg = MCEMConfig(k_samples=64, max_iter=3)
     res = run_mcem(priv, cfg, seed=11)
     assert res.k_final == 64
-    assert all(1.0 <= row.ess <= 64.0 for row in res.trace)
+    assert ((1.0 <= res.trace[:, 3]) & (res.trace[:, 3] <= 64.0)).all()
 
 
 def test_run_mcem_near_noise_free_release():
@@ -628,12 +639,12 @@ def test_trace_csv_round_trip():
     res = run_mcem(priv, MCEMConfig(k_samples=300, max_iter=4), seed=12)
     text = trace_to_csv(res.trace)
     lines = text.splitlines()
-    assert lines[0] == "iter,beta0,beta1,ess,max_log_weight"
+    assert lines[0] == "iter,beta0,beta1,ess"
     assert len(lines) == len(res.trace) + 1
     cells = lines[1].split(",")
-    assert int(cells[0]) == 1
-    assert float(cells[1]) == res.trace[0].beta0
-    assert float(cells[4]) == res.trace[0].max_log_weight
+    assert cells[0] == "1"
+    assert float(cells[1]) == res.trace[0, 1]
+    assert float(cells[3]) == res.trace[0, 3]
 
 
 def test_ellipse_study_smoke_and_csv():

@@ -54,6 +54,15 @@ def test_spec_scale_is_sensitivity_over_epsilon():
         MechanismSpec(Family.LAPLACE, 0.0, PrivacyBudget(0.25))
 
 
+@pytest.mark.parametrize("sensitivity", [0.5, 2.0, 7.0])
+def test_spec_randomized_response_has_sensitivity_one(sensitivity):
+    with pytest.raises(ValueError, match=f"sensitivity 1, got {sensitivity!r}"):
+        MechanismSpec(Family.RANDOMIZED_RESPONSE, sensitivity, PrivacyBudget(1.0))
+    with pytest.raises(ValueError, match="sensitivity 1"):
+        MechanismSpec.from_dict({"family": "randomized_response",
+                                 "sensitivity": sensitivity, "epsilon": 1.0})
+
+
 def test_spec_truth_probability_only_for_rr():
     rr = MechanismSpec(Family.RANDOMIZED_RESPONSE, 1.0, PrivacyBudget(math.log(3)))
     assert rr.truth_probability == pytest.approx(0.75, abs=1e-15)
@@ -217,6 +226,12 @@ def test_double_geometric_noise_unchanged_at_sensitivity_one():
         np.testing.assert_array_equal(
             double_geometric_noise(stream(4, "dg-one-ref"), budget, 1000, sens), ref
         )
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_double_geometric_noise_needs_a_draw(count):
+    with pytest.raises(ValueError, match=f"count must be at least 1, got {count}"):
+        double_geometric_noise(stream(4, "dg-count"), PrivacyBudget(1.0), count)
 
 
 def test_double_geometric_log_pmf_scales_with_sensitivity():

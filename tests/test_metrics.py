@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -64,6 +65,18 @@ def test_county_table_validation():
         CountyTable(w=[1.0, 2.0], b=[1.0], w_cty=3.0, b_cty=1.0)
     with pytest.raises(ValueError):
         CountyTable(w=[], b=[], w_cty=0.0, b_cty=0.0)
+
+
+@pytest.mark.parametrize("table, named", [
+    (dict(w=[math.nan, 1.0], b=[1.0, 1.0], w_cty=1.0, b_cty=2.0), "w[0]=nan"),
+    (dict(w=[1.0, 1.0], b=[1.0, -math.inf], w_cty=2.0, b_cty=2.0), "b[1]=-inf"),
+    (dict(w=[1.0, 1.0], b=[1.0, 1.0], w_cty=math.inf, b_cty=2.0), "w_cty=inf"),
+    (dict(w=[1.0, 1.0], b=[1.0, 1.0], w_cty=2.0, b_cty=math.nan), "b_cty=nan"),
+])
+def test_county_table_refuses_nonfinite_counts(table, named):
+    # a privatized table is built directly, not through from_counts
+    with pytest.raises(ValueError, match=r"counts must be finite, got .*" + re.escape(named)):
+        CountyTable(**table)
 
 
 def small_county():
