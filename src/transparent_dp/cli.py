@@ -115,7 +115,6 @@ _COMMANDS: dict[str, tuple[str, list]] = {
         _INPUT,
         _SEED,
         *_EM,
-        ("tol", float, 1e-3, "convergence threshold"),
         ("alpha", float, 0.05, "ellipse level"),
         *_KNOWN,
         ("trace", str, None, "optional path for the iteration trace CSV"),
@@ -387,7 +386,7 @@ def _cmd_fit_mcem(params: dict) -> str:
     sigma, lam = _envelope_known(params, env)
     config = MCEMConfig(
         sigma=sigma, lam=lam,
-        **{key: params[key] for key in ("k_samples", "max_iter", "tol", "alpha")},
+        **{key: params[key] for key in ("k_samples", "max_iter", "alpha")},
     )
     res = run_mcem(data, config, params["seed"])
     if params["trace"]:
@@ -402,6 +401,7 @@ def _cmd_fit_mcem(params: dict) -> str:
         "iterations": len(res.trace),
         "k_final": res.k_final,
         "mean_score": res.mean_score.tolist(),
+        "mean_score_se": res.mean_score_se.tolist(),
     }
     return json.dumps(out, sort_keys=True) + "\n"
 

@@ -69,6 +69,9 @@ _MAX_X_SUPPORT = 100_000
 # Log of the bound on the x-proposal mass left past the support, relative to
 # each record's largest term.
 _LOG_TAIL_TOL = math.log(1e-15)
+# An iteration counts as converged when both mean-score components lie
+# within this many Monte Carlo SE of zero.
+_SCORE_Z = 2.0
 
 
 def _check_finite_positive(**values: float) -> None:
@@ -87,10 +90,8 @@ class MCEMConfig:
     k_samples : int
         Importance draws per record and iteration, at least 2.
     max_iter : int
-        Iteration cap.
-    tol : float
-        Max-norm parameter change below which an iteration counts as
-        converged; two consecutive such iterations stop the run.
+        Iteration cap; :func:`run_mcem` stops earlier once its mean score
+        is within Monte Carlo error of zero.
     alpha : float
         Ellipse level (0.05 gives 95% ellipses).
     sigma : float
@@ -101,7 +102,6 @@ class MCEMConfig:
 
     k_samples: int = 5000
     max_iter: int = 40
-    tol: float = 1e-3
     alpha: float = 0.05
     sigma: float = 5.0
     lam: float = 10.0
@@ -111,8 +111,6 @@ class MCEMConfig:
             raise ValueError("k_samples must be at least 2")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
         _check_finite_positive(sigma=self.sigma, lam=self.lam)
@@ -485,8 +483,12 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
 
     Each iteration uses a fresh child stream keyed by (seed, iteration),
     so the full trace is reproducible from (data, config, seed) alone.
-    Convergence requires the max-norm parameter change to stay below
-    config.tol for two consecutive iterations.  A final fresh E-step at
+    An iteration counts as converged when each component of the mean
+    complete-data score at its E-step (:func:`_mean_score`) lies within
+    two Monte Carlo SE of zero; two consecutive converged iterations stop
+    the run with converged=True, and config.max_iter caps it.  The rule
+    measures Monte Carlo error rather than step size because fresh draws
+    keep moving theta near the optimum.  A final fresh E-step at
     the solution supplies the Fisher information, the mean-score
     diagnostic, and the confidence ellipse; a non-positive-definite
     information matrix is reported via fisher_pd=False with the ellipse
@@ -505,11 +507,10 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
         state, _ = e_step(
             data, theta, config, stream(seed, "mcem-iter", t), proposal=proposal
         )
-        new_theta = m_step(state)
-        delta = max(abs(new_theta[0] - theta[0]), abs(new_theta[1] - theta[1]))
-        trace.append((t, *new_theta, state.ess))
-        theta = new_theta
-        if delta < config.tol:
+        theta = m_step(state)
+        trace.append((t, *theta, state.ess))
+        score, score_se = _mean_score(state, config.sigma)
+        if (np.abs(score) <= _SCORE_Z * score_se).all():
             consecutive += 1
             if consecutive >= 2:
                 converged = True

@@ -24,7 +24,7 @@ FLAGS = {
     "simulate": ["--n", "--beta0", "--beta1", "--sigma", "--lam",
                  "--epsilon-x", "--epsilon-y", "--seed", "--format"],
     "fit-naive": ["--input", "--on"],
-    "fit-mcem": ["--input", "--seed", "--k-samples", "--max-iter", "--tol",
+    "fit-mcem": ["--input", "--seed", "--k-samples", "--max-iter",
                  "--alpha", "--sigma", "--lam", "--trace"],
     "abc-posterior": ["--input", "--draws", "--seed", "--prior",
                       "--beta0-range", "--beta1-range", "--prior-means",
@@ -311,7 +311,8 @@ def test_fit_mcem_report_and_trace(capsys, mcem_env, tmp_path):
     assert rc == 0
     report = body_json(out)
     assert sorted(report) == ["converged", "ellipse", "fisher_pd", "fit",
-                              "iterations", "k_final", "mean_score"]
+                              "iterations", "k_final", "mean_score",
+                              "mean_score_se"]
     assert report["fit"]["method"] == "mcem"
     lines = trace.read_text().splitlines()
     assert lines[0].startswith("# transparent-dp")
@@ -617,7 +618,7 @@ def test_empty_grid_is_usage_error(capsys, command, steps):
 
 def test_help_shows_defaults(capsys):
     text = " ".join(help_text(capsys, ["fit-mcem", "--help"]).split())
-    assert "(default 5000)" in text and "(default 0.001)" in text
+    assert "(default 5000)" in text and "(default 0.05)" in text
     assert "(default: from envelope)" in text
 
 
@@ -723,8 +724,9 @@ def test_benchmark_tracer_resolves_cli_names():
     counts = {}
     for name, value in traced["counts"]:
         counts.setdefault(name, []).append(value)
-    # three iterations plus the Fisher step
-    assert len(counts["mcem.e_step.ess_fraction"]) == 4
+    # one E-step per iteration plus the Fisher step
+    (iterations,) = counts["mcem.run_mcem.iterations"]
+    assert len(counts["mcem.e_step.ess_fraction"]) == iterations + 1
     assert all(0.0 < v <= 1.0 for v in counts["mcem.e_step.ess_fraction"])
     assert counts["mcem.run_mcem.k_final"] == [200]
 
@@ -735,6 +737,20 @@ def test_benchmark_abc_posterior_workload_passes_its_checks():
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "tdpbench/run.py", "--workload", "abc_posterior",
+         "--seed", "1", "--seconds", "0.2"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, result
+    assert result["attempted"] > 0 and result["failed"] == 0
+
+
+def test_benchmark_mcem_fit_workload_passes_its_checks():
+    # Every pool fit must converge and end no lower than its naive start.
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "tdpbench/run.py", "--workload", "mcem_fit",
          "--seed", "1", "--seconds", "0.2"],
         cwd=root, capture_output=True, text=True, timeout=300,
     )

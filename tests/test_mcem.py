@@ -36,7 +36,7 @@ from transparent_dp.mcem import (
 )
 from transparent_dp.naive_fit import ols
 from transparent_dp.normal import chi2_2_quantile, normal_laplace
-from transparent_dp.rng import stream
+from transparent_dp.rng import derive_seed, stream
 from transparent_dp.simulate import (
     PrivatizedDataset,
     RegressionParams,
@@ -104,8 +104,8 @@ def test_config_validation():
         MCEMConfig(k_samples=1)
     with pytest.raises(ValueError):
         MCEMConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        MCEMConfig(tol=0.0)
+    with pytest.raises(TypeError):
+        MCEMConfig(tol=1e-3)
     with pytest.raises(TypeError):
         MCEMConfig(ess_floor=0.01)
     with pytest.raises(ValueError):
@@ -116,7 +116,7 @@ def test_config_validation():
         MCEMConfig(lam=0.0)
     cfg = MCEMConfig()
     assert cfg.k_samples == 5000
-    assert cfg.tol == 1e-3
+    assert cfg.max_iter == 40
 
 
 @pytest.mark.parametrize("name", ["sigma", "lam"])
@@ -613,6 +613,48 @@ def test_run_mcem_keeps_k_samples():
     res = run_mcem(priv, cfg, seed=11)
     assert res.k_final == 64
     assert ((1.0 <= res.trace[:, 3]) & (res.trace[:, 3] <= 64.0)).all()
+
+
+def test_mean_score_se_matches_its_spread_over_seeds():
+    # The stop rule compares the mean score with its reported SE, so that SE
+    # must be the score's real Monte Carlo spread: on the acceptance suite's
+    # n=4 release, the SD of the mean score over 200 streams lies within
+    # [0.8, 1.25] times the median SE at a fixed theta near the optimum.
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(0.5))
+    toy = PrivatizedDataset(
+        x_tilde=np.array([8.747, 7.655, 3.661, 4.664]),
+        y_tilde=np.array([12.485, 19.217, 7.683, 11.223]),
+        spec_x=spec, spec_y=spec, parent_seed=0,
+    )
+    cfg = MCEMConfig(k_samples=5000, sigma=2.0, lam=5.0)
+    proposal = x_proposal(toy, cfg.lam)
+    scores, ses = [], []
+    for sd in range(200):
+        state, _ = e_step(toy, (3.5, 1.65), cfg, stream(sd, "se-spread"), proposal=proposal)
+        score, se = _mean_score(state, cfg.sigma)
+        scores.append(score)
+        ses.append(se)
+    ratio = np.std(scores, axis=0, ddof=1) / np.median(ses, axis=0)
+    assert ((0.8 <= ratio) & (ratio <= 1.25)).all(), ratio
+
+
+def test_run_mcem_converges_on_the_ellipse_study_design():
+    # Test 07's design at both budgets: the score rule stops at least 90%
+    # of the fits before the iteration cap.
+    seed, cfg = 6, MCEMConfig()
+    conf = gen_confidential(
+        10, REF_PARAMS, stream(seed, "ellipse-study", "confidential"), seed=seed
+    )
+    results = []
+    for eps in (0.25, 1.0):
+        for r in range(25):
+            priv = privatize_dataset(
+                conf, PrivacyBudget(eps), PrivacyBudget(eps),
+                stream(seed, "ellipse-study", "privatize", r),
+            )
+            results.append(run_mcem(priv, cfg, derive_seed(seed, "ellipse-study", "mcem", r)))
+    assert sum(res.converged for res in results) >= 0.9 * len(results)
+    assert all(len(res.trace) < cfg.max_iter for res in results if res.converged)
 
 
 def test_run_mcem_near_noise_free_release():
