@@ -70,8 +70,15 @@ _MAX_X_SUPPORT = 100_000
 # each record's largest term.
 _LOG_TAIL_TOL = math.log(1e-15)
 # An iteration counts as converged when both mean-score components lie
-# within this many Monte Carlo SE of zero.
+# within this many Monte Carlo SE of zero, plus a rounding floor.
 _SCORE_Z = 2.0
+# The rounding floor, relative to the summed magnitudes of the per-record
+# score terms.  Double-precision sums of n such terms err by about
+# sqrt(n) * 1.1e-16 of that size, and by n * 1.1e-16 at worst, so 1e-10
+# covers the worst case up to about 10^6 records.  It matters only when the
+# SE is 0, as when every draw of each record lands on one x value; then the
+# score can only reach 0 to rounding, never exactly.
+_SCORE_ROUNDING = 1e-10
 
 
 def _check_finite_positive(**values: float) -> None:
@@ -427,24 +434,26 @@ def observed_fisher(state: MCEMState, sigma: float) -> np.ndarray:
 
 
 def _mean_score(state: MCEMState, sigma: float):
-    """Mean complete-data score at the state's theta and its Monte Carlo SE.
+    """Mean complete-data score at the state's theta, its Monte Carlo SE,
+    and the summed magnitudes of its per-record terms.
 
     The mean is the sum of per-record weighted means of the score's
     conditional mean.  Records are drawn independently, so its variance is
     the sum over records of the self-normalized estimate
     sum_k w_ki^2 (s_ki - s̄_i)^2; the draws at one x value share w and s,
     so the sum over k is one over x values of counts w^2 = cell weight^2 /
-    counts.
+    counts.  The magnitudes, sum_i |s̄_i|, size the rounding of the mean.
     """
     p = state.cell_weights
     pw = np.divide(p * p, state.counts, out=np.zeros(p.shape), where=state.counts > 0)
-    mean, var = np.empty(2), np.empty(2)
+    mean, var, size = np.empty(2), np.empty(2), np.empty(2)
     for j, c in enumerate(_conditional_scores(state, sigma)):
         m = np.einsum("is,is->i", p, c)
         c = c - m[:, None]
         mean[j] = m.sum()
+        size[j] = np.abs(m).sum()
         var[j] = np.einsum("is,is,is->", pw, c, c)
-    return mean, np.sqrt(var)
+    return mean, np.sqrt(var), size
 
 
 def confidence_ellipse(
@@ -485,7 +494,9 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
     so the full trace is reproducible from (data, config, seed) alone.
     An iteration counts as converged when each component of the mean
     complete-data score at its E-step (:func:`_mean_score`) lies within
-    two Monte Carlo SE of zero; two consecutive converged iterations stop
+    two Monte Carlo SE of zero, plus a rounding floor proportional to the
+    summed magnitudes of its per-record terms (which decides only when the
+    SE is 0); two consecutive converged iterations stop
     the run with converged=True, and config.max_iter caps it.  The rule
     measures Monte Carlo error rather than step size because fresh draws
     keep moving theta near the optimum.  A final fresh E-step at
@@ -509,8 +520,8 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
         )
         theta = m_step(state)
         trace.append((t, *theta, state.ess))
-        score, score_se = _mean_score(state, config.sigma)
-        if (np.abs(score) <= _SCORE_Z * score_se).all():
+        score, score_se, size = _mean_score(state, config.sigma)
+        if (np.abs(score) <= _SCORE_Z * score_se + _SCORE_ROUNDING * size).all():
             consecutive += 1
             if consecutive >= 2:
                 converged = True
@@ -520,7 +531,7 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
 
     state_f, _ = e_step(data, theta, config, stream(seed, "mcem-fisher"), proposal=proposal)
     fisher = observed_fisher(state_f, config.sigma)
-    mean_score, mean_score_se = _mean_score(state_f, config.sigma)
+    mean_score, mean_score_se, _ = _mean_score(state_f, config.sigma)
 
     fisher_pd = True
     ellipse = None

@@ -22,11 +22,25 @@ import numpy as np
 
 from .errors import UnsupportedFamilyError
 
+# Smallest double geometric rate eps / sensitivity the sampler accepts.
+# numpy's ziggurat standard_exponential never returns more than
+# r + 53 ln 2 < 45 (r = 7.697 is the ziggurat's tail start; its tail draw is
+# r - log1p(-U) with U at most 1 - 2^-53), so at this rate every floor(E / rate)
+# stays below 4.5e13, far under 2^53, where floats still hold every integer.
+# A smaller rate would round the noise, or overflow it to inf.
+DG_MIN_RATE = 1e-12
+# Largest Laplace scale the sampler accepts.  Its transform multiplies the
+# scale by |log t| with t >= the smallest normal float, and |log t| <= 709
+# there, so at this scale every draw stays finite.
+LAPLACE_MAX_SCALE = float(np.finfo(float).max) / 709.0
+
 __all__ = [
     "Family",
     "PrivacyBudget",
     "MechanismSpec",
     "DpReport",
+    "DG_MIN_RATE",
+    "LAPLACE_MAX_SCALE",
     "laplace_noise",
     "laplace_log_density",
     "double_geometric_noise",
@@ -119,6 +133,10 @@ class MechanismSpec:
             raise ValueError(
                 f"randomized response has sensitivity 1, got {self.sensitivity!r}"
             )
+        if self.family is Family.LAPLACE:
+            _check_laplace_scale(self.scale)
+        if self.family is Family.DOUBLE_GEOMETRIC:
+            _check_dg_rate(self.budget.epsilon / self.sensitivity)
 
     @property
     def scale(self) -> float:
@@ -169,6 +187,22 @@ class MechanismSpec:
         return cls.from_dict(json.loads(text))
 
 
+def _check_laplace_scale(scale: float) -> None:
+    if scale > LAPLACE_MAX_SCALE:
+        raise ValueError(
+            f"Laplace scale must be at most LAPLACE_MAX_SCALE={LAPLACE_MAX_SCALE!r} "
+            f"(float max / 709) for finite noise, got {scale!r}"
+        )
+
+
+def _check_dg_rate(rate: float) -> None:
+    if not rate >= DG_MIN_RATE:
+        raise ValueError(
+            f"double geometric rate eps / sensitivity must be at least "
+            f"DG_MIN_RATE={DG_MIN_RATE!r} for exact integer noise, got {rate!r}"
+        )
+
+
 def laplace_noise(rng: np.random.Generator, scale: float, count: int) -> np.ndarray:
     """Draw i.i.d. zero-mean Laplace noise.
 
@@ -180,7 +214,8 @@ def laplace_noise(rng: np.random.Generator, scale: float, count: int) -> np.ndar
     rng : numpy.random.Generator
         Source stream.
     scale : float
-        Laplace scale b > 0; the variance of each draw is 2 b^2.
+        Laplace scale b > 0, at most :data:`LAPLACE_MAX_SCALE`; the variance
+        of each draw is 2 b^2.
     count : int
         Number of draws, at least 1.
 
@@ -191,6 +226,7 @@ def laplace_noise(rng: np.random.Generator, scale: float, count: int) -> np.ndar
     """
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"scale must be positive, got {scale!r}")
+    _check_laplace_scale(scale)
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     u = rng.random(count) - 0.5
@@ -226,11 +262,17 @@ def double_geometric_noise(
 ) -> np.ndarray:
     """Draw i.i.d. integer noise from the double geometric distribution.
 
-    With rate a = eps / sensitivity, the draw is the difference of two
-    i.i.d. geometric variables with success probability 1 - e^(-a), which
+    With rate a = eps / sensitivity and E ~ Exp(1), floor(E / a) is
+    geometric on {0, 1, ...} with P(>= k) = e^(-a k).  Each draw is the
+    difference of two such floors, the first ``count`` exponentials of the
+    stream minus the next ``count`` (two batches of ``count`` read the
+    stream exactly as one of 2 ``count`` would, in half the memory), and
     has pmf proportional to e^(-a |u|) with normalizing constant
-    (1 - e^-a) / (1 + e^-a); exact, no truncation.  Counts that differ by
-    at most ``sensitivity`` then have output log-ratios of at most eps.
+    (1 - e^-a) / (1 + e^-a); no truncation.  Counts that differ by at most
+    ``sensitivity`` then have output log-ratios of at most eps.  The floors
+    are taken in floating point, as numpy's own geometric sampler does;
+    a rate below :data:`DG_MIN_RATE` is refused, since its floors could
+    exceed the integers a float holds exactly.
 
     Parameters
     ----------
@@ -246,12 +288,22 @@ def double_geometric_noise(
     Returns
     -------
     numpy.ndarray
-        ``count`` integer draws.
+        ``count`` int64 draws.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    p = -math.expm1(-budget.epsilon / sensitivity)
-    return rng.geometric(p, count) - rng.geometric(p, count)
+    rate = budget.epsilon / sensitivity
+    _check_dg_rate(rate)
+    first = _exponential_floors(rng, rate, count)
+    first -= _exponential_floors(rng, rate, count)
+    return first.astype(np.int64)
+
+
+def _exponential_floors(rng: np.random.Generator, rate: float, count: int) -> np.ndarray:
+    # floor(E / rate) in place on the fresh batch of standard exponentials
+    e = rng.standard_exponential(count)
+    e /= rate
+    return np.floor(e, out=e)
 
 
 def double_geometric_log_pmf(u, budget: PrivacyBudget, sensitivity=1):

@@ -143,19 +143,20 @@ def privatized_dissimilarity_study(
     if replicates < 2:
         raise ValueError("replicates must be at least 2")
     m = table.w.size
-    w_noisy = table.w + double_geometric_noise(rng, eps, replicates * m).reshape(replicates, m)
+    shares = table.w + double_geometric_noise(rng, eps, replicates * m).reshape(replicates, m)
     b_noisy = table.b + double_geometric_noise(rng, eps, replicates * m).reshape(replicates, m)
     w_tot = table.w_cty + double_geometric_noise(rng, eps, replicates)
     b_tot = table.b_cty + double_geometric_noise(rng, eps, replicates)
 
+    # Every row, in place: rows with a nonpositive total divide by zero or
+    # a negative, and np.where discards them.
     defined = (w_tot > 0) & (b_tot > 0)
-    d = np.full(replicates, np.nan)
-    if defined.any():
-        shares = (
-            w_noisy[defined] / w_tot[defined, None]
-            - b_noisy[defined] / b_tot[defined, None]
-        )
-        d[defined] = 0.5 * np.abs(shares).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares /= w_tot[:, None]
+        b_noisy /= b_tot[:, None]
+        shares -= b_noisy
+    np.abs(shares, out=shares)
+    d = np.where(defined, 0.5 * shares.sum(axis=1), np.nan)
 
     vals = d[defined]
     undefined_fraction = 1.0 - defined.mean()

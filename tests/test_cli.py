@@ -164,7 +164,33 @@ def test_privatize_double_geometric_stays_integer(capsys):
                               "--seed", "3"])
     assert rc == 0
     _, rows = csv_rows(out)
-    assert [r[1] for r in rows] == ["-1", "-1", "3", "3", "5"]
+    assert [r[1] for r in rows] == ["2", "1", "7", "3", "5"]
+    assert all(int(r[1]) == float(r[1]) for r in rows)
+
+
+@pytest.mark.parametrize("family, epsilon, bound", [
+    ("double-geometric", "1e-300", "DG_MIN_RATE=1e-12"),
+    ("laplace", "1e-308", "LAPLACE_MAX_SCALE="),
+])
+def test_privatize_refuses_noise_it_cannot_represent(capsys, family, epsilon, bound):
+    # These budgets once released the true counts (a saturated geometric
+    # sampler) or -inf (an overflowing Laplace scale).
+    rc, out, err = run(capsys, ["privatize", "--values", "3,1,4,1,5", "--family",
+                                family, "--epsilon", epsilon, "--seed", "3"])
+    assert rc == 1 and out == ""
+    assert err.startswith("ValueError:") and bound in err
+
+
+@pytest.mark.parametrize("family, epsilon, size", [
+    ("double-geometric", "1e-12", 1e9), ("laplace", "4e-306", 1e300),
+])
+def test_privatize_just_inside_the_bound_releases_finite_noise(capsys, family, epsilon,
+                                                             size):
+    rc, out, _ = run(capsys, ["privatize", "--values", "3,1,4,1,5", "--family",
+                              family, "--epsilon", epsilon, "--seed", "3"])
+    assert rc == 0
+    released = np.array([float(r[1]) for r in csv_rows(out)[1]])
+    assert np.isfinite(released).all() and (np.abs(released) > size).all()
 
 
 def test_privatize_randomized_response_keeps_binary(capsys):
@@ -696,7 +722,7 @@ def test_benchmark_tracer_resolves_cli_names():
     code = "\n".join([
         "from tdpbench.spans import Tracer, install",
         "from transparent_dp.mechanisms import Family, MechanismSpec, PrivacyBudget,"
-        " privatize_vector",
+        " double_geometric_noise as untraced, privatize_vector",
         "from transparent_dp.rng import stream",
         "tracer = Tracer()",
         "install(tracer)",
@@ -712,8 +738,16 @@ def test_benchmark_tracer_resolves_cli_names():
         "priv = simulate.privatize_dataset(conf, PrivacyBudget(1.0), PrivacyBudget(1.0),"
         " stream(0, 'tp'))",
         "mcem.run_mcem(priv, mcem.MCEMConfig(k_samples=200, max_iter=3), 0)",
+        # With the mechanisms name untraced again, the study's noise spans
+        # can come only from the name metrics looks the sampler up by.
+        "from transparent_dp import cli, mechanisms, metrics",
+        "mechanisms.double_geometric_noise = untraced",
+        "first = len(tracer.spans)",
+        "table = metrics.CountyTable.from_counts([5, 7, 9], [4, 4, 6])",
+        "cli.privatized_dissimilarity_study(table, PrivacyBudget(0.5), 4, stream(0, 'td'))",
         "print(json.dumps({'spans': sorted({span[0] for span in tracer.spans}),"
-        " 'counts': [c[0:1] + c[2:] for c in tracer.counts]}))",
+        " 'counts': [c[0:1] + c[2:] for c in tracer.counts],"
+        " 'study': [[s[0], max(s[4] - first, -1)] for s in tracer.spans[first:]]}))",
     ])
     proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": "src:."}, timeout=60)
@@ -729,6 +763,10 @@ def test_benchmark_tracer_resolves_cli_names():
     assert len(counts["mcem.e_step.ess_fraction"]) == iterations + 1
     assert all(0.0 < v <= 1.0 for v in counts["mcem.e_step.ess_fraction"])
     assert counts["mcem.run_mcem.k_final"] == [200]
+    # w cells, b cells, w total, b total, each inside the study's span
+    assert traced["study"] == ([["metrics.privatized_dissimilarity_study", -1]]
+                               + [["mechanisms.double_geometric_noise", 0]] * 4)
+    assert counts["mechanisms.double_geometric_noise.draws"][-4:] == [12, 12, 4, 4]
 
 
 def test_benchmark_abc_posterior_workload_passes_its_checks():
@@ -737,6 +775,21 @@ def test_benchmark_abc_posterior_workload_passes_its_checks():
     root = Path(__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "tdpbench/run.py", "--workload", "abc_posterior",
+         "--seed", "1", "--seconds", "0.2"],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, result
+    assert result["attempted"] > 0 and result["failed"] == 0
+
+
+def test_benchmark_cli_release_workload_passes_its_checks():
+    # The workload's checks hold the session's noise variances and the
+    # dissimilarity study's summary to their laws.
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "tdpbench/run.py", "--workload", "cli_release",
          "--seed", "1", "--seconds", "0.2"],
         cwd=root, capture_output=True, text=True, timeout=300,
     )

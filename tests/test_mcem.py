@@ -505,10 +505,11 @@ def test_observed_fisher_sums_per_record_score_variances():
         expected -= second.reshape(2, 2) - np.outer(mean, mean)
     np.testing.assert_allclose(fisher, expected, rtol=1e-10)
 
-    mean, se = _mean_score(state, sigma)
+    mean, se, size = _mean_score(state, sigma)
     for j, score in enumerate((m / sigma**2, xs * m / sigma**2)):
         centre = (w * score).sum(axis=0)
         assert mean[j] == pytest.approx(centre.sum(), rel=1e-12)
+        assert size[j] == pytest.approx(np.abs(centre).sum(), rel=1e-12)
         assert se[j] == pytest.approx(math.sqrt((w**2 * (score - centre) ** 2).sum()),
                                       rel=1e-12)
 
@@ -631,7 +632,7 @@ def test_mean_score_se_matches_its_spread_over_seeds():
     scores, ses = [], []
     for sd in range(200):
         state, _ = e_step(toy, (3.5, 1.65), cfg, stream(sd, "se-spread"), proposal=proposal)
-        score, se = _mean_score(state, cfg.sigma)
+        score, se, _ = _mean_score(state, cfg.sigma)
         scores.append(score)
         ses.append(se)
     ratio = np.std(scores, axis=0, ddof=1) / np.median(ses, axis=0)
@@ -674,6 +675,11 @@ def test_run_mcem_near_noise_free_release():
     res = run_mcem(priv, MCEMConfig(k_samples=5000, max_iter=25), seed=77)
     assert abs(res.fit.beta0_hat - conf.beta0_hat) < 1.5
     assert abs(res.fit.beta1_hat - conf.beta1_hat) < 0.5
+    # Every draw lands on the released x, so the score SE is exactly 0 and
+    # only the rounding floor lets the rule stop.
+    np.testing.assert_array_equal(res.mean_score_se, 0.0)
+    assert res.converged
+    assert len(res.trace) < 25
 
 
 def test_trace_csv_round_trip():

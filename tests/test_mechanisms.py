@@ -6,6 +6,8 @@ import pytest
 
 from transparent_dp.errors import UnsupportedFamilyError
 from transparent_dp.mechanisms import (
+    DG_MIN_RATE,
+    LAPLACE_MAX_SCALE,
     DpReport,
     Family,
     MechanismSpec,
@@ -218,20 +220,76 @@ def test_double_geometric_noise_honours_sensitivity():
 
 
 def test_double_geometric_noise_unchanged_at_sensitivity_one():
+    # The exponential-floor construction, written out: floor(E / rate) for
+    # 2000 standard exponentials, first half minus second half.
     budget = PrivacyBudget(0.7)
-    rng = stream(4, "dg-one-ref")
-    p = -math.expm1(-0.7)
-    ref = rng.geometric(p, 1000) - rng.geometric(p, 1000)
+    floors = np.floor(stream(4, "dg-one-ref").standard_exponential(2000) / 0.7)
+    ref = (floors[:1000] - floors[1000:]).astype(np.int64)
     for sens in (1, 1.0):
-        np.testing.assert_array_equal(
-            double_geometric_noise(stream(4, "dg-one-ref"), budget, 1000, sens), ref
-        )
+        draws = double_geometric_noise(stream(4, "dg-one-ref"), budget, 1000, sens)
+        assert draws.dtype == np.int64
+        np.testing.assert_array_equal(draws, ref)
+
+
+@pytest.mark.parametrize("delta", [1, 3])
+@pytest.mark.parametrize("rate", [0.05, 0.5, 2.0, 8.0])
+def test_double_geometric_noise_law(rate, delta):
+    # Every cell |u| <= K and the tail |U| > K lie within 5 binomial SE of
+    # the exact pmf at eps = rate * delta, and the signs are symmetric.
+    budget, n = PrivacyBudget(rate * delta), 200_000
+    draws = double_geometric_noise(stream(4, "dg-law", str(rate), delta), budget, n, delta)
+    k = max(1, math.ceil(4.0 / rate))
+    cells = np.arange(-k, k + 1)
+    want = np.exp(double_geometric_log_pmf(cells, budget, delta))
+    got = np.bincount(np.clip(draws, -k - 1, k + 1) + k + 1, minlength=2 * k + 3)
+    want = np.append(want, 1.0 - want.sum())
+    got = np.append(got[1:-1], got[0] + got[-1])
+    se = np.sqrt(n * want * (1.0 - want))
+    assert (np.abs(got - n * want) <= 5.0 * se).all(), (got - n * want) / se
+    pos, neg = int((draws > 0).sum()), int((draws < 0).sum())
+    assert abs(pos - neg) <= 5.0 * math.sqrt(pos + neg)
 
 
 @pytest.mark.parametrize("count", [0, -1])
 def test_double_geometric_noise_needs_a_draw(count):
     with pytest.raises(ValueError, match=f"count must be at least 1, got {count}"):
         double_geometric_noise(stream(4, "dg-count"), PrivacyBudget(1.0), count)
+
+
+def test_double_geometric_refuses_a_rate_below_its_bound():
+    # At rate 1e-20 the old geometric sampler saturated and released 0
+    # noise 83.5% of the time; a rate that small is refused outright.
+    for eps, delta in ((1e-300, 1), (1e-20, 1), (2e-12, 3)):
+        with pytest.raises(ValueError, match="DG_MIN_RATE"):
+            MechanismSpec(Family.DOUBLE_GEOMETRIC, float(delta), PrivacyBudget(eps))
+        with pytest.raises(ValueError, match="DG_MIN_RATE"):
+            double_geometric_noise(stream(4, "dg-min"), PrivacyBudget(eps), 3, delta)
+    # just inside the bound: noise of order 1 / rate, never saturated at 0
+    spec = MechanismSpec(Family.DOUBLE_GEOMETRIC, 1.0, PrivacyBudget(DG_MIN_RATE))
+    draws = double_geometric_noise(stream(4, "dg-min"), spec.budget, 10_000)
+    assert draws.dtype == np.int64
+    assert (draws != 0).all()
+    assert 0.5 / DG_MIN_RATE < float(np.median(np.abs(draws))) < 2.0 / DG_MIN_RATE
+
+
+class _ZeroUniforms:
+    # random() returning 0 gives the transform's largest |log t|
+    def random(self, count):
+        return np.zeros(count)
+
+
+def test_laplace_refuses_a_scale_above_its_bound():
+    with pytest.raises(ValueError, match="LAPLACE_MAX_SCALE"):
+        MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(1e-308))
+    with pytest.raises(ValueError, match="LAPLACE_MAX_SCALE"):
+        laplace_noise(stream(1, "lap-max"), LAPLACE_MAX_SCALE * (1 + 1e-15), 3)
+    # just inside the bound every draw is finite, the extreme one included
+    spec = MechanismSpec(Family.LAPLACE, LAPLACE_MAX_SCALE, PrivacyBudget(1.0))
+    assert spec.scale == LAPLACE_MAX_SCALE
+    draws = laplace_noise(stream(1, "lap-max"), spec.scale, 1000)
+    assert np.isfinite(draws).all() and (np.abs(draws) > 1e300).mean() > 0.9
+    extreme = laplace_noise(_ZeroUniforms(), spec.scale, 2)
+    assert np.isfinite(extreme).all() and (np.abs(extreme) > 1e308).all()
 
 
 def test_double_geometric_log_pmf_scales_with_sensitivity():
