@@ -275,17 +275,40 @@ def _header(command: str, params: dict) -> str:
     return f"# transparent-dp v{__version__} command={command} {echo}\n"
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(parts, output: str | None) -> None:
+    """Write the strings ``parts`` in order to ``output``, or to stdout.
+
+    They are written one after another, never joined, so the envelope of
+    ``simulate`` is not copied to prepend its header.
+    """
     if output:
-        Path(output).write_text(text)
+        with Path(output).open("w") as fh:
+            fh.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
+
+
+_DECODER = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE.match
 
 
 def _load_json(path: str) -> dict:
+    """Decode the JSON body of ``path`` that follows its leading ``#`` lines.
+
+    The body is decoded where it lies in the text, without a copy; as with
+    ``json.loads``, anything but whitespace after it is an error, a ``#``
+    line included.
+    """
     text = Path(path).read_text()
-    body = "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))
-    return json.loads(body)
+    start = 0
+    while text.startswith("#", start):
+        end = text.find("\n", start)
+        start = len(text) if end < 0 else end + 1
+    obj, end = _DECODER.raw_decode(text, _SPACE(text, start).end())
+    end = _SPACE(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return obj
 
 
 def _floats(text: str, count: int, what: str) -> tuple:
@@ -354,7 +377,7 @@ def _cmd_privatize(params: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(params: dict) -> str:
+def _cmd_simulate(params: dict) -> str | tuple[str, str]:
     seed = params["seed"]
     conf = gen_confidential(
         params["n"], _model(params), stream(seed, "simulate", "confidential"), seed=seed
@@ -368,7 +391,8 @@ def _cmd_simulate(params: dict) -> str:
     if params["format"] == "csv":
         return dataset_to_csv(priv)
     envelope = {"confidential": dataset_to_dict(conf), "privatized": dataset_to_dict(priv)}
-    return json.dumps(envelope, sort_keys=True) + "\n"
+    # Two parts, so the envelope is not copied to append its newline.
+    return json.dumps(envelope, sort_keys=True), "\n"
 
 
 def _cmd_fit_naive(params: dict) -> str:
@@ -515,6 +539,8 @@ def _cmd_verify_dp(params: dict) -> str:
     return json.dumps(out, sort_keys=True) + "\n"
 
 
+# Each runner returns its output after the header line: one string, or a
+# tuple of strings written in order.
 _RUNNERS = {
     "privatize": _cmd_privatize,
     "simulate": _cmd_simulate,
@@ -544,7 +570,8 @@ def main(argv=None) -> int:
     except (TransparentDpError, ValueError, RuntimeError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    _emit(_header(args.command, params) + body, params.get("output"))
+    parts = (body,) if isinstance(body, str) else body
+    _emit((_header(args.command, params), *parts), params.get("output"))
     return 0
 
 

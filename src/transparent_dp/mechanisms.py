@@ -33,6 +33,10 @@ DG_MIN_RATE = 1e-12
 # scale by |log t| with t >= the smallest normal float, and |log t| <= 709
 # there, so at this scale every draw stays finite.
 LAPLACE_MAX_SCALE = float(np.finfo(float).max) / 709.0
+# Largest |value| the double geometric mechanism releases.  Floats (the
+# CLI reads values as floats) hold every integer only up to 2^53, and
+# 2^53 plus noise below 4.5e13 (see DG_MIN_RATE) cannot wrap in int64.
+DG_MAX_VALUE = 2**53
 
 __all__ = [
     "Family",
@@ -40,6 +44,7 @@ __all__ = [
     "MechanismSpec",
     "DpReport",
     "DG_MIN_RATE",
+    "DG_MAX_VALUE",
     "LAPLACE_MAX_SCALE",
     "laplace_noise",
     "laplace_log_density",
@@ -324,8 +329,10 @@ def privatize_vector(values, spec: MechanismSpec, rng: np.random.Generator) -> n
     Parameters
     ----------
     values : array_like
-        Query answers to privatize; must be finite.  Integer-valued for the
-        double geometric family, bits for randomized response.
+        Query answers to privatize; must be finite.  Integer-valued and at
+        most :data:`DG_MAX_VALUE` in magnitude for the double geometric
+        family, bits for randomized response.  A Laplace release that
+        overflows to inf is refused with a ``ValueError``.
     spec : MechanismSpec
         Public mechanism description.
     rng : numpy.random.Generator
@@ -346,11 +353,23 @@ def privatize_vector(values, spec: MechanismSpec, rng: np.random.Generator) -> n
     n = values.size
 
     if spec.family is Family.LAPLACE:
-        return values.astype(float) + laplace_noise(rng, spec.scale, n)
+        with np.errstate(over="ignore"):
+            released = values.astype(float) + laplace_noise(rng, spec.scale, n)
+        overflowed = ~np.isfinite(released)
+        if overflowed.any():
+            raise ValueError(
+                f"Laplace release overflows to inf at {int(overflowed.sum())} of {n} values"
+            )
+        return released
 
     if spec.family is Family.DOUBLE_GEOMETRIC:
         if not np.all(values == np.floor(values)):
             raise ValueError("double geometric mechanism requires integer values")
+        if np.any(np.abs(values) > DG_MAX_VALUE):
+            raise ValueError(
+                f"double geometric values must be at most DG_MAX_VALUE={DG_MAX_VALUE} "
+                f"(2^53) in magnitude, got {float(np.max(np.abs(values)))!r}"
+            )
         ints = values.astype(np.int64)
         return ints + double_geometric_noise(rng, spec.budget, n, spec.sensitivity)
 

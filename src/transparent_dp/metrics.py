@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 _QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
+# Noise cells the privatized study holds per block of replicates.
+_BLOCK_CELLS = 65_536
 
 
 @dataclass(frozen=True)
@@ -129,6 +131,15 @@ def privatized_dissimilarity_study(
     moments but counted; defined values outside [0, 1] stay in the moments
     unclipped and are counted separately.
 
+    The replicates run in blocks of ``max(1, 65536 // m)`` rows for a
+    table of m tracts, so the noise held at once is about 65 536 cells
+    (m when one row is larger), whatever the replicate count: the 10 000 x
+    300 study peaks at about 2 MB.  Each block draws, in order, its
+    w-cell, b-cell, w-total and b-total noise from ``rng``.  A study of
+    at most 65 536 cells is one block and reads the stream as the
+    whole-array study did, so its seeded output is unchanged; a larger
+    study reads the same law in a different order.
+
     Parameters
     ----------
     table : CountyTable
@@ -143,20 +154,26 @@ def privatized_dissimilarity_study(
     if replicates < 2:
         raise ValueError("replicates must be at least 2")
     m = table.w.size
-    shares = table.w + double_geometric_noise(rng, eps, replicates * m).reshape(replicates, m)
-    b_noisy = table.b + double_geometric_noise(rng, eps, replicates * m).reshape(replicates, m)
-    w_tot = table.w_cty + double_geometric_noise(rng, eps, replicates)
-    b_tot = table.b_cty + double_geometric_noise(rng, eps, replicates)
+    rows = max(1, _BLOCK_CELLS // m)
+    d = np.empty(replicates)
+    defined = np.empty(replicates, dtype=bool)
+    for start in range(0, replicates, rows):
+        k = min(rows, replicates - start)
+        shares = table.w + double_geometric_noise(rng, eps, k * m).reshape(k, m)
+        b_noisy = table.b + double_geometric_noise(rng, eps, k * m).reshape(k, m)
+        w_tot = table.w_cty + double_geometric_noise(rng, eps, k)
+        b_tot = table.b_cty + double_geometric_noise(rng, eps, k)
 
-    # Every row, in place: rows with a nonpositive total divide by zero or
-    # a negative, and np.where discards them.
-    defined = (w_tot > 0) & (b_tot > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shares /= w_tot[:, None]
-        b_noisy /= b_tot[:, None]
-        shares -= b_noisy
-    np.abs(shares, out=shares)
-    d = np.where(defined, 0.5 * shares.sum(axis=1), np.nan)
+        # Every row, in place: rows with a nonpositive total divide by zero
+        # or a negative, and np.where discards them.
+        ok = (w_tot > 0) & (b_tot > 0)
+        defined[start:start + k] = ok
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shares /= w_tot[:, None]
+            b_noisy /= b_tot[:, None]
+            shares -= b_noisy
+        np.abs(shares, out=shares)
+        d[start:start + k] = np.where(ok, 0.5 * shares.sum(axis=1), np.nan)
 
     vals = d[defined]
     undefined_fraction = 1.0 - defined.mean()

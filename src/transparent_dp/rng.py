@@ -33,8 +33,13 @@ def stream(seed: int, *labels: int | str) -> np.random.Generator:
         A Philox-backed generator unique to this label path.
     """
     digest = hashlib.sha256("/".join(map(str, labels)).encode("utf-8")).digest()
-    words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 32, 4)]
-    entropy = [int(seed) & _SEED_MASK, *words]
+    # One uint32 array of the words SeedSequence would split the list
+    # [seed, *digest words] into, which it converts one int at a time: the
+    # seed's low word, its high word only when nonzero, then the digest's
+    # eight little-endian words.
+    seed = int(seed) & _SEED_MASK
+    seed_bytes = seed.to_bytes(8 if seed >> 32 else 4, "little")
+    entropy = np.frombuffer(seed_bytes + digest, dtype="<u4")
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 

@@ -193,6 +193,34 @@ def test_privatize_just_inside_the_bound_releases_finite_noise(capsys, family, e
     assert np.isfinite(released).all() and (np.abs(released) > size).all()
 
 
+@pytest.mark.parametrize("values, family, epsilon, message", [
+    ("1.7976931348623157e308,1.7976931348623157e308", "laplace", "4e-306",
+     "ValueError: Laplace release overflows to inf"),
+    ("1e19,5", "double-geometric", "1", "ValueError: double geometric values must be "
+     "at most DG_MAX_VALUE=9007199254740992"),
+])
+def test_privatize_refuses_a_release_past_the_value_range(capsys, values, family, epsilon,
+                                                          message):
+    # These once printed inf and -9223372036854775808 with exit 0.
+    rc, out, err = run(capsys, ["privatize", "--values", values, "--family", family,
+                                "--epsilon", epsilon, "--seed", "1"])
+    assert rc == 1 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("values, family", [
+    ("1.7976931348623157e308,-1.7976931348623157e308", "laplace"),
+    ("9007199254740992,-9007199254740992", "double-geometric"),
+])
+def test_privatize_at_the_value_range_releases(capsys, values, family):
+    rc, out, _ = run(capsys, ["privatize", "--values", values, "--family", family,
+                              "--epsilon", "1", "--seed", "1"])
+    assert rc == 0
+    released = [float(r[1]) for r in csv_rows(out)[1]]
+    top = float(values.split(",")[0])
+    assert released[0] > 0.99 * top and released[1] < -0.99 * top
+
+
 def test_privatize_randomized_response_keeps_binary(capsys):
     rc, out, _ = run(capsys, ["privatize", "--values", "0,1,1,0", "--family",
                               "randomized-response", "--epsilon", "2.0",
@@ -244,6 +272,34 @@ def test_simulate_json_envelope_shape(capsys):
     assert len(env["privatized"]["x_tilde"]) == 3
     assert env["confidential"]["params"]["sigma"] == 2.0
     assert env["privatized"]["spec_x"]["epsilon"] == 0.5
+
+
+def test_simulate_file_holds_its_stdout_bytes(capsys, tmp_path):
+    # header, envelope and newline are written as parts, never joined
+    path = tmp_path / "env.json"
+    assert main(DEMO_ARGS + ["--output", str(path)]) == 0
+    rc, out, _ = run(capsys, DEMO_ARGS)
+    assert rc == 0 and path.read_text() == out
+    header, body, end = out.split("\n")
+    assert header.startswith("# transparent-dp v") and end == ""
+    assert json.dumps(json.loads(body), sort_keys=True) == body
+
+
+def test_envelope_loads_after_leading_comment_lines(capsys, demo_env, tmp_path):
+    path = tmp_path / "commented.json"
+    path.write_text("# one\n#\n" + demo_env.read_text() + "\n  \n")
+    outs = [run(capsys, ["fit-naive", "--input", str(p)]) for p in (demo_env, path)]
+    assert [rc for rc, _, _ in outs] == [0, 0]
+    assert body_json(outs[0][1]) == body_json(outs[1][1])
+
+
+def test_envelope_with_a_comment_after_its_body_is_a_json_error(capsys, demo_env, tmp_path):
+    # Only the leading # lines are skipped; the body is decoded in place.
+    path = tmp_path / "trailing.json"
+    path.write_text(demo_env.read_text() + "# trailing\n")
+    rc, out, err = run(capsys, ["fit-naive", "--input", str(path)])
+    assert rc == 1 and out == ""
+    assert err.startswith("JSONDecodeError: Extra data") and err.count("\n") == 1
 
 
 def test_simulate_csv_is_release_only(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from transparent_dp.errors import UnsupportedFamilyError
 from transparent_dp.mechanisms import (
+    DG_MAX_VALUE,
     DG_MIN_RATE,
     LAPLACE_MAX_SCALE,
     DpReport,
@@ -380,6 +381,34 @@ def test_privatize_vector_rejects_empty_and_nonfinite():
         privatize_vector(np.array([]), spec, stream(0, "e"))
     with pytest.raises(ValueError):
         privatize_vector(np.array([1.0, float("nan")]), spec, stream(0, "e"))
+
+
+def test_privatize_vector_refuses_a_laplace_release_that_overflows():
+    # Values at the top of the float range plus noise of scale 2.5e305
+    # overflowed to inf and were published.
+    top = float(np.finfo(float).max)
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(4e-306))
+    with pytest.raises(ValueError, match="Laplace release overflows to inf"):
+        privatize_vector([top] * 8, spec, stream(9, "pv-over"))
+    # at the top of the range, noise of order 1 rounds away and the release is finite
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(1.0))
+    released = privatize_vector([top, -top], spec, stream(9, "pv-top"))
+    assert released.tolist() == [top, -top]
+
+
+def test_privatize_vector_refuses_double_geometric_values_past_2_pow_53():
+    # 1e19 was cast to int64 and published as -2^63.
+    spec = MechanismSpec(Family.DOUBLE_GEOMETRIC, 1.0, PrivacyBudget(1.0))
+    assert DG_MAX_VALUE == 2**53
+    for values in ([1e19, 5.0], [0.0, -(2.0**53 + 2)]):
+        with pytest.raises(ValueError, match="DG_MAX_VALUE=9007199254740992"):
+            privatize_vector(values, spec, stream(9, "pv-big"))
+    # at the bound the release is the value plus its integer noise, unwrapped
+    values = np.array([2.0**53, -(2.0**53)])
+    released = privatize_vector(values, spec, stream(9, "pv-edge"))
+    noise = double_geometric_noise(stream(9, "pv-edge"), spec.budget, 2)
+    assert released.dtype == np.int64
+    assert released.tolist() == [2**53 + int(noise[0]), -(2**53) + int(noise[1])]
 
 
 def test_verify_dp_randomized_response_exact():

@@ -1,14 +1,16 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from transparent_dp.errors import UndefinedIndexError
-from transparent_dp.mechanisms import PrivacyBudget
+from transparent_dp.mechanisms import PrivacyBudget, double_geometric_noise
 from transparent_dp.metrics import (
     CountyTable,
+    DissimilarityStudy,
     county_table_from_csv,
     dissimilarity,
     privatized_dissimilarity_study,
@@ -184,3 +186,95 @@ def test_county_table_from_csv_errors():
         county_table_from_csv("w,b\n1,2\n")
     with pytest.raises(ValueError):
         county_table_from_csv("tract,w,b\n0,1\n")
+
+
+def whole_array_study(table, eps, replicates, rng):
+    # The study as it was before the block loop: all (replicates, m) noise
+    # drawn at once.  A study of at most 65 536 cells must still equal it.
+    m = table.w.size
+    shares = table.w + double_geometric_noise(rng, eps, replicates * m).reshape(replicates, m)
+    b_noisy = table.b + double_geometric_noise(rng, eps, replicates * m).reshape(replicates, m)
+    w_tot = table.w_cty + double_geometric_noise(rng, eps, replicates)
+    b_tot = table.b_cty + double_geometric_noise(rng, eps, replicates)
+    defined = (w_tot > 0) & (b_tot > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shares /= w_tot[:, None]
+        b_noisy /= b_tot[:, None]
+        shares -= b_noisy
+    np.abs(shares, out=shares)
+    d = np.where(defined, 0.5 * shares.sum(axis=1), np.nan)
+    vals = d[defined]
+    undefined_fraction = 1.0 - defined.mean()
+    out_of_range = ((vals < 0) | (vals > 1)).mean() if vals.size else 0.0
+    if vals.size:
+        mean = float(vals.mean())
+        sd = float(vals.std(ddof=1)) if vals.size > 1 else 0.0
+        quantiles = {q: float(np.quantile(vals, q)) for q in (0.05, 0.25, 0.5, 0.75, 0.95)}
+    else:
+        mean, sd = math.nan, math.nan
+        quantiles = {q: math.nan for q in (0.05, 0.25, 0.5, 0.75, 0.95)}
+    return DissimilarityStudy(mean=mean, sd=sd, quantiles=quantiles,
+                              undefined_fraction=float(undefined_fraction),
+                              out_of_range_fraction=float(out_of_range),
+                              replicates=replicates, epsilon=eps.epsilon)
+
+
+def wide_county(m, seed):
+    g = stream(seed, "wide-county")
+    return CountyTable.from_counts(g.integers(20, 2000, m), g.integers(20, 2000, m))
+
+
+@pytest.mark.parametrize("table, eps, replicates", [
+    (small_county(), 0.25, 10**4),                         # undefined and out of range
+    (CountyTable.from_counts([3.0, 1.0], [1.0, 2.0]), 0.1, 300),   # mostly undefined
+    (wide_county(300, 127), 0.5, 218),                     # exactly one full block
+])
+def test_one_block_study_equals_the_whole_array_study(table, eps, replicates):
+    budget = PrivacyBudget(eps)
+    study = privatized_dissimilarity_study(table, budget, replicates, stream(127, "one-block"))
+    ref = whole_array_study(table, budget, replicates, stream(127, "one-block"))
+    assert study.to_json() == ref.to_json()
+
+
+def test_study_draws_w_b_and_totals_block_by_block():
+    # 3000 tracts: blocks of 65536 // 3000 = 21 replicates, the last one 8
+    table, eps = wide_county(3000, 128), PrivacyBudget(0.5)
+    study = privatized_dissimilarity_study(table, eps, 50, stream(128, "layout"))
+    rng, d = stream(128, "layout"), []
+    for k in (21, 21, 8):
+        w = table.w + double_geometric_noise(rng, eps, k * 3000).reshape(k, 3000)
+        b = table.b + double_geometric_noise(rng, eps, k * 3000).reshape(k, 3000)
+        w_tot = table.w_cty + double_geometric_noise(rng, eps, k)
+        b_tot = table.b_cty + double_geometric_noise(rng, eps, k)
+        d.append(0.5 * np.abs(w / w_tot[:, None] - b / b_tot[:, None]).sum(axis=1))
+    d = np.concatenate(d)
+    assert study.undefined_fraction == 0.0
+    assert study.mean == float(d.mean()) and study.sd == float(d.std(ddof=1))
+    assert study.quantiles == {q: float(np.quantile(d, q)) for q in study.quantiles}
+    # the whole-array study reads the same stream in another order
+    whole = whole_array_study(table, eps, 50, stream(128, "layout"))
+    assert whole.mean != study.mean
+
+
+def traced_study(table, replicates, rng):
+    """The study at eps 0.5 and the peak bytes that it allocated."""
+    tracemalloc.start()
+    try:
+        study = privatized_dissimilarity_study(table, PrivacyBudget(0.5), replicates, rng)
+        return study, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_study_memory_stays_bounded():
+    # The whole-array 10 000 x 300 study peaked at about 69 MB.
+    _, peak = traced_study(wide_county(300, 129), 10_000, stream(129, "memory"))
+    assert peak < 8e6
+
+
+def test_study_wider_than_a_block_runs_one_row_per_block():
+    table = wide_county(70_000, 130)
+    study, peak = traced_study(table, 3, stream(130, "wide"))
+    assert study.replicates == 3 and study.undefined_fraction == 0.0
+    assert abs(study.mean - dissimilarity(table)) < 1e-2
+    assert peak < 8e6
