@@ -14,7 +14,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from collections.abc import Collection, Iterable
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +48,10 @@ from .naive_fit import ols
 from .rng import stream
 from .simulate import (
     RegressionParams,
+    dataset_csv_parts,
     dataset_from_dict,
-    dataset_to_csv,
-    dataset_to_dict,
     gen_confidential,
+    json_parts,
     privatize_dataset,
 )
 
@@ -275,40 +278,84 @@ def _header(command: str, params: dict) -> str:
     return f"# transparent-dp v{__version__} command={command} {echo}\n"
 
 
-def _emit(parts, output: str | None) -> None:
+def _emit(parts: Iterable[str], output: str | None) -> None:
     """Write the strings ``parts`` in order to ``output``, or to stdout.
 
-    They are written one after another, never joined, so the envelope of
-    ``simulate`` is not copied to prepend its header.
+    They are written as they are produced, never joined, so the envelope of
+    ``simulate`` is never held whole as text.
     """
     if output:
         with Path(output).open("w") as fh:
             fh.writelines(parts)
     else:
         sys.stdout.writelines(parts)
+        sys.stdout.flush()
 
 
 _DECODER = json.JSONDecoder()
+# Checks a member's syntax as _DECODER would, but builds no number.
+_CHECKER = json.JSONDecoder(parse_float=bool, parse_int=bool, parse_constant=bool)
 _SPACE = json.decoder.WHITESPACE.match
+_STRING = json.decoder.scanstring
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, keep: Collection[str]) -> dict:
     """Decode the JSON body of ``path`` that follows its leading ``#`` lines.
 
-    The body is decoded where it lies in the text, without a copy; as with
-    ``json.loads``, anything but whitespace after it is an error, a ``#``
-    line included.
+    Of a top-level object, only the members named in ``keep`` are built;
+    every other member is checked for syntax and left out.  The body is
+    decoded where it lies in the text, without a copy, and a syntax error
+    anywhere gets ``json.loads``'s message.  As there, anything but
+    whitespace after the body is an error, a ``#`` line included, and a
+    repeated key keeps its last value.
     """
     text = Path(path).read_text()
     start = 0
     while text.startswith("#", start):
         end = text.find("\n", start)
         start = len(text) if end < 0 else end + 1
-    obj, end = _DECODER.raw_decode(text, _SPACE(text, start).end())
+    start = _SPACE(text, start).end()
+    if text.startswith("{", start):
+        obj, end = _members(text, start + 1, keep)
+    else:
+        obj, end = _DECODER.raw_decode(text, start)
     end = _SPACE(text, end).end()
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
     return obj
+
+
+def _members(text: str, idx: int, keep: Collection[str]) -> tuple[dict, int]:
+    """The ``keep`` members of the object opened just before ``idx``, and
+    the index past its ``}``.
+
+    This is ``json``'s own object loop with its messages; each member value
+    goes through ``json``'s C scanner.
+    """
+    obj = {}
+    idx = _SPACE(text, idx).end()
+    if text.startswith("}", idx):
+        return obj, idx + 1
+    while True:
+        if not text.startswith('"', idx):
+            raise json.JSONDecodeError(
+                "Expecting property name enclosed in double quotes", text, idx
+            )
+        key, idx = _STRING(text, idx + 1)
+        idx = _SPACE(text, idx).end()
+        if not text.startswith(":", idx):
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, idx)
+        idx = _SPACE(text, idx + 1).end()
+        if key in keep:
+            obj[key], idx = _DECODER.raw_decode(text, idx)
+        else:
+            idx = _CHECKER.raw_decode(text, idx)[1]
+        idx = _SPACE(text, idx).end()
+        if text.startswith("}", idx):
+            return obj, idx + 1
+        if not text.startswith(",", idx):
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
+        idx = _SPACE(text, idx + 1).end()
 
 
 def _floats(text: str, count: int, what: str) -> tuple:
@@ -333,9 +380,11 @@ def _axis(params: dict, top: str) -> np.ndarray:
     return np.linspace(0.0, params[top], params["steps"])
 
 
-def _envelope(params: dict, key: str = "privatized") -> tuple[dict, object]:
-    """The ``--input`` envelope and its ``key`` dataset."""
-    env = _load_json(params["input"])
+def _envelope(params: dict, key: str = "privatized",
+              keep: Collection[str] = ("confidential", "privatized")) -> tuple[dict, object]:
+    """The ``--input`` envelope, holding only its ``keep`` members, and its
+    ``key`` dataset."""
+    env = _load_json(params["input"], keep)
     if not isinstance(env, dict) or key not in env:
         raise _UsageError(f"envelope has no {key!r} dataset")
     kind = env[key].get("kind") if isinstance(env[key], dict) else None
@@ -377,7 +426,7 @@ def _cmd_privatize(params: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_simulate(params: dict) -> str | tuple[str, str]:
+def _cmd_simulate(params: dict) -> Iterable[str]:
     seed = params["seed"]
     conf = gen_confidential(
         params["n"], _model(params), stream(seed, "simulate", "confidential"), seed=seed
@@ -388,16 +437,15 @@ def _cmd_simulate(params: dict) -> str | tuple[str, str]:
         PrivacyBudget(params["epsilon_y"]),
         stream(seed, "simulate", "privatize"),
     )
+    # Every check has run; the text is produced as it is written.
     if params["format"] == "csv":
-        return dataset_to_csv(priv)
-    envelope = {"confidential": dataset_to_dict(conf), "privatized": dataset_to_dict(priv)}
-    # Two parts, so the envelope is not copied to append its newline.
-    return json.dumps(envelope, sort_keys=True), "\n"
+        return dataset_csv_parts(priv)
+    return chain(json_parts({"confidential": conf, "privatized": priv}), ("\n",))
 
 
 def _cmd_fit_naive(params: dict) -> str:
     key = params["on"]
-    _, ds = _envelope(params, key)
+    _, ds = _envelope(params, key, keep=(key,))
     if key == "privatized":
         fit = ols(ds.x_tilde, ds.y_tilde)
     else:
@@ -539,8 +587,8 @@ def _cmd_verify_dp(params: dict) -> str:
     return json.dumps(out, sort_keys=True) + "\n"
 
 
-# Each runner returns its output after the header line: one string, or a
-# tuple of strings written in order.
+# Each runner returns its output after the header line: one string, or an
+# iterable of strings written in order as it is consumed.
 _RUNNERS = {
     "privatize": _cmd_privatize,
     "simulate": _cmd_simulate,
@@ -564,14 +612,19 @@ def main(argv=None) -> int:
     try:
         params = _merge(args, args.command)
         body = _RUNNERS[args.command](params)
+        body = (body,) if isinstance(body, str) else body
+        _emit(chain((_header(args.command, params),), body), params.get("output"))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout has gone, as in `tdp ... | head`.  Python
+        # flushes stdout again at exit, so it is pointed at devnull first.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (TransparentDpError, ValueError, RuntimeError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    parts = (body,) if isinstance(body, str) else body
-    _emit((_header(args.command, params), *parts), params.get("output"))
     return 0
 
 

@@ -8,10 +8,10 @@ mechanism specs alongside the noisy values.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import numbers
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +26,17 @@ __all__ = [
     "gen_confidential",
     "privatize_dataset",
     "dataset_to_csv",
+    "dataset_csv_parts",
     "dataset_to_dict",
     "dataset_from_dict",
     "dataset_to_json",
     "dataset_from_json",
+    "json_parts",
 ]
+
+# Values per ``tolist()`` slice when an array is written as text, so a
+# writer holds one slice of Python numbers at a time, not the whole array.
+_SLICE = 65_536
 
 
 @dataclass(frozen=True)
@@ -162,7 +168,9 @@ def gen_confidential(
     if n < 3:
         raise ValueError(f"n must be at least 3, got {n}")
     x = rng.poisson(params.lam, n)
-    y = params.beta0 + params.beta1 * x + rng.normal(0.0, params.sigma, n)
+    # An overflow leaves inf or NaN, which the dataset refuses by name.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = params.beta0 + params.beta1 * x + rng.normal(0.0, params.sigma, n)
     return ConfidentialDataset(x=x, y=y, params=params, seed=seed)
 
 
@@ -197,28 +205,33 @@ def privatize_dataset(
     )
 
 
-def dataset_to_csv(data) -> str:
-    """Render a dataset as CSV text.
+def dataset_csv_parts(data) -> Iterator[str]:
+    """The CSV text of a dataset, in blocks of at most ``_SLICE`` rows.
 
     Columns are ``i,x,y`` for confidential data and ``i,x_tilde,y_tilde``
     for privatized data.
     """
-    buf = io.StringIO()
     if isinstance(data, ConfidentialDataset):
-        buf.write("i,x,y\n")
-        for i, (xi, yi) in enumerate(zip(data.x, data.y)):
-            buf.write(f"{i},{int(xi)},{float(yi)!r}\n")
+        head, x, y, row, x_type = "i,x,y\n", data.x, data.y, "{},{},{!r}\n", int
     elif isinstance(data, PrivatizedDataset):
-        buf.write("i,x_tilde,y_tilde\n")
-        for i, (xi, yi) in enumerate(zip(data.x_tilde, data.y_tilde)):
-            buf.write(f"{i},{float(xi)!r},{float(yi)!r}\n")
+        head, x, y, row, x_type = ("i,x_tilde,y_tilde\n", data.x_tilde, data.y_tilde,
+                                   "{},{!r},{!r}\n", float)
     else:
         raise TypeError(f"unsupported dataset type {type(data).__name__}")
-    return buf.getvalue()
+    yield head
+    for start in range(0, x.size, _SLICE):
+        xs = map(x_type, x[start:start + _SLICE].tolist())
+        ys = y[start:start + _SLICE].tolist()
+        yield "".join(map(row.format, range(start, start + len(ys)), xs, ys))
 
 
-def dataset_to_dict(data) -> dict:
-    """JSON-ready dict of a dataset, carrying its params or specs."""
+def dataset_to_csv(data) -> str:
+    """Render a dataset as CSV text (the joined :func:`dataset_csv_parts`)."""
+    return "".join(dataset_csv_parts(data))
+
+
+def _dataset_fields(data) -> dict:
+    """A dataset's JSON fields, with its arrays left as ndarrays."""
     if isinstance(data, ConfidentialDataset):
         return {
             "kind": "confidential",
@@ -229,8 +242,8 @@ def dataset_to_dict(data) -> dict:
                 "sigma": data.params.sigma,
                 "lam": data.params.lam,
             },
-            "x": data.x.tolist(),
-            "y": data.y.tolist(),
+            "x": data.x,
+            "y": data.y,
         }
     if isinstance(data, PrivatizedDataset):
         return {
@@ -238,10 +251,45 @@ def dataset_to_dict(data) -> dict:
             "parent_seed": data.parent_seed,
             "spec_x": data.spec_x.to_dict(),
             "spec_y": data.spec_y.to_dict(),
-            "x_tilde": data.x_tilde.tolist(),
-            "y_tilde": data.y_tilde.tolist(),
+            "x_tilde": data.x_tilde,
+            "y_tilde": data.y_tilde,
         }
     raise TypeError(f"unsupported dataset type {type(data).__name__}")
+
+
+def dataset_to_dict(data) -> dict:
+    """JSON-ready dict of a dataset, carrying its params or specs."""
+    return {key: val.tolist() if isinstance(val, np.ndarray) else val
+            for key, val in _dataset_fields(data).items()}
+
+
+def json_parts(obj) -> Iterator[str]:
+    """The text of ``json.dumps(obj, sort_keys=True)``, in pieces.
+
+    A dataset anywhere in ``obj`` stands for its :func:`dataset_to_dict`,
+    and its arrays are written from the ndarray in slices of at most
+    ``_SLICE`` values, so neither the whole text nor a Python number per
+    value exists at once.  Other values go through ``json.dumps``.
+    """
+    if isinstance(obj, (ConfidentialDataset, PrivatizedDataset)):
+        obj = _dataset_fields(obj)
+    if isinstance(obj, np.ndarray):
+        yield "["
+        for start in range(0, obj.size, _SLICE):
+            if start:
+                yield ", "
+            # No name holds a slice's text, so the last one is freed
+            # before the next is built.
+            yield json.dumps(obj[start:start + _SLICE].tolist())[1:-1]
+        yield "]"
+    elif isinstance(obj, dict):
+        yield "{"
+        for i, key in enumerate(sorted(obj)):
+            yield f"{', ' if i else ''}{json.dumps(key)}: "
+            yield from json_parts(obj[key])
+        yield "}"
+    else:
+        yield json.dumps(obj, sort_keys=True)
 
 
 _NUMBER = (numbers.Real, "a number")
@@ -321,7 +369,7 @@ def dataset_from_dict(obj: dict):
 
 def dataset_to_json(data) -> str:
     """Serialize a dataset to a JSON envelope carrying params or specs."""
-    return json.dumps(dataset_to_dict(data), sort_keys=True)
+    return "".join(json_parts(data))
 
 
 def dataset_from_json(text: str):

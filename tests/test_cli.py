@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -316,6 +317,139 @@ def test_simulate_rerun_is_byte_identical(capsys, tmp_path):
     assert main(DEMO_ARGS + ["--output", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+TDP = [sys.executable, "-m", "transparent_dp.cli"]
+TDP_ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+MIB = 2**20
+
+
+def traced_peak(argv):
+    """Peak bytes that ``tdp argv`` allocated, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0, argv
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_envelope_round_trip_memory_stays_bounded(tmp_path):
+    # Holding the whole envelope as Python numbers and text, these peaked
+    # at about 24.8, 16.0 and 16.1 MiB.
+    env = str(tmp_path / "env.json")
+    assert traced_peak(["simulate", "--n", "100000", "--epsilon-x", "1", "--epsilon-y",
+                        "1", "--seed", "4", "--output", env]) < 12 * MIB
+    fit = ["fit-naive", "--input", env, "--output", str(tmp_path / "fit.json")]
+    assert traced_peak(fit) < 15 * MIB
+    assert traced_peak(fit + ["--on", "confidential"]) < 13.5 * MIB
+
+
+@pytest.mark.parametrize("argv, output, error", [
+    (["clt-limits", "--steps", "2"], ".", "IsADirectoryError"),
+    (DEMO_ARGS, "missing/env.json", "FileNotFoundError"),
+], ids=["directory", "missing-parent"])
+def test_unwritable_output_is_one_error_line(capsys, tmp_path, argv, output, error):
+    rc, out, err = run(capsys, argv + ["--output", str(tmp_path / output)])
+    assert rc == 1 and out == ""
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
+
+
+def test_closed_stdout_pipe_exits_1_without_a_traceback():
+    # 20 000 records are about 1.2 MB of text, far more than a pipe holds.
+    proc = subprocess.Popen(
+        TDP + ["simulate", "--n", "20000", "--epsilon-x", "1", "--epsilon-y", "1",
+               "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=TDP_ENV,
+    )
+    head = proc.stdout.read(50)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert head.startswith(b"# transparent-dp v")
+    assert proc.returncode == 1 and err == b""
+
+
+@pytest.mark.parametrize("model", [
+    ["--beta1", "1e308", "--lam", "100"],
+    ["--beta0", "1.7e308", "--beta1", "1e307"],
+], ids=["multiply", "add"])
+def test_simulate_overflow_is_one_named_error_line(model):
+    # numpy's overflow warnings must not print ahead of the error
+    proc = subprocess.run(
+        TDP + ["simulate", "--n", "5", "--epsilon-x", "1", "--epsilon-y", "1",
+               "--seed", "1", *model],
+        capture_output=True, text=True, env=TDP_ENV, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "ValueError: x and y must be finite\n"
+
+
+def test_load_json_builds_only_the_kept_members(demo_env):
+    from transparent_dp.cli import _load_json
+    env = body_json(demo_env.read_text())
+    assert _load_json(str(demo_env), ("confidential", "privatized")) == env
+    assert _load_json(str(demo_env), ("privatized",)) == {"privatized": env["privatized"]}
+    assert _load_json(str(demo_env), ()) == {}
+
+
+OTHER = {"privatized": "confidential", "confidential": "privatized"}
+
+
+@pytest.mark.parametrize("bad", ["[1.0,,2.0]", "1.2.3", '{"x": [1e5, -]}', "[1, 2",
+                                 '"\\q"', "nul"])
+@pytest.mark.parametrize("on", ["privatized", "confidential"])
+def test_syntax_error_in_a_member_that_is_not_built(capsys, demo_env, tmp_path, on, bad):
+    # fit-naive builds only its --on member, yet the other is still checked
+    kept = json.dumps(body_json(demo_env.read_text())[on])
+    text = f'{{"{on}": {kept}, "{OTHER[on]}": {bad}}}'
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(text)
+    rc, out, err = run(capsys, ["fit-naive", "--input", str(path), "--on", on])
+    assert rc == 1 and out == ""
+    assert err == f"JSONDecodeError: {want.value}\n"
+
+
+@pytest.mark.parametrize("on", ["privatized", "confidential"])
+def test_a_repeated_envelope_key_keeps_its_last_value(capsys, demo_env, mcem_env, tmp_path,
+                                                      on):
+    first, last = (json.dumps(body_json(p.read_text())[on]) for p in (demo_env, mcem_env))
+    path = tmp_path / "twice.json"
+    path.write_text(f'{{"{on}": {first}, "{OTHER[on]}": 5, "{on}": {last}}}')
+    rc, out, _ = run(capsys, ["fit-naive", "--input", str(path), "--on", on])
+    rc12, out12, _ = run(capsys, ["fit-naive", "--input", str(mcem_env), "--on", on])
+    assert rc == rc12 == 0 and body_json(out) == body_json(out12)
+    path.write_text(f'{{"{on}": {last}, "{on}": 7}}')
+    rc, _, err = run(capsys, ["fit-naive", "--input", str(path), "--on", on])
+    assert rc == 1 and err == f"ValueError: envelope section {on!r} holds a dataset of kind None\n"
+
+
+@pytest.mark.parametrize("body", ["[1, 2]", "3", '"privatized"', "[]"])
+def test_an_envelope_that_is_not_an_object_is_a_usage_error(capsys, tmp_path, body):
+    path = tmp_path / "list.json"
+    path.write_text(body + "\n")
+    rc, out, err = run(capsys, ["fit-naive", "--input", str(path)])
+    assert rc == 2 and out == ""
+    assert err == "usage error: envelope has no 'privatized' dataset\n"
+
+
+def test_confidential_member_alone_skips_comment_lines_and_refuses_extra_data(
+    capsys, demo_env, tmp_path
+):
+    # the default --on privatized case is covered by the envelope tests above
+    on = "confidential"
+    text = demo_env.read_text()
+    commented, extra = tmp_path / "commented.json", tmp_path / "extra.json"
+    commented.write_text("# one\n#\n" + text + "\n \t\r\n")
+    extra.write_text(text + " {}")
+    outs = [run(capsys, ["fit-naive", "--input", str(p), "--on", on])
+            for p in (demo_env, commented, extra)]
+    assert [rc for rc, _, _ in outs] == [0, 0, 1]
+    assert body_json(outs[0][1]) == body_json(outs[1][1])
+    err = outs[2][2]
+    assert err.startswith("JSONDecodeError: Extra data") and err.count("\n") == 1
 
 
 def test_fit_naive_matches_library_ols(capsys, demo_env):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,12 +12,15 @@ from transparent_dp.simulate import (
     ConfidentialDataset,
     PrivatizedDataset,
     RegressionParams,
+    _SLICE,
+    dataset_csv_parts,
     dataset_from_dict,
     dataset_from_json,
     dataset_to_csv,
     dataset_to_dict,
     dataset_to_json,
     gen_confidential,
+    json_parts,
     privatize_dataset,
 )
 
@@ -220,3 +224,64 @@ def test_dataset_from_dict_names_malformed_field(kind, edit, field):
     # a KeyError or TypeError here would escape the CLI as a traceback
     with pytest.raises(ValueError, match=field):
         dataset_from_dict(_malformed(kind, edit))
+
+
+def test_gen_confidential_overflow_is_named_without_warnings():
+    # beta1 * x overflows, and beta0 + beta1 * x overflows in the add
+    for beta0, beta1 in ((0.0, 1e308), (1.7e308, 1e307)):
+        params = RegressionParams(beta0=beta0, beta1=beta1, sigma=1.0, lam=100.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="x and y must be finite"):
+                gen_confidential(5, params, stream(13, "overflow"))
+
+
+def sliced_datasets(n):
+    """A confidential and a privatized dataset of n records whose floats
+    include ones that print in exponent form."""
+    gen = np.random.default_rng(n)
+    y = gen.normal(0.0, 1.0, n)
+    y[:4] = [1e-05, 1e+16, -2.5e-300, 1.7976931348623157e308]
+    conf = ConfidentialDataset(x=gen.poisson(10.0, n), y=y, params=REF_PARAMS, seed=n)
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(0.5))
+    priv = PrivatizedDataset(x_tilde=y[::-1] - 0.5, y_tilde=y, spec_x=spec, spec_y=spec,
+                             parent_seed=n)
+    return conf, priv
+
+
+@pytest.mark.parametrize("n", [_SLICE - 1, _SLICE, _SLICE + 1])
+def test_json_parts_write_json_dumps_text_in_bounded_slices(n):
+    conf, priv = sliced_datasets(n)
+    for ds in (conf, priv):
+        parts = list(json_parts(ds))
+        assert "".join(parts) == json.dumps(dataset_to_dict(ds), sort_keys=True)
+        assert dataset_to_json(ds) == "".join(parts)
+        # a piece holds at most _SLICE values, so fewer than _SLICE commas
+        assert max(p.count(",") for p in parts) < _SLICE
+    envelope = {"privatized": priv, "confidential": conf}
+    assert "".join(json_parts(envelope)) == json.dumps(
+        {key: dataset_to_dict(ds) for key, ds in envelope.items()}, sort_keys=True
+    )
+
+
+def row_by_row_csv(data):
+    """The CSV text as the per-record writer formatted it."""
+    if isinstance(data, ConfidentialDataset):
+        rows = [f"{i},{int(a)},{float(b)!r}\n" for i, (a, b) in enumerate(zip(data.x, data.y))]
+        return "i,x,y\n" + "".join(rows)
+    rows = [f"{i},{float(a)!r},{float(b)!r}\n"
+            for i, (a, b) in enumerate(zip(data.x_tilde, data.y_tilde))]
+    return "i,x_tilde,y_tilde\n" + "".join(rows)
+
+
+def test_csv_blocks_match_the_row_by_row_text():
+    conf, priv = sliced_datasets(_SLICE + 1)
+    # a confidential x read back as floats still prints as an integer
+    floats = ConfidentialDataset(x=[1.0, 2.0, 7.0], y=[0.5, 1e-05, 1e+16],
+                                 params=REF_PARAMS, seed=0)
+    for ds in (conf, priv, floats):
+        parts = list(dataset_csv_parts(ds))
+        assert dataset_to_csv(ds) == "".join(parts) == row_by_row_csv(ds)
+        assert max(p.count("\n") for p in parts) <= _SLICE
+    with pytest.raises(TypeError):
+        dataset_to_csv(object())
