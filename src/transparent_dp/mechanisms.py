@@ -51,6 +51,7 @@ __all__ = [
     "double_geometric_noise",
     "double_geometric_log_pmf",
     "privatize_vector",
+    "check_dg_values",
     "compose",
     "verify_dp_discrete",
 ]
@@ -205,6 +206,22 @@ def _check_dg_rate(rate: float) -> None:
         raise ValueError(
             f"double geometric rate eps / sensitivity must be at least "
             f"DG_MIN_RATE={DG_MIN_RATE!r} for exact integer noise, got {rate!r}"
+        )
+
+
+def check_dg_values(values) -> None:
+    """Refuse finite values the double geometric mechanism cannot release.
+
+    Raises ``ValueError`` unless every value is an integer at most
+    :data:`DG_MAX_VALUE` in magnitude.
+    """
+    values = np.asarray(values)
+    if not np.all(values == np.floor(values)):
+        raise ValueError("double geometric mechanism requires integer values")
+    if np.any(np.abs(values) > DG_MAX_VALUE):
+        raise ValueError(
+            f"double geometric values must be at most DG_MAX_VALUE={DG_MAX_VALUE} "
+            f"(2^53) in magnitude, got {float(np.max(np.abs(values)))!r}"
         )
 
 
@@ -363,13 +380,7 @@ def privatize_vector(values, spec: MechanismSpec, rng: np.random.Generator) -> n
         return released
 
     if spec.family is Family.DOUBLE_GEOMETRIC:
-        if not np.all(values == np.floor(values)):
-            raise ValueError("double geometric mechanism requires integer values")
-        if np.any(np.abs(values) > DG_MAX_VALUE):
-            raise ValueError(
-                f"double geometric values must be at most DG_MAX_VALUE={DG_MAX_VALUE} "
-                f"(2^53) in magnitude, got {float(np.max(np.abs(values)))!r}"
-            )
+        check_dg_values(values)
         ints = values.astype(np.int64)
         return ints + double_geometric_noise(rng, spec.budget, n, spec.sensitivity)
 

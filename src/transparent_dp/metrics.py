@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UndefinedIndexError
-from .mechanisms import PrivacyBudget, double_geometric_noise
+from .mechanisms import PrivacyBudget, check_dg_values, double_geometric_noise
 
 __all__ = [
     "CountyTable",
@@ -150,9 +150,19 @@ def privatized_dissimilarity_study(
         Number of independent privatizations, at least 2.
     rng : numpy.random.Generator
         Source stream.
+
+    Raises
+    ------
+    ValueError
+        If ``replicates`` is below 2, or a cell or total is not an integer
+        at most :data:`~transparent_dp.mechanisms.DG_MAX_VALUE` in
+        magnitude, as :func:`~transparent_dp.mechanisms.privatize_vector`
+        requires of double geometric values; float noise added to a larger
+        count would round away.
     """
     if replicates < 2:
         raise ValueError("replicates must be at least 2")
+    check_dg_values(np.concatenate([table.w, table.b, [table.w_cty, table.b_cty]]))
     m = table.w.size
     rows = max(1, _BLOCK_CELLS // m)
     d = np.empty(replicates)

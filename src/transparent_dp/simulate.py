@@ -34,8 +34,9 @@ __all__ = [
     "json_parts",
 ]
 
-# Values per ``tolist()`` slice when an array is written as text, so a
-# writer holds one slice of Python numbers at a time, not the whole array.
+# Values per slice when an array is written as text, so a writer holds one
+# slice's text (and Python numbers, where it uses them) at a time, not the
+# whole array's.
 _SLICE = 65_536
 
 
@@ -263,13 +264,39 @@ def dataset_to_dict(data) -> dict:
             for key, val in _dataset_fields(data).items()}
 
 
+def _slice_text(s: np.ndarray) -> str:
+    """``json.dumps(s.tolist())`` without its brackets.
+
+    orjson writes an int64 slice, or a float64 one whose every value is 0
+    or of magnitude in [1e-4, 1e16), from the array buffer more than ten
+    times faster: in that range it prints the shortest digits in fixed
+    notation, as Python's float repr does.  Any other slice goes through
+    ``json.dumps``.
+    """
+    if s.dtype == np.float64:
+        a = np.abs(s)
+        fast = bool(np.all((a == 0) | ((a >= 1e-4) & (a < 1e16))))
+    else:
+        fast = s.dtype == np.int64
+    if not fast:
+        return json.dumps(s.tolist())[1:-1]
+    # Imported here, so commands that write no array skip its import time.
+    import orjson
+    return (orjson.dumps(np.ascontiguousarray(s), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+            .replace(b",", b", ").decode())
+
+
 def json_parts(obj) -> Iterator[str]:
     """The text of ``json.dumps(obj, sort_keys=True)``, in pieces.
 
     A dataset anywhere in ``obj`` stands for its :func:`dataset_to_dict`,
     and its arrays are written from the ndarray in slices of at most
     ``_SLICE`` values, so neither the whole text nor a Python number per
-    value exists at once.  Other values go through ``json.dumps``.
+    value exists at once.  An int64 slice, or a float64 slice with no value
+    that Python prints in exponent form (0 < |v| < 1e-4 or |v| >= 1e16) and
+    none non-finite, is formatted by orjson from the array buffer; every
+    other slice goes through ``json.dumps(slice.tolist())``.  The text is
+    the same either way.  Other values go through ``json.dumps``.
     """
     if isinstance(obj, (ConfidentialDataset, PrivatizedDataset)):
         obj = _dataset_fields(obj)
@@ -280,7 +307,7 @@ def json_parts(obj) -> Iterator[str]:
                 yield ", "
             # No name holds a slice's text, so the last one is freed
             # before the next is built.
-            yield json.dumps(obj[start:start + _SLICE].tolist())[1:-1]
+            yield _slice_text(obj[start:start + _SLICE])
         yield "]"
     elif isinstance(obj, dict):
         yield "{"

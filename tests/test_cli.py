@@ -713,6 +713,24 @@ def test_dissimilarity_rejects_nonfinite_counts(capsys, tmp_path, count, study):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("count, message", [
+    ("1e300", "at most DG_MAX_VALUE"),
+    ("10.5", "requires integer values"),
+])
+def test_dissimilarity_study_refuses_counts_the_mechanism_cannot_noise(
+        capsys, tmp_path, count, message):
+    path = tmp_path / "tracts.csv"
+    path.write_text(f"tract,w,b\n0,{count},5\n1,3,4\n")
+    rc, out, err = run(capsys, ["dissimilarity", "--input", str(path), "--epsilon", "0.5",
+                                "--replicates", "10", "--seed", "1"])
+    assert rc == 1 and out == ""
+    assert err.startswith("ValueError:") and message in err
+    assert len(err.strip().splitlines()) == 1
+    # the exact index takes any finite count
+    rc, out, _ = run(capsys, ["dissimilarity", "--input", str(path)])
+    assert rc == 0 and 0.0 <= body_json(out)["d"] <= 1.0
+
+
 def test_verify_dp_randomized_response(capsys):
     rc, out, _ = run(capsys, ["verify-dp", "--family", "randomized-response",
                               "--epsilon", "1.0986"])

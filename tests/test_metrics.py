@@ -143,6 +143,18 @@ def test_study_rejects_tiny_replicates():
         )
 
 
+@pytest.mark.parametrize("table, message", [
+    (CountyTable.from_counts([2.0**53, 3.0], [1.0, 1.0]), "got 9007199254740996.0"),
+    (CountyTable(w=[1.0, 2.0], b=[1.0, 1.0], w_cty=3.0, b_cty=-(2.0**54)), "got 1.8"),
+    (CountyTable(w=[1.0, 2.0], b=[1.0, 1.5], w_cty=3.0, b_cty=2.5), "integer values"),
+])
+def test_study_refuses_values_the_double_geometric_cannot_noise(table, message):
+    # each cell of the first table is in range; its w total, 2^53 + 3 rounded
+    # to 2^53 + 4, is not
+    with pytest.raises(ValueError, match=message):
+        privatized_dissimilarity_study(table, PrivacyBudget(0.5), 10, stream(0, "dg"))
+
+
 def test_study_json_summary():
     study = privatized_dissimilarity_study(
         small_county(), PrivacyBudget(0.5), 100, stream(126, "study-json")

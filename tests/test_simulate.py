@@ -285,3 +285,86 @@ def test_csv_blocks_match_the_row_by_row_text():
         assert max(p.count("\n") for p in parts) <= _SLICE
     with pytest.raises(TypeError):
         dataset_to_csv(object())
+
+
+REAL_DUMPS = json.dumps
+
+
+def write_noting_fallback(obj, monkeypatch):
+    """``json_parts(obj)`` joined, and whether a slice went through json.dumps."""
+    lists = []
+
+    def dumps(value, *args, **kwargs):
+        if isinstance(value, list):
+            lists.append(len(value))
+        return REAL_DUMPS(value, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(json, "dumps", dumps)
+        text = "".join(json_parts(obj))
+    return text, bool(lists)
+
+
+def assert_written_as_json_dumps(arr, monkeypatch, fast):
+    text, fell_back = write_noting_fallback(arr, monkeypatch)
+    assert text == json.dumps(arr.tolist())
+    assert fell_back is not fast
+
+
+def in_fixed_range(v):
+    """Values that Python's float repr prints without an exponent."""
+    a = np.abs(v)
+    return (a == 0) | ((a >= 1e-4) & (a < 1e16))
+
+
+def test_json_parts_formats_every_float64_as_json_dumps(monkeypatch):
+    gen = np.random.default_rng(16)
+    bits = gen.integers(0, 2**64, 10**6, dtype=np.uint64)
+    # every exponent, NaN and inf among them, and both signs
+    assert np.unique(bits >> np.uint64(52)).size == 4096
+    floats = bits.view(np.float64)
+    assert_written_as_json_dumps(floats, monkeypatch, fast=False)
+    assert_written_as_json_dumps(floats[in_fixed_range(floats)], monkeypatch, fast=True)
+    spread = gen.choice([-1.0, 1.0], 10**5) * 10.0 ** gen.uniform(-4, 16, 10**5)
+    whole = gen.integers(-2**53, 2**53, 10**5).astype(float)
+    assert_written_as_json_dumps(np.concatenate([spread, whole, [0.5, 1e15, 0.1]]),
+                                 monkeypatch, fast=True)
+
+
+def test_json_parts_formats_float64_edges_as_json_dumps(monkeypatch):
+    subnormal = (np.random.default_rng(17).integers(1, 2**52, 1000, dtype=np.uint64)
+                 | np.uint64(2**63)).view(np.float64)
+    tiny = np.array([5e-324, -5e-324, np.nextafter(2.2250738585072014e-308, 0)])
+    assert_written_as_json_dumps(np.concatenate([subnormal, -subnormal, tiny]),
+                                 monkeypatch, fast=False)
+    assert_written_as_json_dumps(np.array([0.0, -0.0, 0.0]), monkeypatch, fast=True)
+    for v, fast in ((np.nextafter(1e-4, 0.0), False), (1e-4, True),
+                    (np.nextafter(1e-4, 1.0), True), (np.nextafter(1e16, 0.0), True),
+                    (1e16, False), (np.nextafter(1e16, np.inf), False)):
+        assert_written_as_json_dumps(np.array([1.5, v, -v]), monkeypatch, fast=fast)
+    for bad in (np.nan, np.inf, -np.inf):
+        assert_written_as_json_dumps(np.array([1.5, bad]), monkeypatch, fast=False)
+
+
+def test_json_parts_formats_other_arrays_as_json_dumps(monkeypatch):
+    i64 = np.iinfo(np.int64)
+    extremes = np.array([i64.min, i64.min + 1, -1, 0, 1, i64.max - 1, i64.max])
+    assert_written_as_json_dumps(extremes, monkeypatch, fast=True)
+    gen = np.random.default_rng(18)
+    values = gen.normal(0.0, 100.0, 3 * _SLICE)
+    # a strided view is copied to a contiguous buffer and takes the fast path
+    assert_written_as_json_dumps(values[::3], monkeypatch, fast=True)
+    assert_written_as_json_dumps(gen.integers(-9, 9, 2 * _SLICE)[::2], monkeypatch, fast=True)
+    for arr in (values.astype(np.float32), gen.integers(-2**31, 2**31, 1000, dtype=np.int32),
+                np.array([0, 2**63, 2**64 - 1], dtype=np.uint64), np.array([True, False])):
+        assert_written_as_json_dumps(arr, monkeypatch, fast=False)
+    assert "".join(json_parts(np.array([], dtype=float))) == "[]"
+
+
+def test_json_parts_writes_a_seeded_release_on_the_fast_path(monkeypatch):
+    conf = gen_confidential(3 * _SLICE + 1, REF_PARAMS, stream(16, "conf"), seed=16)
+    priv = privatize_dataset(conf, PrivacyBudget(1.0), PrivacyBudget(1.0), stream(16, "priv"))
+    for ds in (conf, priv):
+        text, fell_back = write_noting_fallback(ds, monkeypatch)
+        assert not fell_back
+        assert text == json.dumps(dataset_to_dict(ds), sort_keys=True)
