@@ -7,10 +7,11 @@ Accepted parameter draws then follow the exact posterior given the
 privatized data; there is no ABC tolerance and no approximation beyond
 Monte Carlo.  That probability splits into an x and a y factor, and the
 x factor involves no parameter, so the number of proposals in a batch
-that pass the x test is one binomial draw.  Only the survivors simulate
-y, record by record, each drawing record i's x from its release-conditional
-pmf (the x proposal of :mod:`mcem`) on reaching record i; one loop runs
-many batches per pass for both samplers.
+that pass the x test is one binomial draw.  A batch is a fixed 20 000
+proposals, the unit in which the samplers count proposals.  Only the
+survivors simulate y, record by record, each drawing record i's x from its
+release-conditional pmf (the x proposal of :mod:`mcem`) on reaching
+record i; one loop runs many batches per pass for both samplers.
 
 The module also carries a small fully discrete test bed on which the same
 posterior can be computed by exhaustive summation, two different ways: a
@@ -32,7 +33,6 @@ import numpy as np
 from .errors import InfeasibleABCError
 from .mcem import _check_finite_positive, x_proposal
 from .mechanisms import Family, MechanismSpec, PrivacyBudget, privatize_vector
-from .naive_fit import FitResult
 from .simulate import PrivatizedDataset
 
 __all__ = [
@@ -47,17 +47,17 @@ __all__ = [
     "misreported_mechanism_bias",
     "toy_privatized_observation",
     "random_toy",
-    "posterior_fit",
     "samples_to_csv",
-    "table_to_csv",
 ]
 
 # Probe thresholds for declaring rejection sampling infeasible.
 _PROBE_PROPOSALS = 10_000_000
 _PROBE_RATE = 1e-8
-# Bounds on one pass of the rejection samplers: batches, and expected
-# x-stage survivors, so a tiny P_x or batch_size cannot grow a pass freely.
-_PASS_BATCHES = 1 << 12
+# Proposals per batch, the unit in which the rejection samplers count
+# ``proposals``.
+_BATCH = 20_000
+# Bound on the expected x-stage survivors of one pass of the rejection
+# samplers, so a tiny P_x cannot grow a pass freely.
 _PASS_SURVIVORS = 1 << 13
 
 
@@ -404,8 +404,8 @@ def _x_stage_tables(log_pass: np.ndarray) -> tuple[float, np.ndarray]:
     return min(1.0, math.exp(float(log_rows.sum()))), cdf
 
 
-def _rejection_passes(rng: np.random.Generator, draws: int, batch_size: int,
-                      p_x: float, x_cdf: np.ndarray, draw_theta, y_penalty) -> AbcResult:
+def _rejection_passes(rng: np.random.Generator, draws: int, p_x: float,
+                      x_cdf: np.ndarray, draw_theta, y_penalty) -> AbcResult:
     """The rejection loop of both exact samplers, many batches per pass.
 
     A pass draws the x-stage survivor counts of its batches in one
@@ -419,20 +419,18 @@ def _rejection_passes(rng: np.random.Generator, draws: int, batch_size: int,
     batch of the pass, so ``proposals`` is a whole number of batches, as in
     a batch-at-a-time loop.  The first pass holds one batch, later ones the
     number the running rate expects to finish, at most twice the batches
-    run so far (doubling while nothing is accepted), ``_PASS_BATCHES`` and
-    ``_PASS_SURVIVORS`` expected survivors, unless one batch holds more.
+    run so far (doubling while nothing is accepted) and ``_PASS_SURVIVORS``
+    expected survivors, unless one batch holds more.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
     last = x_cdf.shape[1] - 1
-    cap = max(1, min(_PASS_BATCHES, int(_PASS_SURVIVORS / max(1.0, batch_size * p_x))))
+    cap = max(1, int(_PASS_SURVIVORS / max(1.0, _BATCH * p_x)))
     accepted = []
     count = batches = 0
     size = 1
     while True:
-        batch = np.repeat(np.arange(size), rng.binomial(batch_size, p_x, size))
+        batch = np.repeat(np.arange(size), rng.binomial(_BATCH, p_x, size))
         slack = -np.log(rng.random(batch.size))
         theta = draw_theta(batch.size)
         for i, row in enumerate(x_cdf):
@@ -442,12 +440,12 @@ def _rejection_passes(rng: np.random.Generator, draws: int, batch_size: int,
             alive = np.flatnonzero(slack > 0)
             slack, theta, batch = slack[alive], theta[alive], batch[alive]
         running = count + np.cumsum(np.bincount(batch, minlength=size))
-        props = batch_size * (batches + np.arange(1, size + 1))
+        props = _BATCH * (batches + np.arange(1, size + 1))
         probe = (props >= _PROBE_PROPOSALS) & (running / props < _PROBE_RATE)
         stop = np.flatnonzero(probe | (running >= draws))
         end = int(stop[0]) + 1 if stop.size else size
         count, batches = int(running[end - 1]), batches + end
-        proposals = batches * batch_size
+        proposals = batches * _BATCH
         if probe[end - 1]:
             raise InfeasibleABCError(
                 f"acceptance rate {count / proposals:.3g} after {proposals} proposals"
@@ -471,7 +469,6 @@ def abc_exact_posterior(
     *,
     lam: float,
     sigma: float,
-    batch_size: int = 20_000,
 ) -> AbcResult:
     """Exact posterior draws for (beta0, beta1) given a privatized release.
 
@@ -499,9 +496,9 @@ def abc_exact_posterior(
     stage, so a survivor draws x_i only on reaching record i.  The accept
     event, and so the law of the draws and of the acceptance count, is that
     of simulating every proposal in full; only the order in which ``rng``
-    is consumed differs.  ``batch_size`` stays the unit of accounting:
-    ``proposals`` counts whole batches up to the first that completes
-    ``draws``, though many batches run in one pass (:func:`_rejection_passes`).
+    is consumed differs.  ``proposals`` counts whole batches of 20 000, a
+    fixed unit of accounting, up to the first that completes ``draws``,
+    though many batches run in one pass (:func:`_rejection_passes`).
 
     The sums over s run over the truncated support of
     :func:`mcem.x_proposal`; the tail left out, below 1e-15 of each
@@ -510,8 +507,8 @@ def abc_exact_posterior(
     Raises
     ------
     ValueError
-        If ``draws`` or ``batch_size`` is below 1, or ``lam`` or ``sigma``
-        is not finite and positive.
+        If ``draws`` is below 1, or ``lam`` or ``sigma`` is not finite and
+        positive.
     DegenerateWeightsError
         If the x support would pass 100 000 (lam or a release that large).
     InfeasibleABCError
@@ -527,7 +524,7 @@ def abc_exact_posterior(
         y = theta[:, 0] + theta[:, 1] * support[ix] + rng.normal(0.0, sigma, ix.size)
         return mode_y - log_fy(y - data.y_tilde[i])
 
-    return _rejection_passes(rng, draws, batch_size, p_x, x_cdf,
+    return _rejection_passes(rng, draws, p_x, x_cdf,
                              lambda m: prior.sample(rng, m), y_penalty)
 
 
@@ -536,7 +533,6 @@ def abc_toy_posterior(
     s_tilde_obs,
     draws: int,
     rng: np.random.Generator,
-    batch_size: int = 20_000,
 ) -> AbcResult:
     """Exact rejection sampler for the discrete toy's slope posterior.
 
@@ -562,27 +558,10 @@ def abc_toy_posterior(
         iy = np.minimum((u > cdf[g, ix]).sum(axis=1), last)
         return mode - log_f(y_t[i] - toy.y_support[iy])
 
-    res = _rejection_passes(rng, draws, batch_size, p_x, x_cdf,
+    res = _rejection_passes(rng, draws, p_x, x_cdf,
                             lambda m: rng.choice(toy.beta_grid.size, size=m, p=prior),
                             y_penalty)
     return replace(res, samples=toy.beta_grid[res.samples])
-
-
-def posterior_fit(samples: np.ndarray, n: int, sigma_sq: float) -> FitResult:
-    """Summarize posterior draws as a FitResult (mean and sample covariance)."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2 or samples.shape[1] != 2 or samples.shape[0] < 2:
-        raise ValueError("samples must be a (draws, 2) array with draws >= 2")
-    mean = samples.mean(axis=0)
-    cov = np.cov(samples.T)
-    return FitResult(
-        beta0_hat=float(mean[0]),
-        beta1_hat=float(mean[1]),
-        covariance=cov,
-        residual_variance=sigma_sq,
-        method="abc",
-        n=n,
-    )
 
 
 def samples_to_csv(samples: np.ndarray) -> str:
@@ -592,13 +571,4 @@ def samples_to_csv(samples: np.ndarray) -> str:
     buf.write("draw,beta0,beta1\n")
     for i, row in enumerate(samples):
         buf.write(f"{i},{float(row[0])!r},{float(row[1])!r}\n")
-    return buf.getvalue()
-
-
-def table_to_csv(beta_grid, masses) -> str:
-    """Render an oracle posterior table as CSV (beta, mass)."""
-    buf = io.StringIO()
-    buf.write("beta,mass\n")
-    for b, m in zip(beta_grid, masses):
-        buf.write(f"{float(b)!r},{float(m)!r}\n")
     return buf.getvalue()

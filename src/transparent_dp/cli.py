@@ -132,7 +132,6 @@ _COMMANDS: dict[str, tuple[str, list]] = {
         ("prior_means", str, None, "m0,m1 prior means (independent-normal)"),
         ("prior_sds", str, None, "s0,s1 prior sds (independent-normal)"),
         *_KNOWN,
-        ("batch_size", int, 20000, "proposals per batch"),
     ]),
     "clt-limits": ("normal-limit bands for the naive slope vs x-noise", [
         *_DESIGN,
@@ -172,7 +171,6 @@ _COMMANDS: dict[str, tuple[str, list]] = {
         ("epsilon", float, REQUIRED, "budget the mechanism runs at"),
         ("claimed_epsilon", float, None,
          "budget claimed for the bound check (default: epsilon)"),
-        ("support_bound", int, 100, "output scan range"),
         ("sensitivity", int, 1, "integer query sensitivity (double geometric)"),
     ]),
 }
@@ -498,8 +496,7 @@ def _cmd_abc_posterior(params: dict) -> str:
             sds=_floats(params["prior_sds"], 2, "--prior-sds"),
         )
     res = abc_exact_posterior(
-        data, prior, params["draws"], stream(params["seed"], "abc"),
-        lam=lam, sigma=sigma, batch_size=params["batch_size"],
+        data, prior, params["draws"], stream(params["seed"], "abc"), lam=lam, sigma=sigma
     )
     meta = f"# acceptance_rate={res.acceptance_rate!r} proposals={res.proposals}\n"
     return meta + samples_to_csv(res.samples)
@@ -573,7 +570,6 @@ def _cmd_verify_dp(params: dict) -> str:
     report = verify_dp_discrete(
         _family(params["family"]),
         PrivacyBudget(params["epsilon"]),
-        support_bound=params["support_bound"],
         claimed=None if claimed is None else PrivacyBudget(claimed),
         sensitivity=params["sensitivity"],
     )

@@ -612,6 +612,8 @@ def ellipse_study(
     """
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
+    if not methods:
+        raise ValueError("methods must name at least one of naive, mcem")
     for m in methods:
         if m not in ("naive", "mcem"):
             raise ValueError(f"unknown method {m!r}")

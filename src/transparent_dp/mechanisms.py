@@ -14,7 +14,6 @@ in log space; budgets as small as 0.01 must not underflow.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -175,9 +174,6 @@ class MechanismSpec:
         return {"family": self.family.value, "sensitivity": self.sensitivity,
                 "epsilon": self.budget.epsilon}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
     @classmethod
     def from_dict(cls, obj: dict) -> "MechanismSpec":
         # scale is always recomputed from (sensitivity, epsilon); any scale
@@ -187,10 +183,6 @@ class MechanismSpec:
             sensitivity=float(obj["sensitivity"]),
             budget=PrivacyBudget(float(obj["epsilon"])),
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "MechanismSpec":
-        return cls.from_dict(json.loads(text))
 
 
 def _check_laplace_scale(scale: float) -> None:
@@ -404,7 +396,7 @@ class DpReport:
 def verify_dp_discrete(
     family: Family,
     budget: PrivacyBudget,
-    support_bound: int = 100,
+    *,
     claimed: PrivacyBudget | None = None,
     sensitivity: int = 1,
 ) -> DpReport:
@@ -412,10 +404,15 @@ def verify_dp_discrete(
 
     Runs the mechanism at ``budget`` on a pair of adjacent inputs (counts
     0 and ``sensitivity`` for the double geometric, opposite truth bits for
-    randomized response), enumerates every output, and takes the maximum
+    randomized response), enumerates the outputs, and takes the maximum
     absolute difference of output log probabilities.  The bound is checked
     against ``claimed`` if given, else against ``budget`` itself; the
     falsification case is a claim below the mechanism's true ratio.
+
+    For the double geometric at sensitivity Δ the log ratio at output o is
+    -eps (|o| - |o - Δ|) / Δ: eps at every o <= 0, -eps at every o >= Δ and
+    linear in between.  The outputs scanned, -Δ, 0, Δ and 2Δ, therefore
+    reach its largest magnitude, and the scan costs the same at every Δ.
 
     The per-output log ratios are formed after algebraic cancellation of
     the normalizing constants, so they are exact, not rounded differences
@@ -428,8 +425,6 @@ def verify_dp_discrete(
         continuous and verified analytically in the test suite).
     budget : PrivacyBudget
         Budget the mechanism actually runs at.
-    support_bound : int
-        Outputs scanned are the integers in [-support_bound, support_bound].
     claimed : PrivacyBudget, optional
         The budget being claimed, when different from ``budget``.
     sensitivity : int
@@ -446,17 +441,15 @@ def verify_dp_discrete(
     eps_claimed = (claimed or budget).epsilon
 
     if family is Family.DOUBLE_GEOMETRIC:
-        if support_bound < 1:
-            raise ValueError("support_bound must be at least 1")
-        if not (sensitivity >= 1 and float(sensitivity).is_integer()):
+        if not (sensitivity >= 1 and sensitivity % 1 == 0):
             raise ValueError(f"sensitivity must be a positive integer, got {sensitivity!r}")
         delta = int(sensitivity)
-        out = np.arange(-support_bound, support_bound + 1)
         # Adjacent counts 0 and delta; the log-pmf constant cancels exactly.
         # The integer gap is divided by delta before scaling, so the
-        # extreme outputs give a ratio of exactly eps.
-        log_ratio = -eps * ((np.abs(out) - np.abs(out - delta)) / delta)
-        max_log_ratio = float(np.max(np.abs(log_ratio)))
+        # extreme outputs give a ratio of exactly eps.  Python integers keep
+        # the gap exact at any delta, and four outputs bound the whole range.
+        max_log_ratio = max(abs(-eps * ((abs(o) - abs(o - delta)) / delta))
+                            for o in (-delta, 0, delta, 2 * delta))
     elif family is Family.RANDOMIZED_RESPONSE:
         if sensitivity != 1:
             raise ValueError("randomized response has sensitivity 1")

@@ -25,7 +25,7 @@ __all__ = [
     "residual_variance_inflated",
 ]
 
-METHODS = ("naive", "mcem", "abc")
+METHODS = ("naive", "mcem")
 
 
 @dataclass(frozen=True)
@@ -63,18 +63,6 @@ class FitResult:
                 "resid_var": self.residual_variance,
             },
             sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FitResult":
-        obj = json.loads(text)
-        return cls(
-            beta0_hat=float(obj["beta0"]),
-            beta1_hat=float(obj["beta1"]),
-            covariance=np.asarray(obj["cov"], dtype=float),
-            residual_variance=float(obj["resid_var"]),
-            method=obj["method"],
-            n=int(obj["n"]),
         )
 
 

@@ -1,10 +1,9 @@
 """Standard normal CDF/quantile, the 2-df chi-square quantile, and the
 Normal ⊛ Laplace convolution.
 
-The scalar functions need only the math stdlib.  The quantile uses Acklam's
-rational approximation (raw relative error below 1.2e-9) followed by one
-Halley refinement step against the erfc-based CDF, which leaves the error at
-the level of a few ulps; the 1e-9 accuracy budget is met with large margin.
+The scalar functions need only the standard library: the CDF is erfc-based
+and the quantile is :class:`statistics.NormalDist`'s, whose error stays
+within a few ulps.
 
 The vectorized functions (numpy) work in the log domain, so they neither
 underflow nor cancel in the far lower tail: log Φ, the moments of a normal
@@ -15,23 +14,11 @@ observed through Laplace noise.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-# Acklam rational-approximation coefficients for the inverse normal CDF.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
 _LOG2 = math.log(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -72,23 +59,7 @@ def std_normal_quantile(p: float) -> float:
     """Inverse of :func:`std_normal_cdf` on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile argument must lie in (0, 1), got {p}")
-    if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif p <= 1.0 - _P_LOW:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    # One Halley step against the erfc-based CDF.
-    err = std_normal_cdf(x) - p
-    u = err * _SQRT_2PI * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
+    return NormalDist().inv_cdf(p)
 
 
 def chi2_2_quantile(p: float) -> float:

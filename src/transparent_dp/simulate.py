@@ -25,7 +25,6 @@ __all__ = [
     "PrivatizedDataset",
     "gen_confidential",
     "privatize_dataset",
-    "dataset_to_csv",
     "dataset_csv_parts",
     "dataset_to_dict",
     "dataset_from_dict",
@@ -224,11 +223,6 @@ def dataset_csv_parts(data) -> Iterator[str]:
         xs = map(x_type, x[start:start + _SLICE].tolist())
         ys = y[start:start + _SLICE].tolist()
         yield "".join(map(row.format, range(start, start + len(ys)), xs, ys))
-
-
-def dataset_to_csv(data) -> str:
-    """Render a dataset as CSV text (the joined :func:`dataset_csv_parts`)."""
-    return "".join(dataset_csv_parts(data))
 
 
 def _dataset_fields(data) -> dict:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from transparent_dp import bayes_abc
 from transparent_dp.bayes_abc import (
     DiscreteToy,
     PriorSpec,
@@ -13,10 +14,8 @@ from transparent_dp.bayes_abc import (
     grid_posterior_oracle,
     misreported_mechanism_bias,
     mixture_posterior_oracle,
-    posterior_fit,
     random_toy,
     samples_to_csv,
-    table_to_csv,
     toy_privatized_observation,
 )
 from transparent_dp.errors import InfeasibleABCError
@@ -291,10 +290,7 @@ def test_abc_exact_point_mass_prior_accepts_at_mode():
         x_tilde=np.zeros(3), y_tilde=np.full(3, 2.0), spec_x=spec, spec_y=spec,
         parent_seed=0,
     )
-    res = abc_exact_posterior(
-        priv, prior, 200, stream(90, "abc-pm"), lam=0.01, sigma=1e-9,
-        batch_size=2000,
-    )
+    res = abc_exact_posterior(priv, prior, 200, stream(90, "abc-pm"), lam=0.01, sigma=1e-9)
     assert res.samples.shape == (200, 2)
     assert np.all(res.samples == [2.0, 0.5])
     assert res.acceptance_rate > 0.9
@@ -329,7 +325,7 @@ def point_mass_acceptance(x_tilde, y_tilde, b, beta0, beta1, sigma, lam):
     # 2 also catches a rate that ignores it.
     (MechanismSpec(Family.DOUBLE_GEOMETRIC, 2.0, PrivacyBudget(1.0)), (4, 7, 3)),
 ], ids=["laplace", "double_geometric_x"])
-def test_abc_exact_acceptance_count_matches_closed_form(spec_x, x_tilde):
+def test_abc_exact_acceptance_count_matches_closed_form(spec_x, x_tilde, monkeypatch):
     # One batch of N proposals at a point-mass prior: the accepted count is
     # Binomial(N, p) with p in closed form.  A sampler whose Laplace scale
     # is 10% off accepts about 1.37 N p, some 25 standard deviations away.
@@ -341,10 +337,8 @@ def test_abc_exact_acceptance_count_matches_closed_form(spec_x, x_tilde):
     )
     prior = PriorSpec("uniform_box", bounds=((3.0, 3.0), (1.5, 1.5)))
     n_prop = 1_000_000
-    res = abc_exact_posterior(
-        priv, prior, 1, stream(96, "abc-rate"), lam=5.0, sigma=2.0,
-        batch_size=n_prop,
-    )
+    monkeypatch.setattr(bayes_abc, "_BATCH", n_prop)
+    res = abc_exact_posterior(priv, prior, 1, stream(96, "abc-rate"), lam=5.0, sigma=2.0)
     assert res.proposals == n_prop
     accepted = round(res.acceptance_rate * res.proposals)
     assert res.samples.shape == (1, 2)
@@ -352,7 +346,7 @@ def test_abc_exact_acceptance_count_matches_closed_form(spec_x, x_tilde):
     assert abs(accepted - expected) <= 4.0 * math.sqrt(expected)
 
 
-def test_abc_exact_truncated_support_far_above_lam():
+def test_abc_exact_truncated_support_far_above_lam(monkeypatch):
     # x~ = 34 lies about 3.1 Poisson SDs above lam = 20, and y~ puts the
     # slope line at x = 36, so most of the accepted mass has x above x~.  A
     # support cut at max(lam, x~) keeps about a third of it: some 370 of
@@ -365,10 +359,8 @@ def test_abc_exact_truncated_support_far_above_lam():
     )
     prior = PriorSpec("uniform_box", bounds=((3.0, 3.0), (5.0, 5.0)))
     n_prop = 1_000_000
-    res = abc_exact_posterior(
-        priv, prior, 1, stream(98, "abc-far"), lam=20.0, sigma=2.0,
-        batch_size=n_prop,
-    )
+    monkeypatch.setattr(bayes_abc, "_BATCH", n_prop)
+    res = abc_exact_posterior(priv, prior, 1, stream(98, "abc-far"), lam=20.0, sigma=2.0)
     assert res.proposals == n_prop
     accepted = round(res.acceptance_rate * res.proposals)
     expected = n_prop * point_mass_acceptance(x_tilde, y_tilde, spec.scale, 3.0, 5.0, 2.0, 20.0)
@@ -434,7 +426,7 @@ def test_abc_toy_posterior_matches_oracle():
     assert 0.0 < res.acceptance_rate <= 1.0
 
 
-def test_abc_toy_acceptance_count_matches_closed_form():
+def test_abc_toy_acceptance_count_matches_closed_form(monkeypatch):
     # One batch of N proposals on a one-point slope grid: the accepted count
     # is Binomial(N, p), with p the product over records of
     # sum_x P(x) a(x~ - x) sum_y P(y | x) a(y~ - y) summed over the finite
@@ -464,10 +456,9 @@ def test_abc_toy_acceptance_count_matches_closed_form():
             total += p_x * math.exp(-eps * abs(x_obs - x)) * a_y
         p *= total
     n_prop = 1_000_000
-    res = abc_toy_posterior(
-        toy, (np.array(x_tilde), np.array(y_tilde)), 1, stream(161, "toy-rate"),
-        batch_size=n_prop,
-    )
+    monkeypatch.setattr(bayes_abc, "_BATCH", n_prop)
+    res = abc_toy_posterior(toy, (np.array(x_tilde), np.array(y_tilde)), 1,
+                            stream(161, "toy-rate"))
     assert res.proposals == n_prop
     assert np.all(res.samples == beta)
     accepted = round(res.acceptance_rate * res.proposals)
@@ -484,21 +475,19 @@ def test_abc_se_halves_when_draws_double():
     assert math.sqrt(2.0) / 1.5 < se1 / se2 < math.sqrt(2.0) * 1.5
 
 
-def test_abc_infeasible_prior_raises():
+def test_abc_infeasible_prior_raises(monkeypatch):
     prior = PriorSpec("uniform_box", bounds=((1000.0, 1001.0), (0.0, 0.0)))
     spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(50.0))
     priv = PrivatizedDataset(
         x_tilde=np.array([1.0]), y_tilde=np.array([0.0]), spec_x=spec, spec_y=spec,
         parent_seed=0,
     )
+    monkeypatch.setattr(bayes_abc, "_BATCH", 1_000_000)
     with pytest.raises(InfeasibleABCError):
-        abc_exact_posterior(
-            priv, prior, 5, stream(7, "inf"), lam=1.0, sigma=0.5,
-            batch_size=1_000_000,
-        )
+        abc_exact_posterior(priv, prior, 5, stream(7, "inf"), lam=1.0, sigma=0.5)
 
 
-def test_abc_probe_fires_at_the_batch_that_reaches_it():
+def test_abc_probe_fires_at_the_batch_that_reaches_it(monkeypatch):
     # Batches of 3e6 proposals reach the 1e7 probe at the fourth batch,
     # whatever the number of batches a pass holds.
     prior = PriorSpec("uniform_box", bounds=((1000.0, 1001.0), (0.0, 0.0)))
@@ -507,16 +496,14 @@ def test_abc_probe_fires_at_the_batch_that_reaches_it():
         x_tilde=np.array([1.0]), y_tilde=np.array([0.0]), spec_x=spec, spec_y=spec,
         parent_seed=0,
     )
+    monkeypatch.setattr(bayes_abc, "_BATCH", 3_000_000)
     with pytest.raises(InfeasibleABCError, match="after 12000000 proposals"):
-        abc_exact_posterior(
-            priv, prior, 5, stream(7, "inf"), lam=1.0, sigma=0.5,
-            batch_size=3_000_000,
-        )
+        abc_exact_posterior(priv, prior, 5, stream(7, "inf"), lam=1.0, sigma=0.5)
 
 
-def test_abc_tiny_x_pass_rate_raises_with_bounded_passes():
+def test_abc_tiny_x_pass_rate_raises_with_bounded_passes(monkeypatch):
     # x~ = 60 at lam = 1 and b = 1 puts P_x near 1e-26, so no proposal
-    # survives the x stages.  At batch_size=1 the probe needs 1e7 batches;
+    # survives the x stages.  At batches of one the probe needs 1e7 batches;
     # the pass cap keeps each pass small instead of doubling it to millions
     # of batches.
     spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(1.0))
@@ -525,12 +512,11 @@ def test_abc_tiny_x_pass_rate_raises_with_bounded_passes():
         parent_seed=0,
     )
     prior = PriorSpec("uniform_box", bounds=((0.0, 1.0), (0.0, 1.0)))
+    monkeypatch.setattr(bayes_abc, "_BATCH", 1)
     tracemalloc.start()
     try:
         with pytest.raises(InfeasibleABCError, match="after 10000000 proposals"):
-            abc_exact_posterior(
-                priv, prior, 5, stream(8, "tiny"), lam=1.0, sigma=1.0, batch_size=1
-            )
+            abc_exact_posterior(priv, prior, 5, stream(8, "tiny"), lam=1.0, sigma=1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -548,10 +534,9 @@ def exact_case():
     )
     prior = PriorSpec("uniform_box", bounds=((3.0, 3.0), (1.5, 1.5)))
 
-    def run(batch_size, draws, seed):
+    def run(draws, seed):
         return abc_exact_posterior(
-            priv, prior, draws, stream(seed, "abc-acct"), lam=5.0, sigma=2.0,
-            batch_size=batch_size,
+            priv, prior, draws, stream(seed, "abc-acct"), lam=5.0, sigma=2.0
         )
 
     return run, point_mass_acceptance(x_tilde, y_tilde, spec.scale, 3.0, 1.5, 2.0, 5.0)
@@ -577,16 +562,14 @@ def toy_case():
         a_y = py @ np.exp(-eps * np.abs(y_obs - toy.y_support))
         p *= float(np.sum(px * np.exp(-eps * np.abs(x_obs - toy.x_support)) * a_y))
 
-    def run(batch_size, draws, seed):
-        return abc_toy_posterior(
-            toy, (x_tilde, y_tilde), draws, stream(seed, "toy-acct"), batch_size=batch_size
-        )
+    def run(draws, seed):
+        return abc_toy_posterior(toy, (x_tilde, y_tilde), draws, stream(seed, "toy-acct"))
 
     return run, p
 
 
 @pytest.mark.parametrize("case", [exact_case, toy_case], ids=["exact", "toy"])
-def test_abc_batch_size_one_stops_at_the_last_acceptance(case):
+def test_abc_batch_size_one_stops_at_the_last_acceptance(case, monkeypatch):
     # A batch of one proposal accepts at most one, so the sampler stops at
     # the draws-th acceptance: it accepted exactly `draws`, and the number of
     # proposals, draws plus the rejections before the last acceptance, is
@@ -594,7 +577,8 @@ def test_abc_batch_size_one_stops_at_the_last_acceptance(case):
     # batches here, so most end past the last acceptance.
     run, p = case()
     draws = 400
-    res = run(1, draws, 11)
+    monkeypatch.setattr(bayes_abc, "_BATCH", 1)
+    res = run(draws, 11)
     assert round(res.acceptance_rate * res.proposals) == draws
     assert res.acceptance_rate == draws / res.proposals
     assert len(res.samples) == draws
@@ -603,37 +587,31 @@ def test_abc_batch_size_one_stops_at_the_last_acceptance(case):
 
 
 @pytest.mark.parametrize("case", [exact_case, toy_case], ids=["exact", "toy"])
-def test_abc_proposals_are_whole_batches(case):
+def test_abc_proposals_are_whole_batches(case, monkeypatch):
     # About 40 batches of 1000 proposals, which take several passes.
     run, p = case()
     draws = round(40 * 1000 * p)
-    res = run(1000, draws, 12)
+    monkeypatch.setattr(bayes_abc, "_BATCH", 1000)
+    res = run(draws, 12)
     assert res.proposals % 1000 == 0
     assert res.proposals >= 10_000
     assert len(res.samples) == draws
     assert round(res.acceptance_rate * res.proposals) >= draws
 
 
-def test_abc_toy_certain_acceptance_counts_whole_batches():
+def test_abc_toy_certain_acceptance_counts_whole_batches(monkeypatch):
     # One-point supports equal to the release accept every proposal, so the
-    # sampler must stop after ceil(draws / batch_size) batches.
+    # sampler must stop after ceil(draws / batch) batches.
     toy = DiscreteToy(
         beta_grid=np.array([1.0]), x_support=np.array([2]), y_support=np.array([3]),
         n=2, mechanism=dg_spec(0.5), beta0=1.0, sigma=1.0, lam=2.0,
     )
     obs = (np.array([2, 2]), np.array([3, 3]))
-    for draws, batch_size, proposals in ((100, 7, 105), (10, 1, 10), (3, 1000, 1000)):
-        res = abc_toy_posterior(toy, obs, draws, stream(13, "sure"), batch_size=batch_size)
+    for draws, batch, proposals in ((100, 7, 105), (10, 1, 10), (3, 1000, 1000)):
+        monkeypatch.setattr(bayes_abc, "_BATCH", batch)
+        res = abc_toy_posterior(toy, obs, draws, stream(13, "sure"))
         assert (res.proposals, res.acceptance_rate) == (proposals, 1.0)
         assert res.samples.shape == (draws,)
-
-
-@pytest.mark.parametrize("batch_size", [0, -1])
-@pytest.mark.parametrize("case", [exact_case, toy_case], ids=["exact", "toy"])
-def test_abc_rejects_batch_size_below_one(case, batch_size):
-    run, _ = case()
-    with pytest.raises(ValueError, match="batch_size must be at least 1"):
-        run(batch_size, 5, 14)
 
 
 def test_abc_argument_validation():
@@ -649,10 +627,6 @@ def test_abc_argument_validation():
     )
     with pytest.raises(ValueError):
         abc_exact_posterior(priv, prior, 0, stream(92, "val-b"), lam=1.0, sigma=1.0)
-    with pytest.raises(ValueError):
-        abc_exact_posterior(
-            priv, prior, 5, stream(92, "val-c"), lam=1.0, sigma=1.0, batch_size=0
-        )
 
 
 def test_abc_deterministic_per_stream():
@@ -670,22 +644,6 @@ def test_toy_privatized_observation_requires_grid_beta():
         toy_privatized_observation(toy, 0.123, stream(94, "grid"))
 
 
-def test_posterior_fit_summary():
-    rng = stream(95, "fit")
-    samples = rng.normal([1.0, 2.0], [0.1, 0.2], (5000, 2))
-    fit = posterior_fit(samples, n=7, sigma_sq=4.0)
-    assert fit.method == "abc"
-    assert fit.n == 7
-    assert fit.residual_variance == 4.0
-    assert fit.beta0_hat == pytest.approx(samples[:, 0].mean())
-    assert fit.beta1_hat == pytest.approx(samples[:, 1].mean())
-    np.testing.assert_allclose(fit.covariance, np.cov(samples.T), rtol=1e-10)
-    with pytest.raises(ValueError):
-        posterior_fit(samples[:1], n=7, sigma_sq=4.0)
-    with pytest.raises(ValueError):
-        posterior_fit(samples[:, :1], n=7, sigma_sq=4.0)
-
-
 def test_samples_csv_round_trip():
     samples = np.array([[0.5, -1.25], [2.0, 3.5]])
     lines = samples_to_csv(samples).splitlines()
@@ -693,9 +651,3 @@ def test_samples_csv_round_trip():
     assert lines[1].split(",") == ["0", "0.5", "-1.25"]
     assert float(lines[2].split(",")[2]) == 3.5
 
-
-def test_table_csv_round_trip():
-    lines = table_to_csv(np.array([0.1, 0.2]), np.array([0.25, 0.75])).splitlines()
-    assert lines[0] == "beta,mass"
-    assert [float(v) for v in lines[1].split(",")] == [0.1, 0.25]
-    assert [float(v) for v in lines[2].split(",")] == [0.2, 0.75]

@@ -29,7 +29,7 @@ FLAGS = {
                  "--alpha", "--sigma", "--lam", "--trace"],
     "abc-posterior": ["--input", "--draws", "--seed", "--prior",
                       "--beta0-range", "--beta1-range", "--prior-means",
-                      "--prior-sds", "--sigma", "--lam", "--batch-size"],
+                      "--prior-sds", "--sigma", "--lam"],
     "clt-limits": ["--n", "--beta1", "--sigma-sq", "--sigma-u-max",
                    "--sigma-v", "--steps", "--alpha", "--design-seed"],
     "coverage-grid": ["--n", "--beta1", "--sigma-sq", "--sigma-u-max",
@@ -39,8 +39,7 @@ FLAGS = {
                       "--seed", "--beta0", "--beta1", "--sigma", "--lam",
                       "--k-samples", "--max-iter", "--alpha", "--methods"],
     "dissimilarity": ["--input", "--epsilon", "--replicates", "--seed"],
-    "verify-dp": ["--family", "--epsilon", "--claimed-epsilon",
-                  "--support-bound", "--sensitivity"],
+    "verify-dp": ["--family", "--epsilon", "--claimed-epsilon", "--sensitivity"],
 }
 
 DEMO_ARGS = ["simulate", "--n", "3", "--sigma", "2", "--lam", "5",
@@ -553,8 +552,7 @@ def test_fit_mcem_release_only_envelope_needs_sigma_lam(capsys, mcem_env, tmp_pa
 
 def test_abc_posterior_draws_stay_in_prior_box(capsys, demo_env):
     argv = ["abc-posterior", "--input", str(demo_env), "--draws", "100",
-            "--seed", "12", "--beta0-range=-8,0", "--beta1-range", "2,6",
-            "--batch-size", "100000"]
+            "--seed", "12", "--beta0-range=-8,0", "--beta1-range", "2,6"]
     rc, out, _ = run(capsys, argv)
     assert rc == 0
     assert "# acceptance_rate=" in out
@@ -574,8 +572,7 @@ def test_abc_posterior_normal_prior(capsys, demo_env):
     rc, out, _ = run(capsys, ["abc-posterior", "--input", str(demo_env),
                               "--draws", "20", "--seed", "4",
                               "--prior", "independent-normal",
-                              "--prior-means=-4,4", "--prior-sds", "2,1",
-                              "--batch-size", "100000"])
+                              "--prior-means=-4,4", "--prior-sds", "2,1"])
     assert rc == 0
     _, rows = csv_rows(out)
     assert len(rows) == 20
@@ -669,6 +666,17 @@ def test_ellipse_study_rows_and_summary(capsys):
     assert len(rows) == 2
 
 
+@pytest.mark.parametrize("methods", ["", ","])
+def test_ellipse_study_refuses_empty_methods(capsys, methods):
+    rc, out, err = run(capsys, ["ellipse-study", "--epsilon-x", "0.5", "--epsilon-y", "0.5",
+                                "--n", "8", "--replicates", "2", "--seed", "1",
+                                "--methods", methods])
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("ValueError:") and "naive, mcem" in err
+    assert err.count("\n") == 1
+
+
 @pytest.fixture()
 def tract_csv(tmp_path):
     path = tmp_path / "tracts.csv"
@@ -751,7 +759,7 @@ def test_verify_dp_sensitivity(capsys):
     rc, out, _ = run(capsys, ["verify-dp", "--family", "double-geometric",
                               "--epsilon", "0.5", "--sensitivity", "2"])
     assert rc == 0
-    assert "sensitivity=2 " in out.splitlines()[0]
+    assert "sensitivity=2" in out.splitlines()[0].split()
     report = body_json(out)
     assert report["max_log_ratio"] == 0.5
     assert report["satisfied"] is True
@@ -759,6 +767,17 @@ def test_verify_dp_sensitivity(capsys):
                               "--epsilon", "1", "--sensitivity", "2"])
     assert rc == 1
     assert "sensitivity" in err
+
+
+def test_verify_dp_huge_sensitivity_costs_no_more(capsys):
+    # The scan does not grow with the sensitivity, so a Δ of 1e12 answers
+    # at once instead of enumerating 3e12 outputs.
+    rc, out, _ = run(capsys, ["verify-dp", "--family", "double-geometric",
+                              "--epsilon", "1", "--sensitivity", str(10**12)])
+    assert rc == 0
+    report = body_json(out)
+    assert report["max_log_ratio"] == 1.0
+    assert report["satisfied"] is True
 
 
 def test_config_file_merges_and_flags_override(capsys, tmp_path):

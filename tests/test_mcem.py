@@ -750,3 +750,5 @@ def test_ellipse_study_argument_errors():
         ellipse_study(
             REF_PARAMS, 8, PrivacyBudget(0.5), PrivacyBudget(0.5), 1, 1, methods=("abc",)
         )
+    with pytest.raises(ValueError, match="naive, mcem"):
+        ellipse_study(REF_PARAMS, 8, PrivacyBudget(0.5), PrivacyBudget(0.5), 1, 1, methods=())

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -97,18 +96,16 @@ def test_spec_log_density_is_the_family_kernel(sensitivity):
 
 def test_spec_dict_round_trip():
     spec = MechanismSpec(Family.LAPLACE, 2.0, PrivacyBudget(0.25))
-    assert spec.to_dict() == json.loads(spec.to_json())
     assert MechanismSpec.from_dict(spec.to_dict()) == spec
 
 
-def test_spec_json_round_trip_recomputes_scale():
+def test_spec_from_dict_recomputes_scale():
     spec = MechanismSpec(Family.DOUBLE_GEOMETRIC, 1.0, PrivacyBudget(0.5))
-    again = MechanismSpec.from_json(spec.to_json())
-    assert again == spec
     # a forged scale field in the payload is ignored
-    forged = json.loads(spec.to_json())
-    forged["scale"] = 123.0
-    assert MechanismSpec.from_json(json.dumps(forged)).scale == 2.0
+    forged = {**spec.to_dict(), "scale": 123.0}
+    again = MechanismSpec.from_dict(forged)
+    assert again == spec
+    assert again.scale == 2.0
 
 
 def test_laplace_noise_variance_32_at_quarter_epsilon():
@@ -420,7 +417,7 @@ def test_verify_dp_randomized_response_exact():
 
 
 def test_verify_dp_double_geometric_bound():
-    report = verify_dp_discrete(Family.DOUBLE_GEOMETRIC, PrivacyBudget(0.25), 100)
+    report = verify_dp_discrete(Family.DOUBLE_GEOMETRIC, PrivacyBudget(0.25))
     assert report.max_log_ratio <= 0.25 + 1e-10
     assert report.satisfied
 
@@ -429,7 +426,6 @@ def test_verify_dp_falsifies_understated_claim():
     report = verify_dp_discrete(
         Family.DOUBLE_GEOMETRIC,
         PrivacyBudget(0.25),
-        100,
         claimed=PrivacyBudget(0.125),
     )
     assert not report.satisfied
@@ -438,12 +434,36 @@ def test_verify_dp_falsifies_understated_claim():
 
 def test_verify_dp_double_geometric_at_sensitivity_five():
     report = verify_dp_discrete(
-        Family.DOUBLE_GEOMETRIC, PrivacyBudget(0.5), 100, sensitivity=5
+        Family.DOUBLE_GEOMETRIC, PrivacyBudget(0.5), sensitivity=5
     )
     assert report.max_log_ratio == 0.5
     assert report.satisfied
     # the same mechanism judged on inputs 0 and 1 only would report 0.1
     assert verify_dp_discrete(Family.DOUBLE_GEOMETRIC, PrivacyBudget(0.1)).max_log_ratio == 0.1
+
+
+@pytest.mark.parametrize("delta", [1, 2, 5, 9])
+@pytest.mark.parametrize("eps", [0.1, 0.5, 2.0])
+def test_verify_dp_double_geometric_range_covers_every_ratio(eps, delta):
+    # The log ratio between inputs 0 and delta at output o is
+    # -eps (|o| - |o - delta|) / delta; the verifier's own range must find
+    # its largest magnitude over a much wider range of outputs, eps.
+    out = np.arange(-100, 101)
+    widest = float(np.max(np.abs(-eps * ((np.abs(out) - np.abs(out - delta)) / delta))))
+    budget = PrivacyBudget(eps)
+    report = verify_dp_discrete(Family.DOUBLE_GEOMETRIC, budget, sensitivity=delta)
+    assert report.max_log_ratio == widest == eps
+    assert report.satisfied
+    half = verify_dp_discrete(Family.DOUBLE_GEOMETRIC, budget,
+                              claimed=PrivacyBudget(eps / 2), sensitivity=delta)
+    assert not half.satisfied
+
+
+@pytest.mark.parametrize("delta", [10**12, 10**40])
+def test_verify_dp_double_geometric_scan_does_not_grow_with_sensitivity(delta):
+    report = verify_dp_discrete(Family.DOUBLE_GEOMETRIC, PrivacyBudget(1.0), sensitivity=delta)
+    assert report.max_log_ratio == 1.0
+    assert report.satisfied
 
 
 def test_verify_dp_rejects_bad_sensitivity():
@@ -453,6 +473,9 @@ def test_verify_dp_rejects_bad_sensitivity():
         verify_dp_discrete(Family.DOUBLE_GEOMETRIC, PrivacyBudget(0.5), sensitivity=0)
     with pytest.raises(ValueError):
         verify_dp_discrete(Family.RANDOMIZED_RESPONSE, PrivacyBudget(0.5), sensitivity=2)
+    # claimed is keyword-only, so an old positional scan bound is refused
+    with pytest.raises(TypeError):
+        verify_dp_discrete(Family.DOUBLE_GEOMETRIC, PrivacyBudget(0.5), 100)
 
 
 def test_verify_dp_rejects_continuous_family():
