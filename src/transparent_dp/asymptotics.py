@@ -14,7 +14,6 @@ noise-free formula; both are reported by the grid evaluator.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -34,7 +33,6 @@ __all__ = [
     "distribution_limits",
     "limit_coverage",
     "coverage_grid",
-    "grid_to_csv",
     "reference_design",
 ]
 
@@ -249,15 +247,6 @@ def coverage_grid(
                 )
                 rows.append((float(su), float(sv), conv, cov))
     return rows
-
-
-def grid_to_csv(rows) -> str:
-    """Render coverage-grid rows as CSV with a fixed header."""
-    buf = io.StringIO()
-    buf.write("sigma_u,sigma_v,convention,coverage\n")
-    for su, sv, conv, cov in rows:
-        buf.write(f"{su!r},{sv!r},{conv},{cov!r}\n")
-    return buf.getvalue()
 
 
 def reference_design(n: int = 500, seed: int = REFERENCE_DESIGN_SEED) -> np.ndarray:

@@ -24,7 +24,6 @@ analyst's assumed mechanism matches the true one.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -47,7 +46,6 @@ __all__ = [
     "misreported_mechanism_bias",
     "toy_privatized_observation",
     "random_toy",
-    "samples_to_csv",
 ]
 
 # Probe thresholds for declaring rejection sampling infeasible.
@@ -562,13 +560,3 @@ def abc_toy_posterior(
                             lambda m: rng.choice(toy.beta_grid.size, size=m, p=prior),
                             y_penalty)
     return replace(res, samples=toy.beta_grid[res.samples])
-
-
-def samples_to_csv(samples: np.ndarray) -> str:
-    """Render posterior draws as CSV (draw, beta0, beta1)."""
-    samples = np.asarray(samples, dtype=float)
-    buf = io.StringIO()
-    buf.write("draw,beta0,beta1\n")
-    for i, row in enumerate(samples):
-        buf.write(f"{i},{float(row[0])!r},{float(row[1])!r}\n")
-    return buf.getvalue()

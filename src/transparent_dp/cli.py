@@ -3,9 +3,11 @@
 Every stochastic subcommand requires an explicit ``--seed``; rerunning any
 command with identical arguments produces byte-identical output.  Outputs
 are CSV or JSON prefixed with a ``#`` comment line echoing the version,
-command, and full parameter set.  A JSON config file may supply any
-parameter via ``--config``, checked and typed as its flag would be;
-explicit flags override it.  Each parameter is declared once, in
+command, and full parameter set.  Every report is formatted here, by one
+CSV writer and one JSON writer: floats print as Python's shortest repr,
+JSON has sorted keys, and an undefined value is ``null``.  A JSON config
+file may supply any parameter via ``--config``, checked and typed as its
+flag would be; explicit flags override it.  Each parameter is declared once, in
 ``_COMMANDS``, which drives the parser, the defaults and the config check.
 """
 
@@ -16,8 +18,8 @@ import json
 import math
 import os
 import sys
-from collections.abc import Collection, Iterable
-from itertools import chain
+from collections.abc import Collection, Iterable, Iterator
+from itertools import chain, count, islice
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +31,12 @@ from .asymptotics import (
     clt_variance,
     coverage_grid,
     distribution_limits,
-    grid_to_csv,
     reference_design,
     sample_moments,
 )
-from .bayes_abc import PriorSpec, abc_exact_posterior, samples_to_csv
+from .bayes_abc import PriorSpec, abc_exact_posterior
 from .errors import TransparentDpError
-from .mcem import MCEMConfig, ellipse_study, run_mcem, study_to_csv, trace_to_csv
+from .mcem import MCEMConfig, ellipse_study, run_mcem
 from .mechanisms import (
     Family,
     MechanismSpec,
@@ -44,11 +45,11 @@ from .mechanisms import (
     verify_dp_discrete,
 )
 from .metrics import county_table_from_csv, dissimilarity, privatized_dissimilarity_study
-from .naive_fit import ols
+from .naive_fit import FitResult, ols
 from .rng import stream
 from .simulate import (
+    _SLICE,
     RegressionParams,
-    dataset_csv_parts,
     dataset_from_dict,
     gen_confidential,
     json_parts,
@@ -268,7 +269,43 @@ def _require(params: dict, *keys: str) -> None:
 
 
 def _fmt(val) -> str:
-    return repr(val) if isinstance(val, float) else str(val)
+    """A header value or CSV cell; a float, numpy's too, prints as Python's repr."""
+    return float.__repr__(val) if isinstance(val, float) else str(val)
+
+
+def _csv(header: str, rows: Iterable[Iterable]) -> Iterator[str]:
+    """The ``header`` line, then one line of :func:`_fmt` cells per row.
+
+    The rows are formatted as they are consumed and written in blocks of at
+    most ``_SLICE`` lines, so a long table is never held whole as text.
+    """
+    yield header + "\n"
+    lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
+    while block := "".join(islice(lines, _SLICE)):
+        yield block
+
+
+def _json(obj) -> str:
+    """``obj`` as one line of JSON; a NaN or infinity in it raises ValueError."""
+    return json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _or_null(val: float) -> float | None:
+    """``val``, or None (JSON null) where it is undefined (NaN)."""
+    return None if math.isnan(val) else val
+
+
+def _fit_report(fit: FitResult) -> dict:
+    """The JSON object of a fit; an unavailable (all-NaN) covariance is null."""
+    cov = fit.covariance
+    return {
+        "method": fit.method,
+        "n": fit.n,
+        "beta0": fit.beta0_hat,
+        "beta1": fit.beta1_hat,
+        "cov": None if np.isnan(cov).all() else cov.tolist(),
+        "resid_var": fit.residual_variance,
+    }
 
 
 def _header(command: str, params: dict) -> str:
@@ -409,7 +446,7 @@ def _envelope_known(params: dict, env: dict) -> tuple[float, float]:
     return float(known["sigma"]), float(known["lam"])
 
 
-def _cmd_privatize(params: dict) -> str:
+def _cmd_privatize(params: dict) -> Iterable[str]:
     raw = [p for p in params["values"].split(",") if p != ""]
     if not raw:
         raise _UsageError("--values must be a nonempty comma-separated list")
@@ -418,10 +455,7 @@ def _cmd_privatize(params: dict) -> str:
         _family(params["family"]), params["sensitivity"], PrivacyBudget(params["epsilon"])
     )
     released = privatize_vector(values, spec, stream(params["seed"], "privatize"))
-    lines = ["i,privatized"]
-    for i, val in enumerate(released):
-        lines.append(f"{i},{_fmt(float(val)) if spec.family is Family.LAPLACE else int(val)}")
-    return "\n".join(lines) + "\n"
+    return _csv("i,privatized", enumerate(released.tolist()))
 
 
 def _cmd_simulate(params: dict) -> Iterable[str]:
@@ -437,7 +471,7 @@ def _cmd_simulate(params: dict) -> Iterable[str]:
     )
     # Every check has run; the text is produced as it is written.
     if params["format"] == "csv":
-        return dataset_csv_parts(priv)
+        return _csv("i,x_tilde,y_tilde", zip(count(), priv.x_tilde, priv.y_tilde))
     return chain(json_parts({"confidential": conf, "privatized": priv}), ("\n",))
 
 
@@ -448,7 +482,7 @@ def _cmd_fit_naive(params: dict) -> str:
         fit = ols(ds.x_tilde, ds.y_tilde)
     else:
         fit = ols(ds.x, ds.y)
-    return fit.to_json() + "\n"
+    return _json(_fit_report(fit))
 
 
 def _cmd_fit_mcem(params: dict) -> str:
@@ -460,12 +494,15 @@ def _cmd_fit_mcem(params: dict) -> str:
     )
     res = run_mcem(data, config, params["seed"])
     if params["trace"]:
-        Path(params["trace"]).write_text(
-            _header("fit-mcem-trace", params) + trace_to_csv(res.trace)
-        )
+        rows = ((int(t), *rest) for t, *rest in res.trace.tolist())
+        _emit(chain((_header("fit-mcem-trace", params),),
+                    _csv("iter,beta0,beta1,ess", rows)), params["trace"])
+    ell = res.ellipse
     out = {
-        "fit": json.loads(res.fit.to_json()),
-        "ellipse": json.loads(res.ellipse.to_json()) if res.ellipse else None,
+        "fit": _fit_report(res.fit),
+        "ellipse": None if ell is None else {
+            "center": list(ell.center), "shape": ell.shape.tolist(), "level": ell.level,
+        },
         "converged": res.converged,
         "fisher_pd": res.fisher_pd,
         "iterations": len(res.trace),
@@ -473,10 +510,10 @@ def _cmd_fit_mcem(params: dict) -> str:
         "mean_score": res.mean_score.tolist(),
         "mean_score_se": res.mean_score_se.tolist(),
     }
-    return json.dumps(out, sort_keys=True) + "\n"
+    return _json(out)
 
 
-def _cmd_abc_posterior(params: dict) -> str:
+def _cmd_abc_posterior(params: dict) -> Iterable[str]:
     env, data = _envelope(params)
     sigma, lam = _envelope_known(params, env)
     if params["prior"] == "uniform-box":
@@ -498,40 +535,35 @@ def _cmd_abc_posterior(params: dict) -> str:
     res = abc_exact_posterior(
         data, prior, params["draws"], stream(params["seed"], "abc"), lam=lam, sigma=sigma
     )
-    meta = f"# acceptance_rate={res.acceptance_rate!r} proposals={res.proposals}\n"
-    return meta + samples_to_csv(res.samples)
+    meta = f"# acceptance_rate={_fmt(res.acceptance_rate)} proposals={res.proposals}\n"
+    rows = ((i, *draw) for i, draw in enumerate(res.samples.tolist()))
+    return chain((meta,), _csv("draw,beta0,beta1", rows))
 
 
-def _cmd_clt_limits(params: dict) -> str:
+def _cmd_clt_limits(params: dict) -> Iterable[str]:
     sigma_u = _axis(params, "sigma_u_max")
     moments = sample_moments(reference_design(params["n"], params["design_seed"]))
     beta1, sigma_sq, sigma_v = params["beta1"], params["sigma_sq"], params["sigma_v"]
-    lines = ["sigma_u,sigma_v,gamma,sigma_tilde,center,lower,upper"]
-    for su in sigma_u:
-        su = float(su)
-        gamma = float(biasing_coefficient(moments, su**2))
-        sigma_tilde = float(clt_variance(moments, beta1, sigma_sq, su**2, sigma_v**2))
-        lower, upper = distribution_limits(
-            gamma, beta1, sigma_tilde, moments.n, params["alpha"]
-        )
-        lines.append(
-            f"{su!r},{sigma_v!r},{gamma!r},{sigma_tilde!r},"
-            f"{gamma * beta1!r},{float(lower)!r},{float(upper)!r}"
-        )
-    return "\n".join(lines) + "\n"
+    rows = []
+    for su in sigma_u.tolist():
+        gamma = biasing_coefficient(moments, su**2)
+        sigma_tilde = clt_variance(moments, beta1, sigma_sq, su**2, sigma_v**2)
+        limits = distribution_limits(gamma, beta1, sigma_tilde, moments.n, params["alpha"])
+        rows.append((su, sigma_v, gamma, sigma_tilde, gamma * beta1, *limits))
+    return _csv("sigma_u,sigma_v,gamma,sigma_tilde,center,lower,upper", rows)
 
 
-def _cmd_coverage_grid(params: dict) -> str:
+def _cmd_coverage_grid(params: dict) -> Iterable[str]:
     sigma_u, sigma_v = _axis(params, "sigma_u_max"), _axis(params, "sigma_v_max")
     rows = coverage_grid(
         reference_design(params["n"], params["design_seed"]),
         params["beta1"], params["sigma_sq"], sigma_u, sigma_v,
         alpha=params["alpha"], convention=params["convention"],
     )
-    return grid_to_csv(rows)
+    return _csv("sigma_u,sigma_v,convention,coverage", rows)
 
 
-def _cmd_ellipse_study(params: dict) -> str:
+def _cmd_ellipse_study(params: dict) -> Iterable[str]:
     methods = tuple(m for m in params["methods"].split(",") if m)
     gen_params = _model(params)
     config = MCEMConfig(
@@ -544,16 +576,15 @@ def _cmd_ellipse_study(params: dict) -> str:
         params["replicates"], params["seed"],
         config=config, methods=methods,
     )
-    summary = (
-        "# coverage " + " ".join(f"{k}={rates[k]!r}" for k in sorted(rates)) + "\n"
-    )
-    return study_to_csv(rows) + summary
+    cells = ((r.replicate, r.method, r.beta0, r.beta1, int(r.covered), r.area) for r in rows)
+    summary = "# coverage " + " ".join(f"{k}={_fmt(rates[k])}" for k in sorted(rates)) + "\n"
+    return chain(_csv("replicate,method,beta0,beta1,covered,area", cells), (summary,))
 
 
 def _cmd_dissimilarity(params: dict) -> str:
     table = county_table_from_csv(Path(params["input"]).read_text())
     if params["epsilon"] is None:
-        return json.dumps({"d": dissimilarity(table)}, sort_keys=True) + "\n"
+        return _json({"d": dissimilarity(table)})
     if params["seed"] is None:
         raise _UsageError("the privatized study requires --seed")
     study = privatized_dissimilarity_study(
@@ -562,7 +593,15 @@ def _cmd_dissimilarity(params: dict) -> str:
         params["replicates"],
         stream(params["seed"], "dissimilarity"),
     )
-    return study.to_json() + "\n"
+    return _json({
+        "mean": _or_null(study.mean),
+        "sd": _or_null(study.sd),
+        "quantiles": {str(q): _or_null(v) for q, v in study.quantiles.items()},
+        "undefined_fraction": study.undefined_fraction,
+        "out_of_range_fraction": study.out_of_range_fraction,
+        "replicates": study.replicates,
+        "epsilon": study.epsilon,
+    })
 
 
 def _cmd_verify_dp(params: dict) -> str:
@@ -580,7 +619,7 @@ def _cmd_verify_dp(params: dict) -> str:
         "max_log_ratio": report.max_log_ratio,
         "satisfied": report.satisfied,
     }
-    return json.dumps(out, sort_keys=True) + "\n"
+    return _json(out)
 
 
 # Each runner returns its output after the header line: one string, or an

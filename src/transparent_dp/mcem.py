@@ -22,8 +22,6 @@ known constants throughout; only the intercept and slope are estimated.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -59,8 +57,6 @@ __all__ = [
     "confidence_ellipse",
     "run_mcem",
     "ellipse_study",
-    "trace_to_csv",
-    "study_to_csv",
 ]
 
 # Largest x value the proposal enumerates; a release that needs more is
@@ -170,13 +166,6 @@ class Ellipse:
     def area(self) -> float:
         det = float(np.linalg.det(self.shape))
         return math.pi * self.level / math.sqrt(det)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"center": list(self.center), "shape": self.shape.tolist(),
-             "level": self.level},
-            sort_keys=True,
-        )
 
 
 @dataclass(frozen=True)
@@ -564,15 +553,6 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
     )
 
 
-def trace_to_csv(trace: np.ndarray) -> str:
-    """Render an iteration trace as CSV."""
-    buf = io.StringIO()
-    buf.write("iter,beta0,beta1,ess\n")
-    for t, beta0, beta1, ess in trace.tolist():
-        buf.write(f"{int(t)},{beta0!r},{beta1!r},{ess!r}\n")
-    return buf.getvalue()
-
-
 @dataclass(frozen=True)
 class EllipseStudyRow:
     """One fitted ellipse in the replication study."""
@@ -670,15 +650,3 @@ def ellipse_study(
         )
         rates["mcem_nonpd_fraction"] = 1.0 - len(defined) / replicates
     return rows, rates
-
-
-def study_to_csv(rows) -> str:
-    """Render ellipse-study rows as CSV."""
-    buf = io.StringIO()
-    buf.write("replicate,method,beta0,beta1,covered,area\n")
-    for row in rows:
-        buf.write(
-            f"{row.replicate},{row.method},{row.beta0!r},{row.beta1!r},"
-            f"{int(row.covered)},{row.area!r}\n"
-        )
-    return buf.getvalue()

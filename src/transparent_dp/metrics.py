@@ -9,7 +9,6 @@ under repeated mechanism draws without any clipping or post-processing.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -101,20 +100,6 @@ class DissimilarityStudy:
     out_of_range_fraction: float
     replicates: int
     epsilon: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean": self.mean,
-                "sd": self.sd,
-                "quantiles": {str(k): v for k, v in self.quantiles.items()},
-                "undefined_fraction": self.undefined_fraction,
-                "out_of_range_fraction": self.out_of_range_fraction,
-                "replicates": self.replicates,
-                "epsilon": self.epsilon,
-            },
-            sort_keys=True,
-        )
 
 
 def privatized_dissimilarity_study(

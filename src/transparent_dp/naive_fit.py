@@ -8,7 +8,6 @@ to the estimator they describe.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -52,19 +51,6 @@ class FitResult:
         if self.residual_variance < 0:
             raise ValueError("residual_variance must be nonnegative")
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "method": self.method,
-                "n": self.n,
-                "beta0": self.beta0_hat,
-                "beta1": self.beta1_hat,
-                "cov": self.covariance.tolist(),
-                "resid_var": self.residual_variance,
-            },
-            sort_keys=True,
-        )
-
 
 def ols(x, y) -> FitResult:
     """Fit y = beta0 + beta1 x by least squares.
@@ -101,7 +87,7 @@ def ols(x, y) -> FitResult:
     sxy = float(np.sum((x - x_bar) * (y - y_bar)))
 
     beta1 = sxy / sxx
-    beta0 = y_bar - beta1 * x_bar
+    beta0 = float(y_bar - beta1 * x_bar)
 
     resid = y - beta0 - beta1 * x
     s_sq = float(np.sum(resid**2)) / (n - 2)

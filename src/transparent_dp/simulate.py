@@ -25,7 +25,6 @@ __all__ = [
     "PrivatizedDataset",
     "gen_confidential",
     "privatize_dataset",
-    "dataset_csv_parts",
     "dataset_to_dict",
     "dataset_from_dict",
     "dataset_to_json",
@@ -203,26 +202,6 @@ def privatize_dataset(
         spec_y=spec_y,
         parent_seed=data.seed,
     )
-
-
-def dataset_csv_parts(data) -> Iterator[str]:
-    """The CSV text of a dataset, in blocks of at most ``_SLICE`` rows.
-
-    Columns are ``i,x,y`` for confidential data and ``i,x_tilde,y_tilde``
-    for privatized data.
-    """
-    if isinstance(data, ConfidentialDataset):
-        head, x, y, row, x_type = "i,x,y\n", data.x, data.y, "{},{},{!r}\n", int
-    elif isinstance(data, PrivatizedDataset):
-        head, x, y, row, x_type = ("i,x_tilde,y_tilde\n", data.x_tilde, data.y_tilde,
-                                   "{},{!r},{!r}\n", float)
-    else:
-        raise TypeError(f"unsupported dataset type {type(data).__name__}")
-    yield head
-    for start in range(0, x.size, _SLICE):
-        xs = map(x_type, x[start:start + _SLICE].tolist())
-        ys = y[start:start + _SLICE].tolist()
-        yield "".join(map(row.format, range(start, start + len(ys)), xs, ys))
 
 
 def _dataset_fields(data) -> dict:

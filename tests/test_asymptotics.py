@@ -11,11 +11,11 @@ from transparent_dp.asymptotics import (
     clt_variance,
     coverage_grid,
     distribution_limits,
-    grid_to_csv,
     limit_coverage,
     reference_design,
     sample_moments,
 )
+from transparent_dp.cli import main
 from transparent_dp.errors import DegenerateDesignError
 from transparent_dp.normal import chi2_2_quantile, std_normal_cdf, std_normal_quantile
 from transparent_dp.rng import stream
@@ -250,13 +250,16 @@ def test_coverage_grid_rejects_bad_ranges():
         coverage_grid(x, 0.5, 1.0, [0.0], [0.0], convention="either")
 
 
-def test_grid_to_csv_round_trip():
-    rows = [(0.0, 1.5, "privacy_aware_se", 0.9321)]
-    text = grid_to_csv(rows)
-    lines = text.splitlines()
+def test_grid_to_csv_round_trip(capsys):
+    # the grid as `tdp coverage-grid` writes it reads back to coverage_grid's rows
+    assert main(["coverage-grid", "--steps", "2", "--convention", "privacy_aware_se"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
     assert lines[0] == "sigma_u,sigma_v,convention,coverage"
-    su, sv, conv, cov = lines[1].split(",")
-    assert (float(su), float(sv), conv, float(cov)) == rows[0]
+    rows = [ln.split(",") for ln in lines[1:]]
+    axis = np.linspace(0.0, 2.0, 2)
+    assert [(float(su), float(sv), conv, float(cov)) for su, sv, conv, cov in rows] == (
+        coverage_grid(reference_design(), 0.5, 1.0, axis, axis, convention="privacy_aware_se")
+    )
 
 
 def test_std_normal_cdf_matches_scipy():

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -15,9 +16,9 @@ from transparent_dp.bayes_abc import (
     misreported_mechanism_bias,
     mixture_posterior_oracle,
     random_toy,
-    samples_to_csv,
     toy_privatized_observation,
 )
+from transparent_dp.cli import main
 from transparent_dp.errors import InfeasibleABCError
 from transparent_dp.mechanisms import (
     Family,
@@ -27,7 +28,7 @@ from transparent_dp.mechanisms import (
 )
 from transparent_dp.normal import std_normal_cdf
 from transparent_dp.rng import stream
-from transparent_dp.simulate import PrivatizedDataset
+from transparent_dp.simulate import PrivatizedDataset, dataset_from_dict
 
 
 def dg_spec(eps):
@@ -644,10 +645,19 @@ def test_toy_privatized_observation_requires_grid_beta():
         toy_privatized_observation(toy, 0.123, stream(94, "grid"))
 
 
-def test_samples_csv_round_trip():
-    samples = np.array([[0.5, -1.25], [2.0, 3.5]])
-    lines = samples_to_csv(samples).splitlines()
+def test_samples_csv_round_trip(capsys, tmp_path):
+    env = tmp_path / "env.json"
+    assert main(["simulate", "--n", "3", "--sigma", "2", "--lam", "5", "--epsilon-x", "0.5",
+                 "--epsilon-y", "0.5", "--seed", "61", "--output", str(env)]) == 0
+    assert main(["abc-posterior", "--input", str(env), "--draws", "4", "--seed", "12",
+                 "--beta0-range=-8,0", "--beta1-range", "2,6"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
     assert lines[0] == "draw,beta0,beta1"
-    assert lines[1].split(",") == ["0", "0.5", "-1.25"]
-    assert float(lines[2].split(",")[2]) == 3.5
-
+    body = "\n".join(ln for ln in env.read_text().splitlines() if not ln.startswith("#"))
+    data = dataset_from_dict(json.loads(body)["privatized"])
+    prior = PriorSpec("uniform_box", bounds=((-8.0, 0.0), (2.0, 6.0)))
+    res = abc_exact_posterior(data, prior, 4, stream(12, "abc"), lam=5.0, sigma=2.0)
+    # each draw is written as Python's repr, so it reads back bit for bit
+    assert [ln.split(",") for ln in lines[1:]] == [
+        [str(i), repr(b0), repr(b1)] for i, (b0, b1) in enumerate(res.samples.tolist())
+    ]

@@ -12,9 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from transparent_dp import __version__
+from transparent_dp import __version__, cli
+from transparent_dp.asymptotics import coverage_grid, reference_design
 from transparent_dp.cli import main
+from transparent_dp.mcem import MCEMConfig, ellipse_study, run_mcem
+from transparent_dp.mechanisms import PrivacyBudget
+from transparent_dp.metrics import county_table_from_csv, privatized_dissimilarity_study
 from transparent_dp.naive_fit import ols
+from transparent_dp.rng import stream
+from transparent_dp.simulate import _SLICE, RegressionParams, dataset_from_dict
 
 COMMON_FLAGS = ["--config", "--output", "--help"]
 
@@ -63,6 +69,24 @@ def body_json(text):
 def csv_rows(text):
     lines = strip_comments(text).strip().splitlines()
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
+
+
+def is_repr(cell):
+    """True if a CSV cell is a float written as Python's shortest repr."""
+    return repr(float(cell)) == cell
+
+
+def strict_json(text):
+    """The JSON body of ``text``; NaN or Infinity in it raises ValueError."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(strip_comments(text), parse_constant=refuse)
+
+
+def fit_fields(fit):
+    """The report a fit prints, read from the library's FitResult."""
+    return {"beta0": fit.beta0_hat, "beta1": fit.beta1_hat, "cov": fit.covariance.tolist(),
+            "resid_var": fit.residual_variance, "method": fit.method, "n": fit.n}
 
 
 @pytest.fixture()
@@ -307,7 +331,27 @@ def test_simulate_csv_is_release_only(capsys):
     assert rc == 0
     header, rows = csv_rows(out)
     assert header == ["i", "x_tilde", "y_tilde"]
-    assert len(rows) == 3
+    # repr keeps every bit of the release the envelope holds
+    priv = body_json(run(capsys, DEMO_ARGS)[1])["privatized"]
+    assert rows == [[str(i), repr(x), repr(y)]
+                    for i, (x, y) in enumerate(zip(priv["x_tilde"], priv["y_tilde"]))]
+
+
+def test_simulate_csv_streams_rows_in_blocks(monkeypatch):
+    written = []
+    monkeypatch.setattr(cli, "_emit", lambda parts, output: written.append(list(parts)))
+    argv = ["simulate", "--n", str(_SLICE + 1), "--epsilon-x", "1", "--epsilon-y", "1",
+            "--seed", "4"]
+    assert main(argv + ["--format", "csv"]) == 0
+    assert main(argv) == 0
+    (_, *csv_parts), (_, *json_parts) = written
+    assert [p.count("\n") for p in csv_parts] == [1, _SLICE, 1]
+    priv = json.loads("".join(json_parts))["privatized"]
+    rows = zip(priv["x_tilde"], priv["y_tilde"])
+    # lines, not one string, so a failure's diff stays cheap
+    assert "".join(csv_parts).splitlines() == ["i,x_tilde,y_tilde"] + [
+        f"{i},{x!r},{y!r}" for i, (x, y) in enumerate(rows)
+    ]
 
 
 def test_simulate_rerun_is_byte_identical(capsys, tmp_path):
@@ -458,14 +502,14 @@ def test_fit_naive_matches_library_ols(capsys, demo_env):
     report = body_json(out)
     direct = ols(np.array(env["privatized"]["x_tilde"]),
                  np.array(env["privatized"]["y_tilde"]))
-    assert report["beta1"] == direct.beta1_hat
-    assert report["beta0"] == direct.beta0_hat
+    assert report == fit_fields(direct)
     assert report["n"] == 3
 
     rc, out, _ = run(capsys, ["fit-naive", "--input", str(demo_env),
                               "--on", "confidential"])
     assert rc == 0
     conf_report = body_json(out)
+    assert conf_report == fit_fields(ols(env["confidential"]["x"], env["confidential"]["y"]))
     assert conf_report["beta1"] != report["beta1"]
 
 
@@ -535,6 +579,20 @@ def test_fit_mcem_report_and_trace(capsys, mcem_env, tmp_path):
     assert lines[1] == "iter,beta0,beta1,ess"
     assert len(lines) - 2 == report["iterations"]
 
+    # the report and trace hold the library's run, every float as its repr
+    env = body_json(mcem_env.read_text())
+    config = MCEMConfig(sigma=2.0, lam=5.0, k_samples=500, max_iter=4)
+    res = run_mcem(dataset_from_dict(env["privatized"]), config, 7)
+    assert res.fisher_pd
+    assert report["fit"] == fit_fields(res.fit)
+    ell = res.ellipse
+    assert report["ellipse"] == {"center": list(ell.center), "shape": ell.shape.tolist(),
+                                 "level": ell.level}
+    cells = [ln.split(",") for ln in lines[2:]]
+    assert [row[0] for row in cells] == [str(i) for i in range(1, len(cells) + 1)]
+    assert all(is_repr(c) for row in cells for c in row[1:])
+    assert [[float(c) for c in row] for row in cells] == res.trace.tolist()
+
 
 def test_fit_mcem_release_only_envelope_needs_sigma_lam(capsys, mcem_env, tmp_path):
     env = body_json(mcem_env.read_text())
@@ -558,7 +616,8 @@ def test_abc_posterior_draws_stay_in_prior_box(capsys, demo_env):
     assert "# acceptance_rate=" in out
     header, rows = csv_rows(out)
     assert header == ["draw", "beta0", "beta1"]
-    assert len(rows) == 100
+    assert [r[0] for r in rows] == [str(i) for i in range(100)]
+    assert all(is_repr(c) for r in rows for c in r[1:])
     b0 = np.array([float(r[1]) for r in rows])
     b1 = np.array([float(r[2]) for r in rows])
     assert ((b0 >= -8) & (b0 <= 0)).all()
@@ -632,6 +691,10 @@ def test_coverage_grid_rows_and_zero_noise_cell(capsys):
     header, rows = csv_rows(out)
     assert header == ["sigma_u", "sigma_v", "convention", "coverage"]
     assert len(rows) == 3 * 3 * 2
+    axis = np.linspace(0.0, 2.0, 3)
+    assert [(float(su), float(sv), conv, float(cov)) for su, sv, conv, cov in rows] == (
+        coverage_grid(reference_design(), 0.5, 1.0, axis, axis, convention="both")
+    )
     clean = [r for r in rows if float(r[0]) == 0.0 and float(r[1]) == 0.0]
     assert len(clean) == 2
     for row in clean:
@@ -645,6 +708,15 @@ def test_coverage_grid_rows_and_zero_noise_cell(capsys):
     assert set(r[2] for r in rows) == {"privacy_aware_se"}
 
 
+def cell_parses(cell):
+    """True if an ellipse-study cell reads as a number or a method name."""
+    try:
+        float(cell)
+    except ValueError:
+        return cell in ("naive", "mcem")
+    return True
+
+
 def test_ellipse_study_rows_and_summary(capsys):
     argv = ["ellipse-study", "--epsilon-x", "0.5", "--epsilon-y", "0.5",
             "--n", "8", "--replicates", "2", "--k-samples", "300",
@@ -656,14 +728,21 @@ def test_ellipse_study_rows_and_summary(capsys):
     assert "mcem=" in lines[-1] and "naive=" in lines[-1]
     header, rows = csv_rows(out)
     assert header == ["replicate", "method", "beta0", "beta1", "covered", "area"]
-    assert len(rows) == 4
-    assert set(r[1] for r in rows) == {"naive", "mcem"}
+    assert [r[1] for r in rows] == ["naive", "mcem", "naive", "mcem"]
+    assert all(cell_parses(c) for r in rows for c in r)
+    model = RegressionParams(beta0=-5.0, beta1=4.0, sigma=5.0, lam=10.0)
+    config = MCEMConfig(sigma=5.0, lam=10.0, k_samples=300, max_iter=4)
+    study, _ = ellipse_study(model, 8, PrivacyBudget(0.5), PrivacyBudget(0.5), 2, 5,
+                             config=config)
+    assert rows == [[str(r.replicate), r.method, repr(float(r.beta0)), repr(float(r.beta1)),
+                     str(int(r.covered)), repr(float(r.area))] for r in study]
 
     rc, out, _ = run(capsys, argv + ["--methods", "naive"])
     assert rc == 0
     _, rows = csv_rows(out)
     assert set(r[1] for r in rows) == {"naive"}
     assert len(rows) == 2
+    assert all(cell_parses(c) for r in rows for c in r)
 
 
 @pytest.mark.parametrize("methods", ["", ","])
@@ -700,6 +779,44 @@ def test_dissimilarity_study_report(capsys, tract_csv):
     assert report["epsilon"] == 0.25
     assert set(report["quantiles"]) == {"0.05", "0.25", "0.5", "0.75", "0.95"}
     assert 0.0 <= report["undefined_fraction"] < 1.0
+    study = privatized_dissimilarity_study(county_table_from_csv(tract_csv.read_text()),
+                                           PrivacyBudget(0.25), 500, stream(9, "dissimilarity"))
+    assert report == {
+        "mean": study.mean, "sd": study.sd,
+        "quantiles": {str(q): v for q, v in study.quantiles.items()},
+        "undefined_fraction": study.undefined_fraction,
+        "out_of_range_fraction": study.out_of_range_fraction,
+        "replicates": 500, "epsilon": 0.25,
+    }
+
+
+def test_undefined_report_values_are_null(capsys, tmp_path):
+    env = tmp_path / "env5.json"
+    assert main(["simulate", "--n", "5", "--epsilon-x", "0.1", "--epsilon-y", "0.1",
+                 "--seed", "3", "--output", str(env)]) == 0
+    rc, out, _ = run(capsys, ["fit-mcem", "--input", str(env), "--seed", "1",
+                              "--max-iter", "10"])
+    assert rc == 0
+    report = strict_json(out)
+    assert report["fisher_pd"] is False and report["ellipse"] is None
+    assert report["fit"]["cov"] is None
+
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("tract,w,b\n0,1,0\n1,0,1\n")
+    rc, out, _ = run(capsys, ["dissimilarity", "--input", str(tiny), "--epsilon", "0.01",
+                              "--replicates", "2", "--seed", "5"])
+    assert rc == 0
+    study = strict_json(out)
+    assert study["undefined_fraction"] == 1.0
+    assert study["mean"] is None and study["sd"] is None
+    assert set(study["quantiles"].values()) == {None}
+
+
+def test_a_nan_left_in_a_json_report_is_a_named_error(capsys, tract_csv, monkeypatch):
+    monkeypatch.setattr(cli, "dissimilarity", lambda table: float("nan"))
+    rc, out, err = run(capsys, ["dissimilarity", "--input", str(tract_csv)])
+    assert rc == 1 and out == ""
+    assert err.startswith("ValueError: Out of range float values") and err.count("\n") == 1
 
 
 def test_dissimilarity_epsilon_without_seed_exits_2(capsys, tract_csv):
@@ -1052,29 +1169,39 @@ def test_output_file_matches_stdout(capsys, tmp_path):
 
 
 def readme_examples():
+    """The README's console commands, each with the output lines shown under
+    it, and its python blocks."""
     text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     shell, python = [], []
     for kind, block in re.findall(r"```(console|python)\n(.*?)```", text, re.S):
         if kind == "python":
             python.append(block)
-        else:
-            shell.extend(ln[2:] for ln in block.splitlines() if ln.startswith("$ "))
+            continue
+        for line in block.splitlines():
+            if line.startswith("$ "):
+                shell.append((line[2:], []))
+            else:
+                shell[-1][1].append(line)
     return shell, python
 
 
 def test_readme_examples_all_run(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     shell, python = readme_examples()
-    tdp_count = 0
-    for command in shell:
+    tdp_count = shown_count = 0
+    for command, shown in shell:
         if command.startswith("tdp "):
             rc = main(shlex.split(command)[1:])
+            out = capsys.readouterr().out
             assert rc == 0, command
             tdp_count += 1
+            if shown:
+                assert out.splitlines() == shown, command
+                shown_count += 1
         else:
             subprocess.run(command, shell=True, check=True)
-    capsys.readouterr()
     assert tdp_count >= 12
+    assert shown_count >= 4
     assert len(python) >= 1
     for block in python:
         exec(compile(block, "<readme>", "exec"), {})

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from transparent_dp.cli import main
 from transparent_dp.errors import (
     DegenerateDesignError,
     DegenerateWeightsError,
@@ -30,8 +31,6 @@ from transparent_dp.mcem import (
     m_step,
     observed_fisher,
     run_mcem,
-    study_to_csv,
-    trace_to_csv,
     x_proposal,
 )
 from transparent_dp.naive_fit import ols
@@ -40,6 +39,7 @@ from transparent_dp.rng import derive_seed, stream
 from transparent_dp.simulate import (
     PrivatizedDataset,
     RegressionParams,
+    dataset_from_dict,
     gen_confidential,
     privatize_dataset,
 )
@@ -567,12 +567,31 @@ def test_ellipse_containment_rotation_invariant():
         assert ell.contains(p) == rotated.contains(rot @ p)
 
 
-def test_ellipse_json_round_trip():
-    ell = Ellipse((1.5, -2.0), np.array([[2.0, 0.1], [0.1, 1.0]]), 5.99146)
-    obj = json.loads(ell.to_json())
-    assert obj["center"] == [1.5, -2.0]
-    assert obj["shape"] == [[2.0, 0.1], [0.1, 1.0]]
-    assert obj["level"] == 5.99146
+@pytest.fixture(scope="module")
+def fit_mcem_files(tmp_path_factory):
+    """The report and --trace lines of `tdp fit-mcem`, with the library's run."""
+    tmp = tmp_path_factory.mktemp("fit-mcem")
+    env, report, trace = tmp / "env.json", tmp / "report.json", tmp / "trace.csv"
+    assert main(["simulate", "--n", "12", "--sigma", "2", "--lam", "5", "--epsilon-x", "1",
+                 "--epsilon-y", "1", "--seed", "5", "--output", str(env)]) == 0
+    assert main(["fit-mcem", "--input", str(env), "--seed", "7", "--k-samples", "500",
+                 "--max-iter", "4", "--output", str(report), "--trace", str(trace)]) == 0
+
+    def body(path):
+        return json.loads("\n".join(
+            ln for ln in path.read_text().splitlines() if not ln.startswith("#")))
+
+    data = dataset_from_dict(body(env)["privatized"])
+    res = run_mcem(data, MCEMConfig(sigma=2.0, lam=5.0, k_samples=500, max_iter=4), 7)
+    return body(report), trace.read_text().splitlines(), res
+
+
+def test_ellipse_json_round_trip(fit_mcem_files):
+    report, _, res = fit_mcem_files
+    ell = res.ellipse
+    assert ell is not None
+    assert report["ellipse"] == {"center": list(ell.center), "shape": ell.shape.tolist(),
+                                 "level": ell.level}
 
 
 def test_run_mcem_deterministic():
@@ -580,7 +599,9 @@ def test_run_mcem_deterministic():
     cfg = MCEMConfig(k_samples=500, max_iter=6)
     a = run_mcem(priv, cfg, seed=9)
     b = run_mcem(priv, cfg, seed=9)
-    assert a.fit.to_json() == b.fit.to_json()
+    fields = ("beta0_hat", "beta1_hat", "residual_variance", "method", "n")
+    assert [getattr(a.fit, f) for f in fields] == [getattr(b.fit, f) for f in fields]
+    np.testing.assert_array_equal(a.fit.covariance, b.fit.covariance)
     np.testing.assert_array_equal(a.trace, b.trace)
     np.testing.assert_array_equal(a.fisher, b.fisher)
     assert a.converged == b.converged
@@ -682,20 +703,16 @@ def test_run_mcem_near_noise_free_release():
     assert len(res.trace) < 25
 
 
-def test_trace_csv_round_trip():
-    _, priv = reference_instance(76)
-    res = run_mcem(priv, MCEMConfig(k_samples=300, max_iter=4), seed=12)
-    text = trace_to_csv(res.trace)
-    lines = text.splitlines()
-    assert lines[0] == "iter,beta0,beta1,ess"
-    assert len(lines) == len(res.trace) + 1
-    cells = lines[1].split(",")
-    assert cells[0] == "1"
-    assert float(cells[1]) == res.trace[0, 1]
-    assert float(cells[3]) == res.trace[0, 3]
+def test_trace_csv_round_trip(fit_mcem_files):
+    _, lines, res = fit_mcem_files
+    assert lines[1] == "iter,beta0,beta1,ess"
+    assert len(lines) == len(res.trace) + 2
+    cells = [ln.split(",") for ln in lines[2:]]
+    assert cells[0][0] == "1"
+    assert [[float(c) for c in row] for row in cells] == res.trace.tolist()
 
 
-def test_ellipse_study_smoke_and_csv():
+def test_ellipse_study_smoke():
     cfg = MCEMConfig(k_samples=300, max_iter=4)
     rows, rates = ellipse_study(
         REF_PARAMS, 8, PrivacyBudget(0.5), PrivacyBudget(0.5), replicates=2, seed=5,
@@ -706,11 +723,6 @@ def test_ellipse_study_smoke_and_csv():
     ]
     assert set(rates) == {"naive", "mcem", "mcem_defined", "mcem_nonpd_fraction"}
     assert 0.0 <= rates["naive"] <= 1.0
-    text = study_to_csv(rows)
-    lines = text.splitlines()
-    assert lines[0] == "replicate,method,beta0,beta1,covered,area"
-    assert len(lines) == 5
-    assert lines[1].split(",")[1] == "naive"
 
     again, again_rates = ellipse_study(
         REF_PARAMS, 8, PrivacyBudget(0.5), PrivacyBudget(0.5), replicates=2, seed=5,

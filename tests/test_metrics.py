@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from transparent_dp.cli import main
 from transparent_dp.errors import UndefinedIndexError
 from transparent_dp.mechanisms import PrivacyBudget, double_geometric_noise
 from transparent_dp.metrics import (
@@ -155,11 +156,17 @@ def test_study_refuses_values_the_double_geometric_cannot_noise(table, message):
         privatized_dissimilarity_study(table, PrivacyBudget(0.5), 10, stream(0, "dg"))
 
 
-def test_study_json_summary():
+def test_study_json_summary(capsys, tmp_path):
+    # small_county() as the tract CSV that `tdp dissimilarity` reads
+    tracts = tmp_path / "tracts.csv"
+    tracts.write_text("tract,w,b\n0,8,3\n1,7,1\n2,5,4\n")
+    assert main(["dissimilarity", "--input", str(tracts), "--epsilon", "0.5",
+                 "--replicates", "100", "--seed", "126"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    obj = json.loads("\n".join(ln for ln in lines if not ln.startswith("#")))
     study = privatized_dissimilarity_study(
-        small_county(), PrivacyBudget(0.5), 100, stream(126, "study-json")
+        small_county(), PrivacyBudget(0.5), 100, stream(126, "dissimilarity")
     )
-    obj = json.loads(study.to_json())
     assert obj["replicates"] == 100
     assert obj["epsilon"] == 0.5
     assert obj["mean"] == study.mean
@@ -245,7 +252,7 @@ def test_one_block_study_equals_the_whole_array_study(table, eps, replicates):
     budget = PrivacyBudget(eps)
     study = privatized_dissimilarity_study(table, budget, replicates, stream(127, "one-block"))
     ref = whole_array_study(table, budget, replicates, stream(127, "one-block"))
-    assert study.to_json() == ref.to_json()
+    assert study == ref
 
 
 def test_study_draws_w_b_and_totals_block_by_block():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from transparent_dp.cli import _fit_report, _json
 from transparent_dp.errors import DegenerateDesignError
 from transparent_dp.mechanisms import PrivacyBudget
 from transparent_dp.naive_fit import (
@@ -143,8 +144,9 @@ def test_fit_result_validation():
 
 
 def test_fit_result_to_json_writes_every_field():
+    # the JSON object tdp prints for a fit
     for method in ("naive", "mcem"):
         fit = FitResult(0.5, -1.25, np.array([[2.0, 0.5], [0.5, 1.0]]), 0.75, method, 9)
-        obj = json.loads(fit.to_json())
+        obj = json.loads(_json(_fit_report(fit)))
         assert obj == {"beta0": 0.5, "beta1": -1.25, "cov": [[2.0, 0.5], [0.5, 1.0]],
                        "resid_var": 0.75, "method": method, "n": 9}

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from transparent_dp.cli import main
 from transparent_dp.errors import UnsupportedFamilyError
 from transparent_dp.mechanisms import Family, MechanismSpec, PrivacyBudget
 from transparent_dp.rng import stream
@@ -13,7 +14,6 @@ from transparent_dp.simulate import (
     PrivatizedDataset,
     RegressionParams,
     _SLICE,
-    dataset_csv_parts,
     dataset_from_dict,
     dataset_from_json,
     dataset_to_dict,
@@ -100,26 +100,21 @@ def test_confidential_dataset_validates_lengths():
         ConfidentialDataset(x=[1, 2, 3], y=[1.0, 2.0], params=REF_PARAMS, seed=0)
 
 
-def test_csv_round_numbers():
-    data = gen_confidential(5, REF_PARAMS, stream(7, "csv"), seed=7)
-    text = "".join(dataset_csv_parts(data))
-    lines = text.strip().split("\n")
-    assert lines[0] == "i,x,y"
-    assert len(lines) == 6
-    first = lines[1].split(",")
-    assert int(first[0]) == 0
-    assert float(first[1]) == data.x[0]
-    assert float(first[2]) == data.y[0]
-
-
-def test_csv_privatized_header():
-    data = gen_confidential(4, REF_PARAMS, stream(8, "csvp"), seed=8)
-    priv = privatize_dataset(data, PrivacyBudget(0.25), PrivacyBudget(0.25), stream(8, "csvp-n"))
-    text = "".join(dataset_csv_parts(priv))
-    assert text.splitlines()[0] == "i,x_tilde,y_tilde"
+def test_csv_privatized_header(capsys):
+    assert main(["simulate", "--n", "4", "--beta0=-5", "--beta1", "4", "--sigma", "5",
+                 "--lam", "10", "--epsilon-x", "0.25", "--epsilon-y", "0.25", "--seed", "8",
+                 "--format", "csv"]) == 0
+    lines = [ln for ln in capsys.readouterr().out.splitlines() if not ln.startswith("#")]
+    assert lines[0] == "i,x_tilde,y_tilde"
+    data = gen_confidential(4, REF_PARAMS, stream(8, "simulate", "confidential"), seed=8)
+    priv = privatize_dataset(data, PrivacyBudget(0.25), PrivacyBudget(0.25),
+                             stream(8, "simulate", "privatize"))
     # repr round-trip keeps every bit of the release
-    cell = text.splitlines()[1].split(",")[1]
+    cell = lines[1].split(",")[1]
     assert float(cell) == priv.x_tilde[0]
+    assert lines[1:] == [f"{i},{x!r},{y!r}"
+                         for i, (x, y) in enumerate(zip(priv.x_tilde.tolist(),
+                                                        priv.y_tilde.tolist()))]
 
 
 def test_json_round_trip_confidential():
@@ -261,29 +256,6 @@ def test_json_parts_write_json_dumps_text_in_bounded_slices(n):
     assert "".join(json_parts(envelope)) == json.dumps(
         {key: dataset_to_dict(ds) for key, ds in envelope.items()}, sort_keys=True
     )
-
-
-def row_by_row_csv(data):
-    """The CSV text as the per-record writer formatted it."""
-    if isinstance(data, ConfidentialDataset):
-        rows = [f"{i},{int(a)},{float(b)!r}\n" for i, (a, b) in enumerate(zip(data.x, data.y))]
-        return "i,x,y\n" + "".join(rows)
-    rows = [f"{i},{float(a)!r},{float(b)!r}\n"
-            for i, (a, b) in enumerate(zip(data.x_tilde, data.y_tilde))]
-    return "i,x_tilde,y_tilde\n" + "".join(rows)
-
-
-def test_csv_blocks_match_the_row_by_row_text():
-    conf, priv = sliced_datasets(_SLICE + 1)
-    # a confidential x read back as floats still prints as an integer
-    floats = ConfidentialDataset(x=[1.0, 2.0, 7.0], y=[0.5, 1e-05, 1e+16],
-                                 params=REF_PARAMS, seed=0)
-    for ds in (conf, priv, floats):
-        parts = list(dataset_csv_parts(ds))
-        assert "".join(parts) == row_by_row_csv(ds)
-        assert max(p.count("\n") for p in parts) <= _SLICE
-    with pytest.raises(TypeError):
-        "".join(dataset_csv_parts(object()))
 
 
 REAL_DUMPS = json.dumps
