@@ -19,7 +19,6 @@ from .mechanisms import (
     Family,
     MechanismSpec,
     PrivacyBudget,
-    compose,
     double_geometric_log_pmf,
     double_geometric_noise,
     laplace_log_density,
@@ -37,10 +36,7 @@ from .simulate import (
 )
 from .naive_fit import (
     FitResult,
-    attenuation_limit,
-    intercept_limit,
     ols,
-    residual_variance_inflated,
 )
 from .asymptotics import (
     FixedDesignMoments,

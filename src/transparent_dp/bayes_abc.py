@@ -190,12 +190,17 @@ def grid_posterior_oracle(toy: DiscreteToy, s_tilde_obs) -> np.ndarray:
     into sums over the finite (x, y) supports.  Returns masses over
     ``toy.beta_grid`` summing to 1.
     """
+    return _grid_posterior(toy, s_tilde_obs, toy.mechanism.log_density)
+
+
+def _grid_posterior(toy: DiscreteToy, s_tilde_obs, log_f) -> np.ndarray:
+    """:func:`grid_posterior_oracle` with ``log_f`` as the noise log pmf."""
     x_t, y_t = _as_observation(toy, s_tilde_obs)
     lpx = toy.x_log_pmf()
     lpy = toy.y_log_pmf()
     # Mechanism log pmfs of the observed release given each support value.
-    mech_x = toy.mechanism.log_density(x_t[:, None] - toy.x_support[None, :])
-    mech_y = toy.mechanism.log_density(y_t[:, None] - toy.y_support[None, :])
+    mech_x = log_f(x_t[:, None] - toy.x_support[None, :])
+    mech_y = log_f(y_t[:, None] - toy.y_support[None, :])
 
     # inner[i, g, x] = log sum_y p(y | x, beta_g) p_mech(y~_i | y)
     inner = _logsumexp(lpy[None, :, :, :] + mech_y[:, None, None, :], axis=3)
@@ -270,21 +275,31 @@ def misreported_mechanism_bias(
     Computes the slope posterior mean twice: under the mechanism budget
     that actually generated the release, and under the budget the analyst
     assumes.  ``assumed_eps`` may be infinite, in which case the analyst
-    treats the release as confidential data (the naive analysis).  The
-    discrepancy is zero exactly when the assumed budget equals the truth.
+    treats the release as confidential data (the naive analysis): the
+    noise law is the identity, log pmf 0 at 0 and -inf elsewhere, which
+    needs the release inside the model supports.  The discrepancy is zero
+    exactly when the assumed budget equals the truth.
     """
     if not true_eps > 0 or not math.isfinite(true_eps):
         raise ValueError("true_eps must be positive and finite")
     if not assumed_eps > 0:
         raise ValueError("assumed_eps must be positive")
+    if math.isinf(assumed_eps):
+        x_t, y_t = _as_observation(toy, s_tilde_obs)
+        if not (np.isin(x_t, toy.x_support).all() and np.isin(y_t, toy.y_support).all()):
+            raise ValueError(
+                "face-value analysis needs the release inside the model supports"
+            )
+
+    def identity(delta):
+        return np.where(delta == 0, 0.0, -np.inf)
 
     def posterior_mean(eps: float) -> float:
         if math.isinf(eps):
-            masses = _identity_mechanism_posterior(toy, s_tilde_obs)
+            log_f = identity
         else:
-            mechanism = replace(toy.mechanism, budget=PrivacyBudget(eps))
-            masses = grid_posterior_oracle(replace(toy, mechanism=mechanism), s_tilde_obs)
-        return float(masses @ toy.beta_grid)
+            log_f = replace(toy.mechanism, budget=PrivacyBudget(eps)).log_density
+        return float(_grid_posterior(toy, s_tilde_obs, log_f) @ toy.beta_grid)
 
     mean_true = posterior_mean(true_eps)
     mean_assumed = posterior_mean(assumed_eps)
@@ -295,24 +310,6 @@ def misreported_mechanism_bias(
         true_eps=true_eps,
         assumed_eps=assumed_eps,
     )
-
-
-def _identity_mechanism_posterior(toy: DiscreteToy, s_tilde_obs) -> np.ndarray:
-    """Posterior when the release is taken at face value (no noise assumed)."""
-    x_t, y_t = _as_observation(toy, s_tilde_obs)
-    in_x = np.isin(x_t, toy.x_support)
-    in_y = np.isin(y_t, toy.y_support)
-    if not (in_x.all() and in_y.all()):
-        raise ValueError(
-            "face-value analysis needs the release inside the model supports"
-        )
-    lpx = toy.x_log_pmf()
-    lpy = toy.y_log_pmf()
-    ix = np.searchsorted(toy.x_support, x_t)
-    iy = np.searchsorted(toy.y_support, y_t)
-    log_post = toy.log_prior() + (lpx[ix][None, :] + lpy[:, ix, iy]).sum(axis=1)
-    log_post -= _logsumexp(log_post)
-    return np.exp(log_post)
 
 
 def toy_privatized_observation(toy: DiscreteToy, beta: float, rng: np.random.Generator):

@@ -26,7 +26,6 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
-    REFERENCE_DESIGN_SEED,
     biasing_coefficient,
     clt_variance,
     coverage_grid,
@@ -92,7 +91,6 @@ _DESIGN = [
     ("sigma_sq", float, 1.0, "error variance"),
     ("sigma_u_max", float, 2.0, "max x-noise sd"),
 ]
-_DESIGN_SEED = ("design_seed", int, REFERENCE_DESIGN_SEED, "seed of the stored design")
 
 _COMMANDS: dict[str, tuple[str, list]] = {
     "privatize": ("release a vector through a privacy mechanism", [
@@ -139,7 +137,6 @@ _COMMANDS: dict[str, tuple[str, list]] = {
         ("sigma_v", float, 0.0, "fixed y-noise sd"),
         ("steps", int, 9, "grid points along sigma_u"),
         ("alpha", float, 0.05, "band level"),
-        _DESIGN_SEED,
     ]),
     "coverage-grid": ("interval coverage over a noise-level grid", [
         *_DESIGN,
@@ -148,7 +145,6 @@ _COMMANDS: dict[str, tuple[str, list]] = {
         ("alpha", float, 0.05, "interval level"),
         ("convention", ("privacy_aware_se", "classical_se", "both"), "both",
          "standard-error convention"),
-        _DESIGN_SEED,
     ]),
     "ellipse-study": ("replicated naive and EM confidence ellipses", [
         *_BUDGETS,
@@ -542,7 +538,7 @@ def _cmd_abc_posterior(params: dict) -> Iterable[str]:
 
 def _cmd_clt_limits(params: dict) -> Iterable[str]:
     sigma_u = _axis(params, "sigma_u_max")
-    moments = sample_moments(reference_design(params["n"], params["design_seed"]))
+    moments = sample_moments(reference_design(params["n"]))
     beta1, sigma_sq, sigma_v = params["beta1"], params["sigma_sq"], params["sigma_v"]
     rows = []
     for su in sigma_u.tolist():
@@ -556,7 +552,7 @@ def _cmd_clt_limits(params: dict) -> Iterable[str]:
 def _cmd_coverage_grid(params: dict) -> Iterable[str]:
     sigma_u, sigma_v = _axis(params, "sigma_u_max"), _axis(params, "sigma_v_max")
     rows = coverage_grid(
-        reference_design(params["n"], params["design_seed"]),
+        reference_design(params["n"]),
         params["beta1"], params["sigma_sq"], sigma_u, sigma_v,
         alpha=params["alpha"], convention=params["convention"],
     )
@@ -657,8 +653,12 @@ def main(argv=None) -> int:
         # flushes stdout again at exit, so it is pointed at devnull first.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (TransparentDpError, ValueError, RuntimeError, OSError) as exc:
+    except (TransparentDpError, ValueError, RuntimeError, OSError, OverflowError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy raises a private subclass; the line names the builtin.
+        print(f"MemoryError: {exc}", file=sys.stderr)
         return 1
     return 0
 

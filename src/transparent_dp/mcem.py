@@ -297,7 +297,7 @@ def e_step(
     config: MCEMConfig,
     rng: np.random.Generator,
     *,
-    proposal: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    proposal: tuple[np.ndarray, np.ndarray, np.ndarray],
 ):
     """Draw K values of each record's x at theta and weight them, with y
     integrated out.
@@ -306,8 +306,8 @@ def e_step(
     :func:`x_proposal` support.  Each draw at s gets the raw log weight of
     :func:`log_importance_weights`; weights are normalized per record by
     max-subtraction inside a log-sum-exp.  ``proposal`` is
-    ``x_proposal(data, config.lam)``, which does not depend on theta; it is
-    built here when omitted.
+    ``x_proposal(data, config.lam)``, which does not depend on theta, so a
+    fit builds it once.
 
     Returns
     -------
@@ -321,14 +321,13 @@ def e_step(
     Raises
     ------
     DegenerateWeightsError
-        If a record's log weights are all -inf, or the x proposal cannot be
-        built (a release too far out for its truncated support).
+        If a record's log weights are all -inf.
     """
     beta0, beta1 = float(theta[0]), float(theta[1])
     if not (math.isfinite(beta0) and math.isfinite(beta1)):
         raise ValueError(f"theta must be finite, got {theta!r}")
     k, n = config.k_samples, data.n
-    support, log_q, _ = x_proposal(data, config.lam) if proposal is None else proposal
+    support, log_q, _ = proposal
     counts = rng.multinomial(k, np.exp(log_q))
     log_w, mean_r, var_r = log_importance_weights(
         data, (beta0, beta1), support, counts, config.sigma

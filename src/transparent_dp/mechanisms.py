@@ -1,9 +1,8 @@
 """Transparent privacy mechanisms: samplers, exact densities, verification.
 
 Implements the pure-epsilon additive mechanisms (Laplace on reals, double
-geometric on integers), binary randomized response, basic composition of
-privacy-loss budgets, and a brute-force differential-privacy verifier for
-the discrete families.
+geometric on integers), binary randomized response, and a brute-force
+differential-privacy verifier for the discrete families.
 
 Every mechanism here is *transparent*: the noise family, its scale, and the
 per-coordinate budgets are public objects (:class:`MechanismSpec`), so an
@@ -51,7 +50,6 @@ __all__ = [
     "double_geometric_log_pmf",
     "privatize_vector",
     "check_dg_values",
-    "compose",
     "verify_dp_discrete",
 ]
 
@@ -81,28 +79,6 @@ class PrivacyBudget:
         eps = self.epsilon
         if not (isinstance(eps, (int, float)) and math.isfinite(eps) and eps > 0):
             raise ValueError(f"epsilon must be positive and finite, got {eps!r}")
-
-
-def compose(budgets) -> PrivacyBudget:
-    """Combine budgets under basic composition.
-
-    Releasing several products with budgets eps_1, ..., eps_m incurs a
-    total budget of at most their sum.
-
-    Parameters
-    ----------
-    budgets : sequence of PrivacyBudget
-        Budgets of the individual releases; must be nonempty.
-
-    Returns
-    -------
-    PrivacyBudget
-        Budget with epsilon equal to the sum of the components.
-    """
-    budgets = list(budgets)
-    if not budgets:
-        raise ValueError("compose requires at least one budget")
-    return PrivacyBudget(sum(b.epsilon for b in budgets))
 
 
 @dataclass(frozen=True)

@@ -120,10 +120,8 @@ def privatized_dissimilarity_study(
     table of m tracts, so the noise held at once is about 65 536 cells
     (m when one row is larger), whatever the replicate count: the 10 000 x
     300 study peaks at about 2 MB.  Each block draws, in order, its
-    w-cell, b-cell, w-total and b-total noise from ``rng``.  A study of
-    at most 65 536 cells is one block and reads the stream as the
-    whole-array study did, so its seeded output is unchanged; a larger
-    study reads the same law in a different order.
+    w-cell, b-cell, w-total and b-total noise from ``rng``; a study of at
+    most 65 536 cells is one block.
 
     Parameters
     ----------

@@ -1,28 +1,20 @@
-"""Ordinary least squares and the exact bias of naive fits to noisy data.
+"""Ordinary least squares, the naive fit to privatized data.
 
 Fitting the textbook regression to privatized pairs ignores the additive
 noise, so the slope is attenuated, the intercept drifts, and the residual
-variance is inflated.  The closed forms for all three limits live here next
-to the estimator they describe.
+variance is inflated.  The slope's limit gamma * beta1 and its normal law
+are in :mod:`asymptotics`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDesignError
 
-__all__ = [
-    "METHODS",
-    "FitResult",
-    "ols",
-    "attenuation_limit",
-    "intercept_limit",
-    "residual_variance_inflated",
-]
+__all__ = ["METHODS", "FitResult", "ols"]
 
 METHODS = ("naive", "mcem")
 
@@ -106,66 +98,3 @@ def ols(x, y) -> FitResult:
         method="naive",
         n=n,
     )
-
-
-def attenuation_limit(var_x: float, sigma_u_sq: float, beta1: float) -> float:
-    """Large-sample limit of the naive slope under regressor noise.
-
-    Parameters
-    ----------
-    var_x : float
-        Population variance of the confidential regressor, positive.
-    sigma_u_sq : float
-        Variance of the additive noise on x, nonnegative.
-    beta1 : float
-        True slope.
-
-    Returns
-    -------
-    float
-        var_x / (var_x + sigma_u_sq) * beta1; equals beta1 when the noise
-        variance is zero and shrinks toward 0 as it grows.
-    """
-    if not (math.isfinite(var_x) and var_x > 0):
-        raise ValueError(f"var_x must be positive, got {var_x!r}")
-    if sigma_u_sq < 0:
-        raise ValueError("sigma_u_sq must be nonnegative")
-    return var_x / (var_x + sigma_u_sq) * beta1
-
-
-def intercept_limit(
-    mean_x: float,
-    var_x: float,
-    sigma_u_sq: float,
-    beta0: float,
-    beta1: float,
-) -> float:
-    """Large-sample limit of the naive intercept under regressor noise.
-
-    Returns beta0 + (1 - gamma) * mean_x * beta1 with gamma the attenuation
-    factor var_x / (var_x + sigma_u_sq).  The drift vanishes when the
-    regressor is centered or the noise is absent.
-    """
-    if not (math.isfinite(var_x) and var_x > 0):
-        raise ValueError(f"var_x must be positive, got {var_x!r}")
-    if sigma_u_sq < 0:
-        raise ValueError("sigma_u_sq must be nonnegative")
-    gamma = var_x / (var_x + sigma_u_sq)
-    return beta0 + (1.0 - gamma) * mean_x * beta1
-
-
-def residual_variance_inflated(
-    sigma_sq: float,
-    beta1: float,
-    sigma_u_sq: float,
-    sigma_v_sq: float,
-) -> float:
-    """Large-sample naive residual variance under noise on both coordinates.
-
-    Returns sigma_sq + beta1^2 * sigma_u_sq + sigma_v_sq.
-    """
-    for name, val in (("sigma_sq", sigma_sq), ("sigma_u_sq", sigma_u_sq),
-                      ("sigma_v_sq", sigma_v_sq)):
-        if val < 0:
-            raise ValueError(f"{name} must be nonnegative, got {val!r}")
-    return sigma_sq + beta1**2 * sigma_u_sq + sigma_v_sq

@@ -77,10 +77,6 @@ class ConfidentialDataset:
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise ValueError("x and y must be finite")
 
-    @property
-    def n(self) -> int:
-        return self.x.size
-
 
 @dataclass(frozen=True)
 class PrivatizedDataset:
@@ -130,14 +126,6 @@ class PrivatizedDataset:
     @property
     def n(self) -> int:
         return self.x_tilde.size
-
-    @property
-    def eps_x(self) -> float:
-        return self.spec_x.budget.epsilon
-
-    @property
-    def eps_y(self) -> float:
-        return self.spec_y.budget.epsilon
 
 
 def gen_confidential(

@@ -43,11 +43,11 @@ def noisy_design_slopes():
 
 
 def test_moments_validation():
-    FixedDesignMoments(v=1.0, k=1.0, n=2, mean_x=0.0)  # k = v^2 allowed
+    FixedDesignMoments(v=1.0, k=1.0, n=2)  # k = v^2 allowed
     with pytest.raises(ValueError):
-        FixedDesignMoments(v=0.0, k=1.0, n=2, mean_x=0.0)
+        FixedDesignMoments(v=0.0, k=1.0, n=2)
     with pytest.raises(ValueError):
-        FixedDesignMoments(v=2.0, k=3.9, n=2, mean_x=0.0)
+        FixedDesignMoments(v=2.0, k=3.9, n=2)
 
 
 def test_sample_moments_hand_values():
@@ -58,7 +58,6 @@ def test_sample_moments_hand_values():
     assert m.v == pytest.approx(2.25, abs=1e-12)
     assert m.k == pytest.approx(5.0625, abs=1e-12)
     assert m.n == 4
-    assert m.mean_x == pytest.approx(1.5)
 
 
 def test_sample_moments_errors():
@@ -82,12 +81,26 @@ def test_reference_design_is_pinned():
 def test_biasing_coefficient():
     m = sample_moments(reference_design())
     assert biasing_coefficient(m, 0.0) == 1.0
-    assert biasing_coefficient(FixedDesignMoments(1.023, 1.5, 500, 0.0), 4.0) == pytest.approx(
+    assert biasing_coefficient(FixedDesignMoments(1.023, 1.5, 500), 4.0) == pytest.approx(
         1.023 / 5.023, rel=1e-12
     )
     assert biasing_coefficient(m, 1e12) < 1e-11
     with pytest.raises(ValueError):
         biasing_coefficient(m, -0.5)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    (1e200, 1.0, 1.0, 0.0),
+    (0.5, 1.0, np.float64(1e200), 0.0),
+    (0.5, 1e308, 4.0, 0.0),
+    (0.5, 1.0, math.inf, 0.0),
+    (0.5, math.nan, 1.0, 1.0),
+], ids=["beta1-square", "numpy-su-square", "sum", "inf-input", "nan-input"])
+def test_clt_variance_refuses_a_result_that_is_not_finite(args):
+    m = sample_moments(reference_design())
+    with pytest.raises(ValueError, match=r"not finite at v=.*sigma_u_sq="):
+        clt_variance(m, *args)
 
 
 def test_clt_variance_noise_free_is_exact():

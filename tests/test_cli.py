@@ -37,10 +37,9 @@ FLAGS = {
                       "--beta0-range", "--beta1-range", "--prior-means",
                       "--prior-sds", "--sigma", "--lam"],
     "clt-limits": ["--n", "--beta1", "--sigma-sq", "--sigma-u-max",
-                   "--sigma-v", "--steps", "--alpha", "--design-seed"],
+                   "--sigma-v", "--steps", "--alpha"],
     "coverage-grid": ["--n", "--beta1", "--sigma-sq", "--sigma-u-max",
-                      "--sigma-v-max", "--steps", "--alpha", "--convention",
-                      "--design-seed"],
+                      "--sigma-v-max", "--steps", "--alpha", "--convention"],
     "ellipse-study": ["--epsilon-x", "--epsilon-y", "--n", "--replicates",
                       "--seed", "--beta0", "--beta1", "--sigma", "--lam",
                       "--k-samples", "--max-iter", "--alpha", "--methods"],
@@ -426,6 +425,22 @@ def test_simulate_overflow_is_one_named_error_line(model):
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "ValueError: x and y must be finite\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dissimilarity", "--epsilon", "1", "--replicates", str(10**17), "--seed", "1"],
+    ["clt-limits", "--n", str(10**17)],
+    ["simulate", "--n", str(10**17), "--epsilon-x", "1", "--epsilon-y", "1", "--seed", "1"],
+], ids=["dissimilarity", "clt-limits", "simulate"])
+def test_an_impossible_allocation_is_one_error_line(capsys, tract_csv, argv):
+    # 10^17 eight-byte values need 8e17 bytes, past the 2^57-byte virtual
+    # address space of the largest 64-bit machines, so numpy's request is
+    # refused before a byte is written.
+    if argv[0] == "dissimilarity":
+        argv = argv + ["--input", str(tract_csv)]
+    rc, out, err = run(capsys, argv)
+    assert rc == 1 and out == ""
+    assert err.startswith("MemoryError: Unable to allocate ") and err.count("\n") == 1
 
 
 def test_load_json_builds_only_the_kept_members(demo_env):
@@ -976,6 +991,37 @@ def test_nonfinite_float_flag_is_usage_error(capsys, argv):
     cap = capsys.readouterr()
     assert exc.value.code == 2 and cap.out == ""
     assert "must be a finite number" in cap.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, error", [
+    (["coverage-grid", "--sigma-u-max", "1e160"], "OverflowError"),
+    (["coverage-grid", "--sigma-sq", "1e308"], "ValueError"),
+    (["clt-limits", "--sigma-sq", "1e308"], "ValueError"),
+    (["clt-limits", "--sigma-u-max", "1e200"], "OverflowError"),
+    (["coverage-grid", "--beta1", "1e200"], "ValueError"),
+], ids=["grid-sigma-u", "grid-sigma-sq", "limits-sigma-sq", "limits-sigma-u", "grid-beta1"])
+def test_a_clt_grid_past_float_range_is_one_error_line(capsys, argv, error):
+    # A square of a noise sd that overflows fails as it is formed; the CLT
+    # variance refuses every other result that is not finite.
+    rc, out, err = run(capsys, argv + ["--steps", "2"])
+    assert rc == 1 and out == ""
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1
+    if error == "ValueError":
+        assert "the CLT variance is not finite" in err
+
+
+@pytest.mark.parametrize("command", ["clt-limits", "coverage-grid"])
+def test_the_design_seed_is_not_settable(capsys, tmp_path, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--design-seed", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"design_seed": 876}))
+    rc, out, err = run(capsys, [command, "--config", str(cfg)])
+    assert rc == 2 and out == ""
+    assert err == f"usage error: unknown config key 'design_seed' for {command}\n"
 
 
 @pytest.mark.parametrize("command", ["clt-limits", "coverage-grid"])

@@ -231,7 +231,8 @@ def test_e_step_matches_brute_force_posterior_means():
                              spec_y=spec, parent_seed=0)
     beta0, beta1, sigma, lam, b = 3.5, 1.6, 2.0, 5.0, 2.0
     cfg = MCEMConfig(k_samples=20_000, sigma=sigma, lam=lam)
-    state, (xs, y_means) = e_step(priv, (beta0, beta1), cfg, stream(80, "brute"))
+    state, (xs, y_means) = e_step(priv, (beta0, beta1), cfg, stream(80, "brute"),
+                                   proposal=x_proposal(priv, cfg.lam))
     ys = per_draw(state.counts, y_means)
     w = draw_weights(state.counts, state.cell_weights)
     np.testing.assert_allclose(w.sum(axis=0), 1.0, rtol=1e-12)
@@ -255,7 +256,8 @@ def test_e_step_weights_normalize_and_ess_bounds():
     _, priv = reference_instance(62)
     cfg = MCEMConfig(k_samples=400)
     theta = (-3.0, 3.5)
-    state, (x, y_means) = e_step(priv, theta, cfg, stream(62, "estep"))
+    state, (x, y_means) = e_step(priv, theta, cfg, stream(62, "estep"),
+                                  proposal=x_proposal(priv, cfg.lam))
     counts = state.counts
     assert counts.shape == state.cell_weights.shape == (10, state.support.size)
     assert (counts.sum(axis=1) == 400).all()
@@ -289,29 +291,20 @@ def test_e_step_weights_normalize_and_ess_bounds():
 def test_e_step_deterministic_per_stream():
     _, priv = reference_instance(63)
     cfg = MCEMConfig(k_samples=200)
-    s1, _ = e_step(priv, (-3.0, 3.5), cfg, stream(63, "edet"))
-    s2, _ = e_step(priv, (-3.0, 3.5), cfg, stream(63, "edet"))
+    proposal = x_proposal(priv, cfg.lam)
+    s1, _ = e_step(priv, (-3.0, 3.5), cfg, stream(63, "edet"), proposal=proposal)
+    s2, _ = e_step(priv, (-3.0, 3.5), cfg, stream(63, "edet"), proposal=proposal)
     np.testing.assert_array_equal(s1.counts, s2.counts)
     np.testing.assert_array_equal(s1.cell_weights, s2.cell_weights)
     assert s1.ess == s2.ess
 
 
-def test_e_step_given_proposal_matches_built_one():
-    # run_mcem builds the x proposal once per fit and passes it in
-    _, priv = reference_instance(63)
-    cfg = MCEMConfig(k_samples=200)
-    built, _ = e_step(priv, (-3.0, 3.5), cfg, stream(63, "eprop"))
-    given, _ = e_step(priv, (-3.0, 3.5), cfg, stream(63, "eprop"),
-                      proposal=x_proposal(priv, cfg.lam))
-    for field in ("support", "counts", "cell_weights", "mean_r", "var_r"):
-        np.testing.assert_array_equal(getattr(given, field), getattr(built, field))
-    assert given.ess == built.ess
-
-
 def test_e_step_rejects_nonfinite_theta():
     _, priv = reference_instance(64)
+    cfg = MCEMConfig(k_samples=10)
     with pytest.raises(ValueError):
-        e_step(priv, (math.nan, 1.0), MCEMConfig(k_samples=10), stream(64, "nan"))
+        e_step(priv, (math.nan, 1.0), cfg, stream(64, "nan"),
+               proposal=x_proposal(priv, cfg.lam))
 
 
 def test_e_step_degenerate_weights_error():
@@ -324,8 +317,9 @@ def test_e_step_degenerate_weights_error():
         spec_y=spec,
         parent_seed=0,
     )
+    cfg = MCEMConfig(k_samples=16)
     with np.errstate(over="ignore"), pytest.raises(DegenerateWeightsError):
-        e_step(priv, (0.0, 1.0), MCEMConfig(k_samples=16), stream(65, "degen"))
+        e_step(priv, (0.0, 1.0), cfg, stream(65, "degen"), proposal=x_proposal(priv, cfg.lam))
 
 
 def test_mcem_refuses_a_y_release_it_cannot_model():
@@ -352,9 +346,10 @@ def test_run_mcem_reads_a_double_geometric_x_release():
     )
     res = run_mcem(priv, MCEMConfig(k_samples=500, max_iter=5), seed=4)
     assert np.isfinite([res.fit.beta0_hat, res.fit.beta1_hat]).all()
+    proposal = x_proposal(priv, REF_PARAMS.lam)
     state, (x, _) = e_step(priv, (res.fit.beta0_hat, res.fit.beta1_hat),
-                           MCEMConfig(k_samples=500), stream(82, "dgx-e"))
-    _, log_q, _ = x_proposal(priv, REF_PARAMS.lam)
+                           MCEMConfig(k_samples=500), stream(82, "dgx-e"), proposal=proposal)
+    _, log_q, _ = proposal
     assert (state.counts[np.exp(log_q) == 0] == 0).all()
     assert 1.0 <= state.ess <= 500.0
 
@@ -368,8 +363,10 @@ def test_e_step_ess_diagnostic_at_reference_config():
             data, PrivacyBudget(0.25), PrivacyBudget(0.25), stream(600 + sd, "ess-n")
         )
         fit = ols(priv.x_tilde, priv.y_tilde)
+        cfg = MCEMConfig()
         st, _ = e_step(
-            priv, (fit.beta0_hat, fit.beta1_hat), MCEMConfig(), stream(600 + sd, "ess-e")
+            priv, (fit.beta0_hat, fit.beta1_hat), cfg, stream(600 + sd, "ess-e"),
+            proposal=x_proposal(priv, cfg.lam),
         )
         fracs.append(st.ess / 5000.0)
     assert np.median(fracs) > 1e-3
@@ -475,7 +472,8 @@ def test_observed_fisher_subtracts_conditional_y_variance():
 def test_observed_fisher_is_symmetric():
     _, priv = reference_instance(71, n=6)
     cfg = MCEMConfig(k_samples=300)
-    state, _ = e_step(priv, (-4.0, 3.8), cfg, stream(71, "fish3"))
+    state, _ = e_step(priv, (-4.0, 3.8), cfg, stream(71, "fish3"),
+                      proposal=x_proposal(priv, cfg.lam))
     fisher = observed_fisher(state, cfg.sigma)
     np.testing.assert_array_equal(fisher, fisher.T)
 

@@ -12,7 +12,6 @@ from transparent_dp.mechanisms import (
     Family,
     MechanismSpec,
     PrivacyBudget,
-    compose,
     double_geometric_log_pmf,
     double_geometric_noise,
     laplace_log_density,
@@ -28,25 +27,6 @@ def test_budget_requires_positive_finite_epsilon():
     for bad in (0.0, -1.0, float("inf"), float("nan")):
         with pytest.raises(ValueError):
             PrivacyBudget(bad)
-
-
-def test_compose_sums_epsilons():
-    assert compose([PrivacyBudget(0.125), PrivacyBudget(0.125)]).epsilon == 0.25
-    assert compose([PrivacyBudget(0.7)]).epsilon == 0.7
-    assert compose([PrivacyBudget(e) for e in (1, 2, 3)]).epsilon == 6.0
-
-
-def test_compose_order_invariant_and_associative():
-    # dyadic epsilons make the float sums exact in every order
-    a, b, c = PrivacyBudget(0.25), PrivacyBudget(0.5), PrivacyBudget(1.0)
-    forward = compose([a, b, c]).epsilon
-    assert compose([c, a, b]).epsilon == forward
-    assert compose([compose([a, b]), c]).epsilon == forward
-
-
-def test_compose_rejects_empty():
-    with pytest.raises(ValueError):
-        compose([])
 
 
 def test_spec_scale_is_sensitivity_over_epsilon():

@@ -7,13 +7,7 @@ from scipy import stats
 from transparent_dp.cli import _fit_report, _json
 from transparent_dp.errors import DegenerateDesignError
 from transparent_dp.mechanisms import PrivacyBudget
-from transparent_dp.naive_fit import (
-    FitResult,
-    attenuation_limit,
-    intercept_limit,
-    ols,
-    residual_variance_inflated,
-)
+from transparent_dp.naive_fit import FitResult, ols
 from transparent_dp.rng import stream
 from transparent_dp.simulate import RegressionParams, gen_confidential, privatize_dataset
 
@@ -85,38 +79,6 @@ def test_ols_rejects_bad_input():
         ols([1.0, 2.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         ols([1.0, 2.0, 3.0], [1.0, 2.0])
-
-
-def test_attenuation_limit_values():
-    assert attenuation_limit(10.0, 32.0, 4.0) == pytest.approx(0.95238, abs=5e-6)
-    assert attenuation_limit(3.7, 0.0, 4.0) == 4.0
-    assert attenuation_limit(3.7, 1e12, 4.0) == pytest.approx(0.0, abs=1e-10)
-
-
-def test_attenuation_limit_monotone_in_noise():
-    grid = np.linspace(0.0, 50.0, 40)
-    vals = [attenuation_limit(10.0, s, 4.0) for s in grid]
-    assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_attenuation_limit_rejects_bad_variance():
-    with pytest.raises(ValueError):
-        attenuation_limit(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        attenuation_limit(1.0, -1.0, 1.0)
-
-
-def test_intercept_limit_values():
-    assert intercept_limit(10.0, 10.0, 32.0, -5.0, 4.0) == pytest.approx(25.476, abs=5e-4)
-    assert intercept_limit(10.0, 10.0, 0.0, -5.0, 4.0) == -5.0
-    assert intercept_limit(0.0, 10.0, 32.0, -5.0, 4.0) == -5.0
-
-
-def test_residual_variance_inflated_values():
-    assert residual_variance_inflated(25.0, 4.0, 32.0, 32.0) == 569.0
-    assert residual_variance_inflated(25.0, 4.0, 0.0, 0.0) == 25.0
-    with pytest.raises(ValueError):
-        residual_variance_inflated(-1.0, 4.0, 0.0, 0.0)
 
 
 def test_residual_variance_matches_true_coefficient_errors():

@@ -72,8 +72,8 @@ def test_privatize_dataset_records_specs():
     assert priv.spec_x.family is Family.LAPLACE
     assert priv.spec_x.scale == 4.0
     assert priv.spec_y.scale == 1.0
-    assert priv.eps_x == 0.25
-    assert priv.eps_y == 1.0
+    assert priv.spec_x.budget.epsilon == 0.25
+    assert priv.spec_y.budget.epsilon == 1.0
     assert priv.parent_seed == 4
 
 
