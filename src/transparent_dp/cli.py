@@ -14,6 +14,7 @@ flag would be; explicit flags override it.  Each parameter is declared once, in
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -49,6 +50,7 @@ from .rng import stream
 from .simulate import (
     _SLICE,
     RegressionParams,
+    _listed,
     dataset_from_dict,
     gen_confidential,
     json_parts,
@@ -324,44 +326,66 @@ def _emit(parts: Iterable[str], output: str | None) -> None:
 
 
 _DECODER = json.JSONDecoder()
-# Checks a member's syntax as _DECODER would, but builds no number.
-_CHECKER = json.JSONDecoder(parse_float=bool, parse_int=bool, parse_constant=bool)
 _SPACE = json.decoder.WHITESPACE.match
 _STRING = json.decoder.scanstring
+# Text that keeps an array from the number-array path: a bracket, a brace,
+# a quote, or the first letter of true, false or null.
+_NOT_NUMBERS = '[{}"tfn'
+_INT64_MIN = -(2**63)
+# Objects are walked down to the members of the body's members, where an
+# envelope's datasets hold their arrays; json's C scanner decodes deeper
+# ones, so nesting as deep as json accepts costs no Python recursion.
+_WALK_DEPTH = 2
 
 
 def _load_json(path: str, keep: Collection[str]) -> dict:
     """Decode the JSON body of ``path`` that follows its leading ``#`` lines.
 
-    Of a top-level object, only the members named in ``keep`` are built;
-    every other member is checked for syntax and left out.  The body is
-    decoded where it lies in the text, without a copy, and a syntax error
-    anywhere gets ``json.loads``'s message.  As there, anything but
-    whitespace after the body is an error, a ``#`` line included, and a
-    repeated key keeps its last value.
+    Of a top-level object, only the members named in ``keep`` are kept;
+    every other member is parsed as well, and so checked, then dropped.  An
+    array of numbers, down to the members of the body's members, becomes
+    one ndarray (see :func:`_array`); every other value is what
+    ``json.loads`` gives.  The body is decoded where it lies in the text,
+    without a copy of it, and a syntax error anywhere gets ``json.loads``'s
+    message.  As there, anything but whitespace after the body is an error,
+    a ``#`` line included, and a repeated key keeps its last value.
     """
     text = Path(path).read_text()
     start = 0
     while text.startswith("#", start):
         end = text.find("\n", start)
         start = len(text) if end < 0 else end + 1
-    start = _SPACE(text, start).end()
-    if text.startswith("{", start):
-        obj, end = _members(text, start + 1, keep)
-    else:
-        obj, end = _DECODER.raw_decode(text, start)
+    obj, end = _value(text, _SPACE(text, start).end(), 0, keep)
     end = _SPACE(text, end).end()
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
     return obj
 
 
-def _members(text: str, idx: int, keep: Collection[str]) -> tuple[dict, int]:
-    """The ``keep`` members of the object opened just before ``idx``, and
-    the index past its ``}``.
+def _value(text: str, idx: int, depth: int, keep: Collection[str] | None = None,
+           build: bool = True) -> tuple:
+    """The value that starts at ``idx``, ``depth`` objects down, and the
+    index past it.
 
-    This is ``json``'s own object loop with its messages; each member value
-    goes through ``json``'s C scanner.
+    Objects above ``_WALK_DEPTH`` and arrays are walked here, every other
+    value goes through ``json``'s C scanner.  ``keep`` names the members an
+    object keeps, and None keeps them all; with ``build`` false, the value
+    is only checked, and an array of numbers is given as None.
+    """
+    if depth < _WALK_DEPTH and text.startswith("{", idx):
+        return _members(text, idx + 1, depth, keep, build)
+    if text.startswith("[", idx):
+        return _array(text, idx, build)
+    return _DECODER.raw_decode(text, idx)
+
+
+def _members(text: str, idx: int, depth: int, keep: Collection[str] | None,
+             build: bool) -> tuple[dict, int]:
+    """The members of the object opened just before ``idx``, and the index
+    past its ``}``; a member that ``keep`` leaves out is checked, then
+    dropped.
+
+    This is ``json``'s own object loop with its messages.
     """
     obj = {}
     idx = _SPACE(text, idx).end()
@@ -376,17 +400,92 @@ def _members(text: str, idx: int, keep: Collection[str]) -> tuple[dict, int]:
         idx = _SPACE(text, idx).end()
         if not text.startswith(":", idx):
             raise json.JSONDecodeError("Expecting ':' delimiter", text, idx)
-        idx = _SPACE(text, idx + 1).end()
-        if key in keep:
-            obj[key], idx = _DECODER.raw_decode(text, idx)
-        else:
-            idx = _CHECKER.raw_decode(text, idx)[1]
+        kept = keep is None or key in keep
+        val, idx = _value(text, _SPACE(text, idx + 1).end(), depth + 1,
+                          build=build and kept)
+        if kept:
+            obj[key] = val
         idx = _SPACE(text, idx).end()
         if text.startswith("}", idx):
             return obj, idx + 1
         if not text.startswith(",", idx):
             raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
         idx = _SPACE(text, idx + 1).end()
+
+
+def _array(text: str, idx: int, build: bool) -> tuple:
+    """The array that opens at ``idx``, and the index past it.
+
+    A nonempty array whose text up to its first ``]`` holds none of
+    ``_NOT_NUMBERS`` is read by orjson in slices of at most ``_SLICE``
+    values, each cut at a comma, into one int64 or float64 ndarray whose
+    ``tolist()`` is the list ``json`` gives; neither a copy of the array's
+    text nor a Python number per value exists at once.  If a slice fails in orjson or
+    may differ from ``json`` (see :func:`_number_slice`), the array goes
+    through ``json`` instead, which gives its list or its error.  Every
+    other array is ``json``'s list.
+    """
+    end = text.find("]", idx)
+    if (end < 0 or _SPACE(text, idx + 1).end() == end
+            or any(text.find(c, idx + 1, end) >= 0 for c in _NOT_NUMBERS)):
+        return _DECODER.raw_decode(text, idx)
+    # k values and their k - 1 commas take at least 2k - 1 characters.
+    width = 2 * _SLICE
+    pieces = []
+    start = idx + 1
+    while start <= end:
+        stop = end
+        if end - start > width:
+            stop = text.rfind(",", start, start + width + 1)
+            if stop < 0:
+                stop = text.find(",", start + width, end)
+                stop = end if stop < 0 else stop
+        piece = _number_slice(text[start:stop], build)
+        if piece is None or (pieces and piece.dtype != pieces[0].dtype):
+            return _DECODER.raw_decode(text, idx)
+        pieces.append(piece)
+        start = stop + 1
+    if not build:
+        return None, end + 1
+    return (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)), end + 1
+
+
+def _number_slice(part: str, build: bool) -> np.ndarray | None:
+    """The comma-separated numbers of ``part`` as orjson reads them, or None.
+
+    They give an int64 array if ``part`` holds no ``.``, ``e`` or ``E``,
+    and a float64 one if it does.  The result is None if orjson fails or
+    reads no value, or if a value is not of the array's kind as ``json``
+    would read it: an int, within int64, or a float of magnitude below
+    2^63.  orjson reads an integer literal from 2^63 as a uint64 and past
+    2^64, or below -2^63, as a float, where ``json`` keeps an int.  With
+    ``build`` false the values are checked, not converted, and the array
+    is empty.
+    """
+    # Imported here, so that importing this module does not load it.
+    import orjson
+    try:
+        values = orjson.loads(f"[{part}]")
+    except orjson.JSONDecodeError:
+        return None
+    if not values:
+        return None
+    n = len(values)
+    kind = float if "." in part or "e" in part or "E" in part else int
+    if not build:
+        return np.empty(0, kind)
+    try:
+        piece = np.fromiter(values, kind, n)
+    except OverflowError:
+        return None
+    # An int, or a float read from an integer literal, has an integral
+    # value, so types are checked only where one may be.
+    if kind is float:
+        exact = not np.any(piece == np.trunc(piece)) or (
+            np.abs(piece).max() < 2.0**63 and int not in set(map(type, values)))
+    else:
+        exact = piece.min() > _INT64_MIN or float not in set(map(type, values))
+    return piece if exact else None
 
 
 def _floats(text: str, count: int, what: str) -> tuple:
@@ -404,11 +503,19 @@ def _model(params: dict) -> RegressionParams:
     return RegressionParams(**{name: params[name] for name, *_ in _MODEL})
 
 
+def _sd(params: dict, name: str) -> float:
+    """The noise sd ``params[name]``, refused where its square overflows."""
+    val = params[name]
+    if math.isinf(val * val):
+        raise ValueError(f"the square of {_flag(name)}={val!r} overflows")
+    return val
+
+
 def _axis(params: dict, top: str) -> np.ndarray:
     """``--steps`` evenly spaced noise levels from 0 to ``params[top]``."""
     if params["steps"] < 1:
         raise _UsageError("--steps must be at least 1")
-    return np.linspace(0.0, params[top], params["steps"])
+    return np.linspace(0.0, _sd(params, top), params["steps"])
 
 
 def _envelope(params: dict, key: str = "privatized",
@@ -418,7 +525,7 @@ def _envelope(params: dict, key: str = "privatized",
     env = _load_json(params["input"], keep)
     if not isinstance(env, dict) or key not in env:
         raise _UsageError(f"envelope has no {key!r} dataset")
-    kind = env[key].get("kind") if isinstance(env[key], dict) else None
+    kind = _listed(env[key].get("kind")) if isinstance(env[key], dict) else None
     if kind != key:
         raise ValueError(f"envelope section {key!r} holds a dataset of kind {kind!r}")
     return env, dataset_from_dict(env[key])
@@ -539,7 +646,7 @@ def _cmd_abc_posterior(params: dict) -> Iterable[str]:
 def _cmd_clt_limits(params: dict) -> Iterable[str]:
     sigma_u = _axis(params, "sigma_u_max")
     moments = sample_moments(reference_design(params["n"]))
-    beta1, sigma_sq, sigma_v = params["beta1"], params["sigma_sq"], params["sigma_v"]
+    beta1, sigma_sq, sigma_v = params["beta1"], params["sigma_sq"], _sd(params, "sigma_v")
     rows = []
     for su in sigma_u.tolist():
         gamma = biasing_coefficient(moments, su**2)
@@ -634,8 +741,14 @@ _RUNNERS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built on first use and then reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()

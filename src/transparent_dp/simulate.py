@@ -282,8 +282,17 @@ def json_parts(obj) -> Iterator[str]:
 
 _NUMBER = (numbers.Real, "a number")
 _INTEGER = (numbers.Integral, "an integer")
-_LIST = (list, "a list")
+_LIST = ((list, np.ndarray), "a list")
 _OBJECT = (dict, "an object")
+
+
+def _listed(val):
+    """``val``, or the list an ndarray stands for where a list was read as one.
+
+    A reader may give a JSON list of numbers as an ndarray; where a field
+    takes no such list, it is named and printed as the list.
+    """
+    return val.tolist() if isinstance(val, np.ndarray) else val
 
 
 def _fields(obj: dict, section: str, kinds: dict) -> dict:
@@ -299,7 +308,7 @@ def _fields(obj: dict, section: str, kinds: dict) -> dict:
         val = obj[key]
         if isinstance(val, bool) or not isinstance(val, kind):
             raise ValueError(
-                f"{section} field {key!r} must be {what}, got {type(val).__name__}"
+                f"{section} field {key!r} must be {what}, got {type(_listed(val)).__name__}"
             )
         out[key] = val
     return out
@@ -325,7 +334,8 @@ def _spec_from_dict(obj: dict, key: str) -> MechanismSpec:
 def dataset_from_dict(obj: dict):
     """Inverse of :func:`dataset_to_dict`; dispatches on the ``kind`` field.
 
-    Raises ``ValueError`` naming the field when one is missing or mistyped.
+    A list of numbers may also be given as an ndarray.  Raises
+    ``ValueError`` naming the field when one is missing or mistyped.
     """
     kind = obj.get("kind") if isinstance(obj, dict) else None
     if kind == "confidential":

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -443,12 +444,225 @@ def test_an_impossible_allocation_is_one_error_line(capsys, tract_csv, argv):
     assert err.startswith("MemoryError: Unable to allocate ") and err.count("\n") == 1
 
 
+def same_json(got, want):
+    """True if the reader's ``got`` is ``json.loads``'s ``want``, where a
+    number array may be the ndarray of its list: equal in dtype, and in each
+    value's type and repr, so 1 is not 1.0 and -0.0 is not 0.0."""
+    if isinstance(got, np.ndarray):
+        return (isinstance(want, list) and got.dtype == np.asarray(want).dtype
+                and list(map(repr, got.tolist())) == list(map(repr, want)))
+    if isinstance(got, (dict, list)):
+        if type(got) is not type(want) or len(got) != len(want):
+            return False
+        if isinstance(got, dict):
+            if list(got) != list(want):
+                return False
+            got, want = list(got.values()), list(want.values())
+        for g, w in zip(got, want):
+            if not same_json(g, w):
+                return False
+        return True
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
 def test_load_json_builds_only_the_kept_members(demo_env):
     from transparent_dp.cli import _load_json
     env = body_json(demo_env.read_text())
-    assert _load_json(str(demo_env), ("confidential", "privatized")) == env
-    assert _load_json(str(demo_env), ("privatized",)) == {"privatized": env["privatized"]}
+    both = _load_json(str(demo_env), ("confidential", "privatized"))
+    assert same_json(both, env)
+    assert both["confidential"]["x"].dtype == np.int64
+    assert both["privatized"]["y_tilde"].dtype == np.float64
+    assert same_json(_load_json(str(demo_env), ("privatized",)),
+                     {"privatized": env["privatized"]})
     assert _load_json(str(demo_env), ()) == {}
+
+
+def json_load(path, keep):
+    """What ``cli._load_json`` must give: ``json.loads`` of the file with its
+    leading ``#`` lines blanked, so that error positions agree, holding only
+    the ``keep`` members of a top-level object."""
+    text = Path(path).read_text()
+    start = 0
+    while text.startswith("#", start):
+        end = text.find("\n", start)
+        start = len(text) if end < 0 else end + 1
+    obj = json.loads(re.sub("[^\n]", " ", text[:start]) + text[start:])
+    return {k: v for k, v in obj.items() if k in keep} if isinstance(obj, dict) else obj
+
+
+def attempt(fn, *args):
+    """``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # every outcome is compared, errors included
+        return type(exc), str(exc)
+
+
+def dataset_fields(ds):
+    """A dataset's fields, its arrays by dtype, shape and bytes."""
+    return [(name, (val.dtype, val.shape, val.tobytes()) if isinstance(val, np.ndarray)
+             else repr(val)) for name, val in vars(ds).items()]
+
+
+KEEPS = [("confidential", "privatized"), ("privatized",), ("confidential",), ()]
+
+
+def assert_reader_agrees_with_json(path, monkeypatch):
+    """``_load_json`` gives what ``json.loads`` does for every keep set, and
+    ``_envelope`` the same dataset, or the same error, for both --on values."""
+    for keep in KEEPS:
+        got, want = attempt(cli._load_json, path, keep), attempt(json_load, path, keep)
+        assert same_json(got, want), (keep, got, want)
+    params = {"input": str(path)}
+    for on in ("privatized", "confidential"):
+        for keep in ((on,), KEEPS[0]):
+            outcomes = []
+            for load in (cli._load_json, json_load):
+                with monkeypatch.context() as m:
+                    m.setattr(cli, "_load_json", load)
+                    outcomes.append(attempt(
+                        lambda: dataset_fields(cli._envelope(params, on, keep)[1])))
+            assert outcomes[0] == outcomes[1], (on, keep, outcomes)
+
+
+def base_envelopes(tmp_path):
+    """Envelope texts to mutate: two simulate outputs, one with short floats
+    so that a slice holds several values, and one whose arrays span lines."""
+    texts = []
+    for seed, n in ((3, 6), (8, 9)):
+        path = tmp_path / f"base{seed}.json"
+        assert main(["simulate", "--n", str(n), "--epsilon-x", "1", "--epsilon-y", "2",
+                     "--seed", str(seed), "--output", str(path)]) == 0
+        texts.append(path.read_text())
+    env = body_json(texts[0])
+    env["privatized"]["y_tilde"] = [round(v, 1) for v in env["privatized"]["y_tilde"]]
+    texts.append("# short floats\n" + json.dumps(env))
+    texts.append(json.dumps(body_json(texts[1]), indent=1))
+    return [t.encode() for t in texts]
+
+
+# Bytes an insertion draws from: JSON's own characters, those of the
+# literals json accepts beyond JSON, and a few that neither accepts.
+INSERTS = b'0123456789-+.eE,:[]{}" \n\t\r\\ufnlasrtINaIy#\x00\x0c\xa0\xff'
+
+
+def mutate(data, gen):
+    """Delete, insert or swap one byte of ``data`` in place."""
+    i = gen.randrange(len(data))
+    kind = gen.randrange(3)
+    if kind == 0 and len(data) > 1:
+        del data[i]
+    elif kind == 1:
+        data.insert(i, gen.choice(INSERTS))
+    else:
+        j = gen.randrange(len(data))
+        data[i], data[j] = data[j], data[i]
+
+
+def test_reader_agrees_with_json_on_mutated_envelopes(tmp_path, monkeypatch, capsys):
+    bases = base_envelopes(tmp_path)
+    capsys.readouterr()
+    # Slices of at most 3 values, so an array spans several.
+    monkeypatch.setattr(cli, "_SLICE", 3)
+    gen = random.Random(2023)
+    path = tmp_path / "mutated.json"
+    for _ in range(2000):
+        data = bytearray(gen.choice(bases))
+        for _ in range(gen.choice((1, 1, 2, 3))):
+            mutate(data, gen)
+        path.write_bytes(bytes(data))
+        assert_reader_agrees_with_json(path, monkeypatch)
+
+
+def edit_array(text, key, edit):
+    """``text`` with the number array of member ``key`` rewritten by ``edit``."""
+    start = text.index(f'"{key}": [') + len(f'"{key}": [')
+    end = text.index("]", start)
+    return text[:start] + edit(text[start:end]) + text[end:]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: edit_array(t, "x", lambda a: "18446744073709551616, " + a),
+    lambda t: edit_array(t, "x", lambda a: a + ", -9223372036854775809"),
+    lambda t: edit_array(t, "x", lambda a: "9223372036854775808, " + a),
+    lambda t: edit_array(t, "y_tilde", lambda a: a + ", 18446744073709551616"),
+    lambda t: edit_array(t, "y", lambda a: "1e400, " + a),
+    lambda t: edit_array(t, "x_tilde", lambda a: a + ", NaN"),
+    lambda t: edit_array(t, "y", lambda a: "NaN, Infinity, -Infinity, " + a),
+    lambda t: t.replace('"kind": "privatized"', '"kind": "privatized", "\\ud800": [1]'),
+    lambda t: edit_array(t, "x_tilde", lambda a: a + ", [2.5]"),
+    lambda t: edit_array(t, "y_tilde", lambda a: '"1.5", ' + a),
+    lambda t: edit_array(t, "x", lambda a: "01, " + a),
+    lambda t: edit_array(t, "y_tilde", lambda a: "-00.5, " + a),
+    lambda t: edit_array(t, "x", lambda a: a.replace(", ", ",\n  ")),
+    lambda t: edit_array(t, "y_tilde", lambda a: "7, " + a),
+    lambda t: edit_array(t, "x", lambda a: a + ", true"),
+    lambda t: edit_array(t, "x_tilde", lambda a: "-0, " + a),
+    lambda t: t.replace('"kind": "privatized"',
+                        '"kind": "privatized", "deep": ' + '{"a": ' * 600 + "[1]" + "}" * 600),
+    lambda t: edit_array(t, "x", lambda a: "1" * 5000 + ", " + a),
+    lambda t: t.replace('"kind": "privatized"', '"kind": [1, 2]'),
+    lambda t: t.replace('"family": "laplace"', '"family": [1.5, -2.0]', 1),
+], ids=["int-2^64", "int-below-int64", "int-uint64", "int-2^64-in-floats", "1e400", "nan",
+        "nan-infinity", "surrogate-key", "nested-list", "string", "leading-zero",
+        "leading-zero-float", "lines", "int-among-floats", "bool-among-ints", "minus-zero",
+        "deep-nesting", "int-5000-digits", "array-kind", "array-family"])
+def test_reader_agrees_with_json_where_orjson_differs(tmp_path, monkeypatch, capsys, edit):
+    # Each case is one place where orjson, reading a number array or a
+    # whole envelope, or a walk of the text in Python could read it
+    # otherwise than json; a slice holds at most 2 values.
+    text = edit(base_envelopes(tmp_path)[2].decode())
+    capsys.readouterr()
+    path = tmp_path / "edited.json"
+    path.write_text(text)
+    monkeypatch.setattr(cli, "_SLICE", 2)
+    assert_reader_agrees_with_json(path, monkeypatch)
+
+
+# Float literals whose nearest double is hard to find: long mantissas,
+# halfway cases, the subnormal and overflow edges, and other spellings.
+HARD_FLOATS = [
+    "0.1000000000000000055511151231257827", "2.2250738585072011e-308",
+    "2.2250738585072012e-308", "1.00000000000000011102230246251565404236316680908203125",
+    "1.00000000000000011102230246251565404236316680908203126", "9007199254740993.0",
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "4.9406564584124654e-324",
+    "1.7976931348623157e308", "1.7976931348623158e308", "123456789012345678901234567890.5",
+    "-0.0", "0e0", "1E5", "1e+05", "-1.5e-07",
+]
+
+
+def test_reader_parses_every_float64_as_json_loads(tmp_path, monkeypatch):
+    # orjson parses the floats of a number array: each must be the double
+    # json.loads gives, to the bit.
+    gen = np.random.default_rng(19)
+    bits = gen.integers(0, 2**64, 10**5, dtype=np.uint64)
+    # every exponent and both signs
+    assert np.unique(bits >> np.uint64(52)).size == 4096
+    subnormal = gen.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+    edges = np.concatenate([subnormal, np.nextafter(2.0**63, [0.0, np.inf]), [2.0**63]])
+    values = np.concatenate([bits.view(np.float64), edges, -edges])
+    literals = [repr(v) for v in values[np.isfinite(values)].tolist()] + HARD_FLOATS
+    # An integral float from 2^63 up sends its array through json (see
+    # cli._number_slice), so those go in an array of their own.
+    fast = ", ".join(lit for lit in literals if abs(float(lit)) < 2.0**63)
+    wide = ", ".join(lit for lit in literals if abs(float(lit)) >= 2.0**63)
+    monkeypatch.setattr(cli, "_SLICE", 64)
+    path = tmp_path / "floats.json"
+    text = f'{{"fast": [{fast}], "wide": [{wide}]}}'
+    path.write_text(text)
+    assert same_json(cli._load_json(str(path), ("fast", "wide")), json.loads(text))
+    # Without json's decoder, the first array is still read: orjson alone
+    # parsed it.
+    text = f'{{"fast": [{fast}]}}'
+    path.write_text(text)
+    monkeypatch.setattr(cli, "_DECODER", None)
+    assert same_json(cli._load_json(str(path), ("fast",)), json.loads(text))
+
+
+def test_the_cli_module_does_not_import_orjson():
+    code = ("import sys; import transparent_dp.cli; "
+            "assert 'orjson' not in sys.modules, 'orjson loaded'")
+    subprocess.run([sys.executable, "-c", code], env=TDP_ENV, check=True, timeout=120)
 
 
 OTHER = {"privatized": "confidential", "confidential": "privatized"}
@@ -995,20 +1209,48 @@ def test_nonfinite_float_flag_is_usage_error(capsys, argv):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, error", [
-    (["coverage-grid", "--sigma-u-max", "1e160"], "OverflowError"),
-    (["coverage-grid", "--sigma-sq", "1e308"], "ValueError"),
-    (["clt-limits", "--sigma-sq", "1e308"], "ValueError"),
-    (["clt-limits", "--sigma-u-max", "1e200"], "OverflowError"),
-    (["coverage-grid", "--beta1", "1e200"], "ValueError"),
-], ids=["grid-sigma-u", "grid-sigma-sq", "limits-sigma-sq", "limits-sigma-u", "grid-beta1"])
+    (["coverage-grid", "--sigma-u-max", "1e160"], "the square of --sigma-u-max=1e+160 overflows"),
+    (["coverage-grid", "--sigma-sq", "1e308"], "the CLT variance is not finite"),
+    (["clt-limits", "--sigma-sq", "1e308"], "the CLT variance is not finite"),
+    (["clt-limits", "--sigma-u-max", "1e200"], "the square of --sigma-u-max=1e+200 overflows"),
+    (["coverage-grid", "--beta1", "1e200"], "the CLT variance is not finite"),
+    (["clt-limits", "--sigma-v", "1e200"], "the square of --sigma-v=1e+200 overflows"),
+    (["coverage-grid", "--sigma-v-max", "1e160"], "the square of --sigma-v-max=1e+160 overflows"),
+], ids=["grid-sigma-u", "grid-sigma-sq", "limits-sigma-sq", "limits-sigma-u", "grid-beta1",
+        "limits-sigma-v", "grid-sigma-v"])
 def test_a_clt_grid_past_float_range_is_one_error_line(capsys, argv, error):
-    # A square of a noise sd that overflows fails as it is formed; the CLT
+    # A noise sd whose square overflows is named with its flag; the CLT
     # variance refuses every other result that is not finite.
     rc, out, err = run(capsys, argv + ["--steps", "2"])
     assert rc == 1 and out == ""
-    assert err.startswith(f"{error}: ") and err.count("\n") == 1
-    if error == "ValueError":
-        assert "the CLT variance is not finite" in err
+    assert err.startswith(f"ValueError: {error}") and err.count("\n") == 1
+
+
+def test_a_grid_whose_top_squares_in_range_still_runs(capsys):
+    rc, out, _ = run(capsys, ["coverage-grid", "--steps", "2", "--sigma-v-max", "1e150"])
+    assert rc == 0 and out.splitlines()[-1].startswith("2.0,1e+150,")
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["fit-naive", "--help"], ["clt-limits", "--steps"], ["nope"], [],
+], ids=["help", "command-help", "missing-value", "unknown-command", "no-command"])
+def test_main_reuses_one_parser_with_the_same_output(capsys, argv):
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    outputs = []
+    for parser in (cli._parser(), cli.build_parser(), cli._parser()):
+        try:
+            rc = 2 if parser.parse_args(argv).command is None else 0
+            parser.print_help()
+        except SystemExit as exc:
+            rc = exc.code
+        outputs.append((rc, *capsys.readouterr()))
+    assert outputs[0] == outputs[1] == outputs[2]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    assert (rc, *capsys.readouterr()) == outputs[0]
 
 
 @pytest.mark.parametrize("command", ["clt-limits", "coverage-grid"])
@@ -1100,8 +1342,9 @@ def test_envelope_known_names_mistyped_params():
     assert _envelope_known({"sigma": 1.0, "lam": 3.0}, {"confidential": []}) == (1.0, 3.0)
     with pytest.raises(ValueError, match="confidential.params"):
         _envelope_known(flags, {"confidential": {"params": [2, 5]}})
-    with pytest.raises(ValueError, match="confidential.params.sigma"):
-        _envelope_known(flags, {"confidential": {"params": {"sigma": [2], "lam": 5}}})
+    for sigma in ([2], [2, 3]):
+        with pytest.raises(ValueError, match="confidential.params.sigma"):
+            _envelope_known(flags, {"confidential": {"params": {"sigma": sigma, "lam": 5}}})
 
 
 def test_benchmark_tracer_resolves_cli_names():

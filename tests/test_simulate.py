@@ -220,6 +220,35 @@ def test_dataset_from_dict_names_malformed_field(kind, edit, field):
         dataset_from_dict(_malformed(kind, edit))
 
 
+def _outcome(obj):
+    """The fields of ``dataset_from_dict(obj)``, or its error's type and text."""
+    try:
+        ds = dataset_from_dict(obj)
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    return [(k, (v.dtype, v.tobytes()) if isinstance(v, np.ndarray) else v)
+            for k, v in vars(ds).items()]
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("confidential", "x", [3, 1, 4, 1]),
+    ("confidential", "y", [3, 1.5, -4.0, 1e300]),
+    ("privatized", "x_tilde", [0.5, -2.0, 3.25, 7]),
+    ("confidential", "seed", [12, 13]),
+    ("privatized", "spec_x", [1, 2]),
+    ("privatized", "parent_seed", [5]),
+], ids=["x", "y", "x_tilde", "seed", "spec", "parent-seed"])
+def test_dataset_from_dict_takes_an_array_as_the_list_of_numbers(kind, field, value):
+    # A reader may give a list of numbers as the ndarray np.asarray makes of
+    # it: the dataset, or the error naming the field, is the same.
+    outcomes = []
+    for val in (value, np.asarray(value)):
+        obj = _malformed(kind, lambda o: None)
+        obj[field] = val
+        outcomes.append(_outcome(obj))
+    assert outcomes[0] == outcomes[1]
+
+
 def test_gen_confidential_overflow_is_named_without_warnings():
     # beta1 * x overflows, and beta0 + beta1 * x overflows in the add
     for beta0, beta1 in ((0.0, 1e308), (1.7e308, 1e307)):
