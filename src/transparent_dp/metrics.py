@@ -10,6 +10,7 @@ under repeated mechanism draws without any clipping or post-processing.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ __all__ = [
 _QUANTILE_LEVELS = (0.05, 0.25, 0.5, 0.75, 0.95)
 # Noise cells the privatized study holds per block of replicates.
 _BLOCK_CELLS = 65_536
+# Most blocks of the privatized study in flight at once, one per thread.
+_THREADS = 4
 
 
 @dataclass(frozen=True)
@@ -117,11 +120,18 @@ def privatized_dissimilarity_study(
     unclipped and are counted separately.
 
     The replicates run in blocks of ``max(1, 65536 // m)`` rows for a
-    table of m tracts, so the noise held at once is about 65 536 cells
-    (m when one row is larger), whatever the replicate count: the 10 000 x
-    300 study peaks at about 2 MB.  Each block draws, in order, its
-    w-cell, b-cell, w-total and b-total noise from ``rng``; a study of at
-    most 65 536 cells is one block.
+    table of m tracts, so a block's noise is about 65 536 cells (m when one
+    row is larger).  Each block draws, in order, its w-cell, b-cell,
+    w-total and b-total noise from a stream of its own: block 0 from
+    ``rng``, block j >= 1 from child j - 1 of ``rng.spawn``, spawned in
+    order on the calling thread.  The blocks run on
+    ``min(os.cpu_count(), blocks, 4)`` threads, at most one block per
+    thread in flight (about 1.6 MB each at 65 536 cells, whatever the
+    replicate count), and each writes its own rows, so the output is the
+    same for any thread count.  A study of at most 65 536 cells is one
+    block and reads ``rng`` alone; a larger one needs an ``rng`` that can
+    spawn (seeded from a ``SeedSequence``, as :func:`~transparent_dp.rng.stream`
+    and ``numpy.random.default_rng`` make it).
 
     Parameters
     ----------
@@ -150,12 +160,13 @@ def privatized_dissimilarity_study(
     rows = max(1, _BLOCK_CELLS // m)
     d = np.empty(replicates)
     defined = np.empty(replicates, dtype=bool)
-    for start in range(0, replicates, rows):
+
+    def block(start: int, g: np.random.Generator) -> None:
         k = min(rows, replicates - start)
-        shares = table.w + double_geometric_noise(rng, eps, k * m).reshape(k, m)
-        b_noisy = table.b + double_geometric_noise(rng, eps, k * m).reshape(k, m)
-        w_tot = table.w_cty + double_geometric_noise(rng, eps, k)
-        b_tot = table.b_cty + double_geometric_noise(rng, eps, k)
+        shares = table.w + double_geometric_noise(g, eps, k * m).reshape(k, m)
+        b_noisy = table.b + double_geometric_noise(g, eps, k * m).reshape(k, m)
+        w_tot = table.w_cty + double_geometric_noise(g, eps, k)
+        b_tot = table.b_cty + double_geometric_noise(g, eps, k)
 
         # Every row, in place: rows with a nonpositive total divide by zero
         # or a negative, and np.where discards them.
@@ -167,6 +178,24 @@ def privatized_dissimilarity_study(
             shares -= b_noisy
         np.abs(shares, out=shares)
         d[start:start + k] = np.where(ok, 0.5 * shares.sum(axis=1), np.nan)
+
+    # numpy fills and divides the noise without holding the GIL, so the
+    # blocks overlap on threads.  Imported here: at module level it would
+    # add about 6 ms to every import of the package.
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
+    starts = range(0, replicates, rows)
+    workers = min(os.cpu_count() or 1, len(starts), _THREADS)
+    with ThreadPoolExecutor(workers) as pool:
+        running = set()
+        for j, start in enumerate(starts):
+            if len(running) == workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    future.result()
+            running.add(pool.submit(block, start, rng.spawn(1)[0] if j else rng))
+        for future in running:
+            future.result()
 
     vals = d[defined]
     undefined_fraction = 1.0 - defined.mean()

@@ -228,19 +228,35 @@ def dataset_to_dict(data) -> dict:
 def _slice_text(s: np.ndarray) -> str:
     """``json.dumps(s.tolist())`` without its brackets.
 
-    orjson writes an int64 slice, or a float64 one whose every value is 0
-    or of magnitude in [1e-4, 1e16), from the array buffer more than ten
-    times faster: in that range it prints the shortest digits in fixed
-    notation, as Python's float repr does.  Any other slice goes through
-    ``json.dumps``.
+    orjson writes an int64 slice from the array buffer more than ten times
+    faster, and so the runs of a float64 slice between the values Python
+    prints in exponent form or not at all (0 < |v| < 1e-4, |v| >= 1e16,
+    NaN, inf): for 0 and magnitudes in [1e-4, 1e16) it prints the shortest
+    digits in fixed notation, as Python's float repr does.  Each such value
+    goes through ``json.dumps``, and so does a whole slice of another dtype
+    or with more than one such value in 32, where the calls per run would
+    cost more than the slice.
     """
-    if s.dtype == np.float64:
-        a = np.abs(s)
-        fast = bool(np.all((a == 0) | ((a >= 1e-4) & (a < 1e16))))
-    else:
-        fast = s.dtype == np.int64
-    if not fast:
+    if s.dtype == np.int64:
+        return _orjson_text(s)
+    if s.dtype != np.float64:
         return json.dumps(s.tolist())[1:-1]
+    a = np.abs(s)
+    odd = np.flatnonzero(~((a == 0) | ((a >= 1e-4) & (a < 1e16)))).tolist()
+    if 32 * len(odd) > s.size:
+        return json.dumps(s.tolist())[1:-1]
+    parts, lo = [], 0
+    for i in odd:
+        if lo < i:
+            parts.append(_orjson_text(s[lo:i]))
+        parts.append(json.dumps(float(s[i])))
+        lo = i + 1
+    if lo < s.size:
+        parts.append(_orjson_text(s[lo:]))
+    return ", ".join(parts)
+
+
+def _orjson_text(s: np.ndarray) -> str:
     # Imported here, so commands that write no array skip its import time.
     import orjson
     return (orjson.dumps(np.ascontiguousarray(s), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
@@ -253,11 +269,13 @@ def json_parts(obj) -> Iterator[str]:
     A dataset anywhere in ``obj`` stands for its :func:`dataset_to_dict`,
     and its arrays are written from the ndarray in slices of at most
     ``_SLICE`` values, so neither the whole text nor a Python number per
-    value exists at once.  An int64 slice, or a float64 slice with no value
-    that Python prints in exponent form (0 < |v| < 1e-4 or |v| >= 1e16) and
-    none non-finite, is formatted by orjson from the array buffer; every
-    other slice goes through ``json.dumps(slice.tolist())``.  The text is
-    the same either way.  Other values go through ``json.dumps``.
+    value exists at once.  An int64 slice, and each run of a float64 slice
+    between values that Python prints in exponent form (0 < |v| < 1e-4 or
+    |v| >= 1e16) or that are not finite, is formatted by orjson from the
+    array buffer; each of those values goes through ``json.dumps`` alone,
+    and a slice of another dtype, or one where they are more than one
+    value in 32, through ``json.dumps(slice.tolist())``.  The text is the
+    same either way.  Other values go through ``json.dumps``.
     """
     if isinstance(obj, (ConfidentialDataset, PrivatizedDataset)):
         obj = _dataset_fields(obj)

@@ -1,11 +1,14 @@
 import json
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from transparent_dp import metrics
 from transparent_dp.cli import main
 from transparent_dp.errors import UndefinedIndexError
 from transparent_dp.mechanisms import PrivacyBudget, double_geometric_noise
@@ -256,23 +259,73 @@ def test_one_block_study_equals_the_whole_array_study(table, eps, replicates):
 
 
 def test_study_draws_w_b_and_totals_block_by_block():
-    # 3000 tracts: blocks of 65536 // 3000 = 21 replicates, the last one 8
+    # 3000 tracts: blocks of 65536 // 3000 = 21 replicates, the last one 8.
+    # Block 0 reads the caller's stream, block j child j - 1 of its spawn.
     table, eps = wide_county(3000, 128), PrivacyBudget(0.5)
     study = privatized_dissimilarity_study(table, eps, 50, stream(128, "layout"))
     rng, d = stream(128, "layout"), []
-    for k in (21, 21, 8):
-        w = table.w + double_geometric_noise(rng, eps, k * 3000).reshape(k, 3000)
-        b = table.b + double_geometric_noise(rng, eps, k * 3000).reshape(k, 3000)
-        w_tot = table.w_cty + double_geometric_noise(rng, eps, k)
-        b_tot = table.b_cty + double_geometric_noise(rng, eps, k)
+    for k, g in zip((21, 21, 8), [rng, *rng.spawn(2)]):
+        w = table.w + double_geometric_noise(g, eps, k * 3000).reshape(k, 3000)
+        b = table.b + double_geometric_noise(g, eps, k * 3000).reshape(k, 3000)
+        w_tot = table.w_cty + double_geometric_noise(g, eps, k)
+        b_tot = table.b_cty + double_geometric_noise(g, eps, k)
         d.append(0.5 * np.abs(w / w_tot[:, None] - b / b_tot[:, None]).sum(axis=1))
     d = np.concatenate(d)
     assert study.undefined_fraction == 0.0
     assert study.mean == float(d.mean()) and study.sd == float(d.std(ddof=1))
     assert study.quantiles == {q: float(np.quantile(d, q)) for q in study.quantiles}
-    # the whole-array study reads the same stream in another order
+    # the whole-array study reads the caller's stream alone
     whole = whole_array_study(table, eps, 50, stream(128, "layout"))
     assert whole.mean != study.mean
+
+
+def test_study_is_the_same_at_any_worker_count(monkeypatch):
+    # 3000 tracts, 200 replicates: ten blocks, so eight workers run at once
+    # on a host with fewer cores.  A block that read another's stream or
+    # wrote another's rows would change the study.
+    table, eps = wide_county(3000, 131), PrivacyBudget(0.5)
+    drawn_by = []
+
+    def traced(*args, **kwargs):
+        drawn_by.append(threading.get_ident())
+        return double_geometric_noise(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "double_geometric_noise", traced)
+    monkeypatch.setattr(metrics.os, "cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        studies = {}
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(metrics, "_THREADS", workers)
+            drawn_by.clear()
+            runner = threading.Thread(target=lambda: studies.setdefault(
+                workers, privatized_dissimilarity_study(table, eps, 200, stream(131, "workers"))),
+                daemon=True)
+            runner.start()
+            runner.join(timeout=60)
+            assert not runner.is_alive() and workers in studies
+            assert len(drawn_by) == 4 * 10 and 1 <= len(set(drawn_by)) <= workers
+    finally:
+        sys.setswitchinterval(interval)
+    assert studies[1] == studies[2] == studies[8]
+    assert studies[1].undefined_fraction == 0.0
+
+
+def test_study_raises_what_a_block_raises(monkeypatch):
+    # three blocks of four draws each; every draw after the fourth fails
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 4:
+            raise RuntimeError("draw failed")
+        return double_geometric_noise(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "double_geometric_noise", failing)
+    with pytest.raises(RuntimeError, match="draw failed"):
+        privatized_dissimilarity_study(wide_county(3000, 132), PrivacyBudget(0.5), 50,
+                                       stream(132, "raises"))
 
 
 def traced_study(table, replicates, rng):

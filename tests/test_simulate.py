@@ -292,17 +292,26 @@ REAL_DUMPS = json.dumps
 
 def write_noting_fallback(obj, monkeypatch):
     """``json_parts(obj)`` joined, and whether a slice went through json.dumps."""
-    lists = []
+    text, lists, _ = write_noting_dumps(obj, monkeypatch)
+    return text, bool(lists)
+
+
+def write_noting_dumps(obj, monkeypatch):
+    """``json_parts(obj)`` joined, the length of each list that went through
+    json.dumps, and each float that went through it alone."""
+    lists, floats = [], []
 
     def dumps(value, *args, **kwargs):
         if isinstance(value, list):
             lists.append(len(value))
+        elif isinstance(value, float):
+            floats.append(value)
         return REAL_DUMPS(value, *args, **kwargs)
 
     with monkeypatch.context() as m:
         m.setattr(json, "dumps", dumps)
         text = "".join(json_parts(obj))
-    return text, bool(lists)
+    return text, lists, floats
 
 
 def assert_written_as_json_dumps(arr, monkeypatch, fast):
@@ -329,6 +338,25 @@ def test_json_parts_formats_every_float64_as_json_dumps(monkeypatch):
     whole = gen.integers(-2**53, 2**53, 10**5).astype(float)
     assert_written_as_json_dumps(np.concatenate([spread, whole, [0.5, 1e15, 0.1]]),
                                  monkeypatch, fast=True)
+    # Slices that mix both kinds: orjson writes the runs between the values
+    # printed in exponent form or not finite, and json.dumps each of those.
+    odd = np.concatenate([floats[~in_fixed_range(floats)][:40],
+                          [np.nan, np.inf, -np.inf, 1e-5, -1e16, 5e-324]])
+    mixed = gen.normal(0.0, 20.0, 3 * _SLICE)
+    at = np.concatenate([[0, 1, 2, _SLICE - 1, _SLICE, 3 * _SLICE - 1],
+                         gen.choice(np.arange(3, 3 * _SLICE - 1), odd.size - 6, replace=False)])
+    mixed[at] = odd
+    text, lists, alone = write_noting_dumps(mixed, monkeypatch)
+    assert text == json.dumps(mixed.tolist())
+    # (a normal draw can itself fall below 1e-4)
+    assert lists == [] and REAL_DUMPS(alone) == REAL_DUMPS(
+        mixed[~in_fixed_range(mixed)].tolist())
+    assert len(alone) >= odd.size
+    # past one such value in 32, the whole slice goes through json.dumps
+    dense = mixed[:_SLICE].copy()
+    dense[::31] = 1e-5
+    text, lists, alone = write_noting_dumps(dense, monkeypatch)
+    assert text == json.dumps(dense.tolist()) and lists == [_SLICE] and alone == []
 
 
 def test_json_parts_formats_float64_edges_as_json_dumps(monkeypatch):
