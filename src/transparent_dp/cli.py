@@ -336,6 +336,56 @@ _INT64_MIN = -(2**63)
 # envelope's datasets hold their arrays; json's C scanner decodes deeper
 # ones, so nesting as deep as json accepts costs no Python recursion.
 _WALK_DEPTH = 2
+# Characters the envelope reader reads from its file at a time (256 KiB of
+# an ASCII envelope).  A value too long to stream grows the window.
+_WINDOW = 2**18
+
+
+class _Window:
+    """The text of an open file from character ``base`` on, read in windows.
+
+    Indices into ``text`` are local to it.  :meth:`more` drops the text
+    before an index and reads on, so a reader holds about one window and
+    the value it is reading, never the text it has passed.
+    """
+
+    def __init__(self, fh):
+        self.fh, self.text, self.base, self.eof = fh, "", 0, False
+
+    def more(self, idx: int) -> int:
+        """Drop the text before ``idx``, read on, and give ``idx``'s new
+        index, 0.  As much is read as is kept, and at least ``_WINDOW``
+        characters, so a value read again as the window grows is read a
+        number of times logarithmic in its length."""
+        chunk = self.fh.read(max(_WINDOW, len(self.text) - idx))
+        self.eof = not chunk
+        self.base += idx
+        self.text = self.text[idx:] + chunk
+        return 0
+
+    def need(self, idx: int, count: int) -> int:
+        """``idx`` once the text holds ``count`` characters from it, or the
+        rest of the file."""
+        while len(self.text) - idx < count and not self.eof:
+            idx = self.more(idx)
+        return idx
+
+    def space(self, idx: int) -> int:
+        """The index past the whitespace at ``idx``, with the character
+        there read, unless the file ends."""
+        while (idx := _SPACE(self.text, idx).end()) == len(self.text) and not self.eof:
+            idx = self.more(idx)
+        return idx
+
+    def rewind(self, pos: int) -> int:
+        """The index of character ``pos`` of the file, reading the file
+        again from its start if the window has passed it."""
+        if pos < self.base:
+            self.fh.seek(0)
+            self.text, self.base, self.eof = "", 0, False
+            while len(self.text) <= pos - self.base and not self.eof:
+                self.more(len(self.text))
+        return pos - self.base
 
 
 def _load_json(path: str, keep: Collection[str]) -> dict:
@@ -345,24 +395,40 @@ def _load_json(path: str, keep: Collection[str]) -> dict:
     every other member is parsed as well, and so checked, then dropped.  An
     array of numbers, down to the members of the body's members, becomes
     one ndarray (see :func:`_array`); every other value is what
-    ``json.loads`` gives.  The body is decoded where it lies in the text,
-    without a copy of it, and a syntax error anywhere gets ``json.loads``'s
-    message.  As there, anything but whitespace after the body is an error,
+    ``json.loads`` gives.  The file is read in windows of ``_WINDOW``
+    characters, so a read holds one window, one slice of an array and the
+    kept values, never the whole text.  An error is ``json.loads``'s: the
+    file is read again whole to give it, so its message, line and column
+    are the same, and a file that is not text fails as ``read_text``
+    fails.  As there, anything but whitespace after the body is an error,
     a ``#`` line included, and a repeated key keeps its last value.
     """
-    text = Path(path).read_text()
-    start = 0
-    while text.startswith("#", start):
-        end = text.find("\n", start)
-        start = len(text) if end < 0 else end + 1
-    obj, end = _value(text, _SPACE(text, start).end(), 0, keep)
-    end = _SPACE(text, end).end()
-    if end != len(text):
-        raise json.JSONDecodeError("Extra data", text, end)
-    return obj
+    with open(path) as fh:
+        win = _Window(fh)
+        try:
+            idx = win.need(0, 1)
+            if win.text.startswith("\ufeff"):
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
+                                           win.text, 0)
+            while win.text.startswith("#", idx):
+                while (end := win.text.find("\n", idx)) < 0 and not win.eof:
+                    idx = win.more(len(win.text))
+                idx = win.need(len(win.text) if end < 0 else end + 1, 1)
+            obj, idx = _value(win, win.space(idx), 0, keep)
+            idx = win.space(idx)
+            if idx != len(win.text):
+                raise json.JSONDecodeError("Extra data", win.text, idx)
+            return obj
+        except (ValueError, RecursionError) as exc:
+            # A decode error of any one window is json's error on the whole
+            # text, once the rest is known to decode as text.
+            text = Path(path).read_text()
+            if isinstance(exc, json.JSONDecodeError):
+                raise json.JSONDecodeError(exc.msg, text, win.base + exc.pos) from None
+            raise
 
 
-def _value(text: str, idx: int, depth: int, keep: Collection[str] | None = None,
+def _value(win: _Window, idx: int, depth: int, keep: Collection[str] | None = None,
            build: bool = True) -> tuple:
     """The value that starts at ``idx``, ``depth`` objects down, and the
     index past it.
@@ -372,14 +438,39 @@ def _value(text: str, idx: int, depth: int, keep: Collection[str] | None = None,
     object keeps, and None keeps them all; with ``build`` false, the value
     is only checked, and an array of numbers is given as None.
     """
-    if depth < _WALK_DEPTH and text.startswith("{", idx):
-        return _members(text, idx + 1, depth, keep, build)
-    if text.startswith("[", idx):
-        return _array(text, idx, build)
-    return _DECODER.raw_decode(text, idx)
+    if depth < _WALK_DEPTH and win.text.startswith("{", idx):
+        return _members(win, idx + 1, depth, keep, build)
+    if win.text.startswith("[", idx):
+        return _array(win, idx, build)
+    return _whole(win, idx, _DECODER.raw_decode)
 
 
-def _members(text: str, idx: int, depth: int, keep: Collection[str] | None,
+def _key(text: str, idx: int) -> tuple[str, int]:
+    return _STRING(text, idx + 1)
+
+
+def _whole(win: _Window, idx: int, decode) -> tuple:
+    """``decode(win.text, idx)``, from a window grown until it holds the
+    value and three characters past it, or the rest of the file.
+
+    Past a number, json's scanner looks at most three characters on
+    (``.5`` or ``e+5``), so a number cut at the window's edge is never
+    taken for a shorter one.  An error counts only once the file's end is
+    read: before that the value may only be cut.
+    """
+    while True:
+        try:
+            val, end = decode(win.text, idx)
+        except (ValueError, RecursionError):
+            if win.eof:
+                raise
+        else:
+            if end + 3 <= len(win.text) or win.eof:
+                return val, end
+        idx = win.more(idx)
+
+
+def _members(win: _Window, idx: int, depth: int, keep: Collection[str] | None,
              build: bool) -> tuple[dict, int]:
     """The members of the object opened just before ``idx``, and the index
     past its ``}``; a member that ``keep`` leaves out is checked, then
@@ -388,80 +479,104 @@ def _members(text: str, idx: int, depth: int, keep: Collection[str] | None,
     This is ``json``'s own object loop with its messages.
     """
     obj = {}
-    idx = _SPACE(text, idx).end()
-    if text.startswith("}", idx):
+    idx = win.space(idx)
+    if win.text.startswith("}", idx):
         return obj, idx + 1
     while True:
-        if not text.startswith('"', idx):
+        if not win.text.startswith('"', idx):
             raise json.JSONDecodeError(
-                "Expecting property name enclosed in double quotes", text, idx
+                "Expecting property name enclosed in double quotes", win.text, idx
             )
-        key, idx = _STRING(text, idx + 1)
-        idx = _SPACE(text, idx).end()
-        if not text.startswith(":", idx):
-            raise json.JSONDecodeError("Expecting ':' delimiter", text, idx)
+        key, idx = _whole(win, idx, _key)
+        idx = win.space(idx)
+        if not win.text.startswith(":", idx):
+            raise json.JSONDecodeError("Expecting ':' delimiter", win.text, idx)
         kept = keep is None or key in keep
-        val, idx = _value(text, _SPACE(text, idx + 1).end(), depth + 1,
-                          build=build and kept)
+        val, idx = _value(win, win.space(idx + 1), depth + 1, build=build and kept)
         if kept:
             obj[key] = val
-        idx = _SPACE(text, idx).end()
-        if text.startswith("}", idx):
+        idx = win.space(idx)
+        if win.text.startswith("}", idx):
             return obj, idx + 1
-        if not text.startswith(",", idx):
-            raise json.JSONDecodeError("Expecting ',' delimiter", text, idx)
-        idx = _SPACE(text, idx + 1).end()
+        if not win.text.startswith(",", idx):
+            raise json.JSONDecodeError("Expecting ',' delimiter", win.text, idx)
+        idx = win.space(idx + 1)
 
 
-def _array(text: str, idx: int, build: bool) -> tuple:
+def _array(win: _Window, idx: int, build: bool) -> tuple:
     """The array that opens at ``idx``, and the index past it.
 
-    A nonempty array whose text up to its first ``]`` holds none of
-    ``_NOT_NUMBERS`` is read by orjson in slices of at most ``_SLICE``
-    values, each cut at a comma, into one int64 or float64 ndarray whose
-    ``tolist()`` is the list ``json`` gives; neither a copy of the array's
-    text nor a Python number per value exists at once.  If a slice fails in orjson or
-    may differ from ``json`` (see :func:`_number_slice`), the array goes
-    through ``json`` instead, which gives its list or its error.  Every
-    other array is ``json``'s list.
+    The array is read by orjson as the window passes it, in slices of at
+    most ``_SLICE`` values, each cut at a comma, into one int64 or float64
+    ndarray whose ``tolist()`` is the list ``json`` gives; neither a copy
+    of the array's text nor a Python number per value exists at once, and
+    the ndarray grows in place.  If a slice is not one orjson reads as
+    ``json`` would (see :func:`_number_slice`), the array is read again
+    from its ``[`` by ``json``, which gives its list or its error.
     """
-    end = text.find("]", idx)
-    if (end < 0 or _SPACE(text, idx + 1).end() == end
-            or any(text.find(c, idx + 1, end) >= 0 for c in _NOT_NUMBERS)):
-        return _DECODER.raw_decode(text, idx)
+    origin = win.base + idx
     # k values and their k - 1 commas take at least 2k - 1 characters.
     width = 2 * _SLICE
-    pieces = []
+    kind = out = None
+    size = 0
     start = idx + 1
-    while start <= end:
-        stop = end
-        if end - start > width:
-            stop = text.rfind(",", start, start + width + 1)
-            if stop < 0:
-                stop = text.find(",", start + width, end)
-                stop = end if stop < 0 else stop
-        piece = _number_slice(text[start:stop], build)
-        if piece is None or (pieces and piece.dtype != pieces[0].dtype):
-            return _DECODER.raw_decode(text, idx)
-        pieces.append(piece)
+    while True:
+        start, stop = _cut(win, start, width)
+        piece = _number_slice(win.text[start:stop], build) if stop >= 0 else None
+        if piece is None or (kind is not None and piece.dtype != kind):
+            return _whole(win, win.rewind(origin), _DECODER.raw_decode)
+        kind = piece.dtype
+        if build:
+            if out is None:
+                out = piece
+            else:
+                if size + piece.size > out.size:
+                    out.resize(max(size + piece.size, out.size + out.size // 4),
+                               refcheck=False)
+                out[size:size + piece.size] = piece
+            size += piece.size
+        if win.text.startswith("]", stop):
+            break
         start = stop + 1
-    if not build:
-        return None, end + 1
-    return (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)), end + 1
+    if build:
+        out.resize(size, refcheck=False)
+    return out, stop + 1
+
+
+def _cut(win: _Window, start: int, width: int) -> tuple[int, int]:
+    """``start`` once read, and the index of the ``]`` or ``,`` that ends
+    the slice of an array from there, or -1 if the file ends first.
+
+    The slice ends at the array's ``]`` if that lies within ``width``
+    characters, else at the last comma within them; with neither, its one
+    value is longer, and it ends at the next comma or ``]``.
+    """
+    start = win.need(start, width + 1)
+    stop = win.text.find("]", start, start + width + 1)
+    if stop < 0:
+        stop = win.text.rfind(",", start, start + width + 1)
+    while stop < 0:
+        stops = [i for i in (win.text.find(c, start + width) for c in ",]") if i >= 0]
+        if stops or win.eof:
+            return start, min(stops, default=-1)
+        start = win.more(start)
+    return start, stop
 
 
 def _number_slice(part: str, build: bool) -> np.ndarray | None:
     """The comma-separated numbers of ``part`` as orjson reads them, or None.
 
     They give an int64 array if ``part`` holds no ``.``, ``e`` or ``E``,
-    and a float64 one if it does.  The result is None if orjson fails or
-    reads no value, or if a value is not of the array's kind as ``json``
-    would read it: an int, within int64, or a float of magnitude below
-    2^63.  orjson reads an integer literal from 2^63 as a uint64 and past
-    2^64, or below -2^63, as a float, where ``json`` keeps an int.  With
-    ``build`` false the values are checked, not converted, and the array
-    is empty.
+    and a float64 one if it does.  The result is None if ``part`` holds one
+    of ``_NOT_NUMBERS``, if orjson fails or reads no value, or if a value
+    is not of the array's kind as ``json`` would read it: an int, within
+    int64, or a float of magnitude below 2^63.  orjson reads an integer
+    literal from 2^63 as a uint64 and past 2^64, or below -2^63, as a
+    float, where ``json`` keeps an int.  With ``build`` false the values
+    are checked, not converted, and the array is empty.
     """
+    if any(c in part for c in _NOT_NUMBERS):
+        return None
     # Imported here, so that importing this module does not load it.
     import orjson
     try:

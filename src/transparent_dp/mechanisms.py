@@ -35,6 +35,9 @@ LAPLACE_MAX_SCALE = float(np.finfo(float).max) / 709.0
 # CLI reads values as floats) hold every integer only up to 2^53, and
 # 2^53 plus noise below 4.5e13 (see DG_MIN_RATE) cannot wrap in int64.
 DG_MAX_VALUE = 2**53
+# Second-batch exponentials the double geometric sampler draws per call
+# (32 KiB), so that a draw of n holds one array of n, not two.
+_SCRATCH = 4096
 
 __all__ = [
     "Family",
@@ -248,21 +251,23 @@ def laplace_log_density(u, scale: float):
 
 
 def double_geometric_noise(
-    rng: np.random.Generator, budget: PrivacyBudget, count: int, sensitivity=1
+    rng: np.random.Generator, budget: PrivacyBudget, count: int, sensitivity=1, *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Draw i.i.d. integer noise from the double geometric distribution.
 
     With rate a = eps / sensitivity and E ~ Exp(1), floor(E / a) is
     geometric on {0, 1, ...} with P(>= k) = e^(-a k).  Each draw is the
     difference of two such floors, the first ``count`` exponentials of the
-    stream minus the next ``count`` (two batches of ``count`` read the
-    stream exactly as one of 2 ``count`` would, in half the memory), and
-    has pmf proportional to e^(-a |u|) with normalizing constant
-    (1 - e^-a) / (1 + e^-a); no truncation.  Counts that differ by at most
-    ``sensitivity`` then have output log-ratios of at most eps.  The floors
-    are taken in floating point, as numpy's own geometric sampler does;
-    a rate below :data:`DG_MIN_RATE` is refused, since its floors could
-    exceed the integers a float holds exactly.
+    stream minus the next ``count``, and has pmf proportional to
+    e^(-a |u|) with normalizing constant (1 - e^-a) / (1 + e^-a); no
+    truncation.  The second ``count`` are drawn 4096 (``_SCRATCH``) at a
+    time, which reads the stream exactly as one call would, so a call holds
+    one array of ``count`` floats, not two.  Counts that differ by at most
+    ``sensitivity`` then have output log-ratios of at most eps.  The
+    floors are taken in floating point, as numpy's own geometric sampler
+    does; a rate below :data:`DG_MIN_RATE` is refused, since its floors
+    could exceed the integers a float holds exactly.
 
     Parameters
     ----------
@@ -274,26 +279,45 @@ def double_geometric_noise(
         Number of draws, at least 1.
     sensitivity : int
         Integer sensitivity of the released counts (default 1).
+    out : numpy.ndarray, optional
+        A contiguous float64 array of shape ``(count,)`` to draw into; the
+        draws are then written as integer-valued floats, the same values,
+        and no array of ``count`` draws is allocated.
 
     Returns
     -------
     numpy.ndarray
-        ``count`` int64 draws.
+        ``count`` int64 draws, or ``out`` holding them.
+
+    Raises
+    ------
+    ValueError
+        If ``count`` is below 1, the rate is below :data:`DG_MIN_RATE`, or
+        ``out`` is not a float64 array of shape ``(count,)``.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     rate = budget.epsilon / sensitivity
     _check_dg_rate(rate)
-    first = _exponential_floors(rng, rate, count)
-    first -= _exponential_floors(rng, rate, count)
-    return first.astype(np.int64)
+    given = out is not None
+    if not given:
+        out = np.empty(count)
+    elif out.dtype != np.float64 or out.shape != (count,):
+        raise ValueError(f"out must be a float64 array of shape ({count},), "
+                         f"got {out.dtype} of shape {out.shape}")
+    _exponential_floors(rng, rate, out)
+    scratch = np.empty(min(count, _SCRATCH))
+    for start in range(0, count, _SCRATCH):
+        part = out[start:start + _SCRATCH]
+        part -= _exponential_floors(rng, rate, scratch[:part.size])
+    return out if given else out.astype(np.int64)
 
 
-def _exponential_floors(rng: np.random.Generator, rate: float, count: int) -> np.ndarray:
-    # floor(E / rate) in place on the fresh batch of standard exponentials
-    e = rng.standard_exponential(count)
-    e /= rate
-    return np.floor(e, out=e)
+def _exponential_floors(rng: np.random.Generator, rate: float, out: np.ndarray) -> np.ndarray:
+    # floor(E / rate), in place, over a fresh batch of standard exponentials
+    rng.standard_exponential(out=out)
+    out /= rate
+    return np.floor(out, out=out)
 
 
 def double_geometric_log_pmf(u, budget: PrivacyBudget, sensitivity=1):

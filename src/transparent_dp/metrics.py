@@ -126,9 +126,12 @@ def privatized_dissimilarity_study(
     ``rng``, block j >= 1 from child j - 1 of ``rng.spawn``, spawned in
     order on the calling thread.  The blocks run on
     ``min(os.cpu_count(), blocks, 4)`` threads, at most one block per
-    thread in flight (about 1.6 MB each at 65 536 cells, whatever the
-    replicate count), and each writes its own rows, so the output is the
-    same for any thread count.  A study of at most 65 536 cells is one
+    thread in flight, and each writes its own rows, so the output is the
+    same for any thread count.  A block draws its w and b cell noise into
+    a pair of float64 buffers of one block's cells (1 MiB a pair at 65 536
+    cells, whatever the replicate count), one pair per thread, allocated
+    on the calling thread before any block runs; no block allocates an
+    array of its cells.  A study of at most 65 536 cells is one
     block and reads ``rng`` alone; a larger one needs an ``rng`` that can
     spawn (seeded from a ``SeedSequence``, as :func:`~transparent_dp.rng.stream`
     and ``numpy.random.default_rng`` make it).
@@ -161,10 +164,15 @@ def privatized_dissimilarity_study(
     d = np.empty(replicates)
     defined = np.empty(replicates, dtype=bool)
 
-    def block(start: int, g: np.random.Generator) -> None:
+    def block(start: int, g: np.random.Generator, cells: tuple) -> None:
         k = min(rows, replicates - start)
-        shares = table.w + double_geometric_noise(g, eps, k * m).reshape(k, m)
-        b_noisy = table.b + double_geometric_noise(g, eps, k * m).reshape(k, m)
+        # Float noise plus a count is the sum the count plus int64 noise
+        # gave, to the bit.
+        w_cells, b_cells = cells
+        shares = double_geometric_noise(g, eps, k * m, out=w_cells[:k * m]).reshape(k, m)
+        shares += table.w
+        b_noisy = double_geometric_noise(g, eps, k * m, out=b_cells[:k * m]).reshape(k, m)
+        b_noisy += table.b
         w_tot = table.w_cty + double_geometric_noise(g, eps, k)
         b_tot = table.b_cty + double_geometric_noise(g, eps, k)
 
@@ -186,14 +194,20 @@ def privatized_dissimilarity_study(
 
     starts = range(0, replicates, rows)
     workers = min(os.cpu_count() or 1, len(starts), _THREADS)
+    # Each block in flight borrows one pair of cell buffers, allocated
+    # here on the calling thread, and gives it back once its future is done.
+    size = min(rows, replicates) * m
+    free = [(np.empty(size), np.empty(size)) for _ in range(workers)]
     with ThreadPoolExecutor(workers) as pool:
-        running = set()
+        running = {}
         for j, start in enumerate(starts):
-            if len(running) == workers:
-                done, running = wait(running, return_when=FIRST_COMPLETED)
+            if not free:
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in done:
                     future.result()
-            running.add(pool.submit(block, start, rng.spawn(1)[0] if j else rng))
+                    free.append(running.pop(future))
+            cells = free.pop()
+            running[pool.submit(block, start, rng.spawn(1)[0] if j else rng, cells)] = cells
         for future in running:
             future.result()
 

@@ -380,13 +380,44 @@ def traced_peak(argv):
 
 def test_envelope_round_trip_memory_stays_bounded(tmp_path):
     # Holding the whole envelope as Python numbers and text, these peaked
-    # at about 24.8, 16.0 and 16.1 MiB.
+    # at about 24.8, 16.0 and 16.1 MiB; holding its text whole, the fits
+    # peaked at 12.0 and 11.8 MiB.  Read through a window, they peak at
+    # 3.6 and 3.8 MiB, in ols; the bounds leave 25% above that.
     env = str(tmp_path / "env.json")
     assert traced_peak(["simulate", "--n", "100000", "--epsilon-x", "1", "--epsilon-y",
                         "1", "--seed", "4", "--output", env]) < 12 * MIB
     fit = ["fit-naive", "--input", env, "--output", str(tmp_path / "fit.json")]
-    assert traced_peak(fit) < 15 * MIB
-    assert traced_peak(fit + ["--on", "confidential"]) < 13.5 * MIB
+    assert traced_peak(fit) < 4.5 * MIB
+    assert traced_peak(fit + ["--on", "confidential"]) < 5 * MIB
+
+
+def test_the_envelope_read_does_not_grow_with_the_file(tmp_path, monkeypatch):
+    # The read of fit-naive holds a window, a slice and the two arrays it
+    # keeps, so from 20 000 to 200 000 records its peak grows by those
+    # arrays, 2 x 8 B x 180 000, and 1 MiB at most.  Holding the text
+    # whole, it peaked at 2.4 and 23.5 MiB.  The fit itself, in ols, holds
+    # two more arrays of n and is not measured here.
+    load, peaks = cli._load_json, {}
+
+    def traced(path, keep):
+        tracemalloc.start()
+        try:
+            return load(path, keep)
+        finally:
+            peaks.setdefault(keep, []).append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_load_json", traced)
+    env = str(tmp_path / "env.json")
+    for n in (20_000, 200_000):
+        assert main(["simulate", "--n", str(n), "--epsilon-x", "1", "--epsilon-y", "1",
+                     "--seed", "4", "--output", env]) == 0
+        for on in ("privatized", "confidential"):
+            assert main(["fit-naive", "--input", env, "--on", on,
+                         "--output", str(tmp_path / "fit.json")]) == 0
+    assert len(peaks) == 2
+    for small, large in peaks.values():
+        assert large - small <= 2 * 8 * 180_000 + MIB, (small, large)
 
 
 @pytest.mark.parametrize("argv, output, error", [
@@ -559,7 +590,7 @@ def mutate(data, gen):
         data[i], data[j] = data[j], data[i]
 
 
-def test_reader_agrees_with_json_on_mutated_envelopes(tmp_path, monkeypatch, capsys):
+def check_mutated_envelopes(tmp_path, monkeypatch, capsys):
     bases = base_envelopes(tmp_path)
     capsys.readouterr()
     # Slices of at most 3 values, so an array spans several.
@@ -574,6 +605,21 @@ def test_reader_agrees_with_json_on_mutated_envelopes(tmp_path, monkeypatch, cap
         assert_reader_agrees_with_json(path, monkeypatch)
 
 
+def test_reader_agrees_with_json_on_mutated_envelopes(tmp_path, monkeypatch, capsys):
+    check_mutated_envelopes(tmp_path, monkeypatch, capsys)
+
+
+# A window this small cuts every value, slice, comment line and error of
+# the test envelopes at least once.
+TINY_WINDOW = 24
+
+
+def test_reader_agrees_with_json_on_mutated_envelopes_in_a_tiny_window(tmp_path, monkeypatch,
+                                                                      capsys):
+    monkeypatch.setattr(cli, "_WINDOW", TINY_WINDOW)
+    check_mutated_envelopes(tmp_path, monkeypatch, capsys)
+
+
 def edit_array(text, key, edit):
     """``text`` with the number array of member ``key`` rewritten by ``edit``."""
     start = text.index(f'"{key}": [') + len(f'"{key}": [')
@@ -581,7 +627,10 @@ def edit_array(text, key, edit):
     return text[:start] + edit(text[start:end]) + text[end:]
 
 
-@pytest.mark.parametrize("edit", [
+# Each edit is one place where orjson, reading a number array or a whole
+# envelope, or a walk of the text in Python could read it otherwise than
+# json.
+EDITS = [
     lambda t: edit_array(t, "x", lambda a: "18446744073709551616, " + a),
     lambda t: edit_array(t, "x", lambda a: a + ", -9223372036854775809"),
     lambda t: edit_array(t, "x", lambda a: "9223372036854775808, " + a),
@@ -603,20 +652,69 @@ def edit_array(text, key, edit):
     lambda t: edit_array(t, "x", lambda a: "1" * 5000 + ", " + a),
     lambda t: t.replace('"kind": "privatized"', '"kind": [1, 2]'),
     lambda t: t.replace('"family": "laplace"', '"family": [1.5, -2.0]', 1),
-], ids=["int-2^64", "int-below-int64", "int-uint64", "int-2^64-in-floats", "1e400", "nan",
-        "nan-infinity", "surrogate-key", "nested-list", "string", "leading-zero",
-        "leading-zero-float", "lines", "int-among-floats", "bool-among-ints", "minus-zero",
-        "deep-nesting", "int-5000-digits", "array-kind", "array-family"])
-def test_reader_agrees_with_json_where_orjson_differs(tmp_path, monkeypatch, capsys, edit):
-    # Each case is one place where orjson, reading a number array or a
-    # whole envelope, or a walk of the text in Python could read it
-    # otherwise than json; a slice holds at most 2 values.
+]
+EDIT_IDS = ["int-2^64", "int-below-int64", "int-uint64", "int-2^64-in-floats", "1e400", "nan",
+            "nan-infinity", "surrogate-key", "nested-list", "string", "leading-zero",
+            "leading-zero-float", "lines", "int-among-floats", "bool-among-ints", "minus-zero",
+            "deep-nesting", "int-5000-digits", "array-kind", "array-family"]
+
+
+def check_edit(tmp_path, monkeypatch, capsys, edit):
     text = edit(base_envelopes(tmp_path)[2].decode())
     capsys.readouterr()
     path = tmp_path / "edited.json"
     path.write_text(text)
+    # a slice holds at most 2 values
     monkeypatch.setattr(cli, "_SLICE", 2)
     assert_reader_agrees_with_json(path, monkeypatch)
+
+
+@pytest.mark.parametrize("edit", EDITS, ids=EDIT_IDS)
+def test_reader_agrees_with_json_where_orjson_differs(tmp_path, monkeypatch, capsys, edit):
+    check_edit(tmp_path, monkeypatch, capsys, edit)
+
+
+@pytest.mark.parametrize("edit", EDITS, ids=EDIT_IDS)
+def test_reader_agrees_with_json_where_orjson_differs_in_a_tiny_window(tmp_path, monkeypatch,
+                                                                       capsys, edit):
+    monkeypatch.setattr(cli, "_WINDOW", TINY_WINDOW)
+    check_edit(tmp_path, monkeypatch, capsys, edit)
+
+
+# Texts that no edit of an envelope makes: comment lines longer than the
+# window, trailing data, repeated keys, CR and CRLF line ends, long strings
+# and numbers, a byte order mark, and bodies that are empty or end early.
+EDGE_TEXTS = [
+    "# " + "a comment line longer than the window " * 4 + "\n#\n{\"privatized\": [1, 2]}\n",
+    '{"privatized": {"x": [1, 2]}} {}',
+    '{"privatized": {"x": [1, 2]}}\n# a comment after the body\n',
+    '{"confidential": [1.5, 2.5], "privatized": 3, "confidential": [4, 5]}',
+    '{"privatized":\r\n {"x": [1,\r 2.5e-3]},\r\n "confidential": {"y": [0.1]}}\r\n',
+    '{"privatized": {"kind": "' + "a long string " * 8 + '\\u00e9\\n", "x": [7]}}',
+    '{"privatized": {"x": [' + "9" * 60 + ", 1." + "5" * 60 + "e-" + "0" * 40 + "1]}}",
+    '\ufeff{"privatized": {}}',
+    "", "  \n ", "#", "# a comment and no body", '{"privatized": {"x": [1, 2',
+    '{"privatized": {"x": [1.5e', '{"privatized": {"x": [-Infinity, 1e+308, -0.0]}}',
+    '{"privatized": {"x": [1, 2.5]}, "confidential": {"x": [[1], {"a": "b"}]}}',
+]
+
+
+@pytest.mark.parametrize("window", [1, 7, TINY_WINDOW, cli._WINDOW])
+def test_reader_agrees_with_json_on_edge_texts(tmp_path, monkeypatch, window):
+    monkeypatch.setattr(cli, "_WINDOW", window)
+    monkeypatch.setattr(cli, "_SLICE", 2)
+    path = tmp_path / "edge.json"
+    for text in EDGE_TEXTS:
+        path.write_text(text, newline="")
+        assert_reader_agrees_with_json(path, monkeypatch)
+    # Numbers that json's scanner reads past a prefix that is a number too,
+    # at every offset from a window's edge.
+    for pad in range(TINY_WINDOW + 1):
+        space = " " * pad
+        for text in (f'{{"privatized": {{"seed": {space}-12.5e+3, "n": 7E-2}}}}',
+                     f'{{"privatized": {space}10.25}}', f"{space}3.5e-1"):
+            path.write_text(text)
+            assert_reader_agrees_with_json(path, monkeypatch)
 
 
 # Float literals whose nearest double is hard to find: long mantissas,

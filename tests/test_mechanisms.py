@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from transparent_dp import mechanisms
 from transparent_dp.errors import UnsupportedFamilyError
 from transparent_dp.mechanisms import (
     DG_MAX_VALUE,
@@ -207,6 +208,32 @@ def test_double_geometric_noise_unchanged_at_sensitivity_one():
         draws = double_geometric_noise(stream(4, "dg-one-ref"), budget, 1000, sens)
         assert draws.dtype == np.int64
         np.testing.assert_array_equal(draws, ref)
+    # drawn into a float buffer: the same values, as floats
+    buf = np.full(1000, np.nan)
+    drawn = double_geometric_noise(stream(4, "dg-one-ref"), budget, 1000, out=buf)
+    assert drawn is buf
+    np.testing.assert_array_equal(buf, ref.astype(float))
+
+
+def test_double_geometric_noise_reads_the_stream_as_one_batch_in_chunks():
+    # Past _SCRATCH draws the second batch is drawn a chunk at a time; the
+    # stream must still be read as by one call.
+    count = 2 * mechanisms._SCRATCH + 3
+    floors = np.floor(stream(4, "dg-chunks").standard_exponential(2 * count) / 0.7)
+    ref = (floors[:count] - floors[count:]).astype(np.int64)
+    draws = double_geometric_noise(stream(4, "dg-chunks"), PrivacyBudget(0.7), count)
+    np.testing.assert_array_equal(draws, ref)
+    buf = np.empty(count)
+    double_geometric_noise(stream(4, "dg-chunks"), PrivacyBudget(0.7), count, out=buf)
+    np.testing.assert_array_equal(buf, ref.astype(float))
+
+
+@pytest.mark.parametrize("out", [np.empty(999), np.empty(1001), np.empty((10, 100)),
+                                 np.empty(1000, np.float32), np.empty(1000, np.int64)],
+                         ids=["short", "long", "2-d", "float32", "int64"])
+def test_double_geometric_noise_refuses_a_buffer_of_the_wrong_size_or_dtype(out):
+    with pytest.raises(ValueError, match=r"out must be a float64 array of shape \(1000,\)"):
+        double_geometric_noise(stream(4, "dg-out"), PrivacyBudget(0.7), 1000, out=out)
 
 
 @pytest.mark.parametrize("delta", [1, 3])

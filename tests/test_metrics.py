@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -326,6 +327,30 @@ def test_study_raises_what_a_block_raises(monkeypatch):
     with pytest.raises(RuntimeError, match="draw failed"):
         privatized_dissimilarity_study(wide_county(3000, 132), PrivacyBudget(0.5), 50,
                                        stream(132, "raises"))
+
+
+def test_study_draws_its_cells_into_one_buffer_pair_per_worker(monkeypatch):
+    # Ten blocks on two workers: every cell draw goes into one of four
+    # buffers, allocated once.  The first block to draw holds its buffers
+    # for a while, so a buffer lent again before its block is done would
+    # change the study.
+    table, eps = wide_county(3000, 133), PrivacyBudget(0.5)
+    monkeypatch.setattr(metrics.os, "cpu_count", lambda: 2)
+    want = privatized_dissimilarity_study(table, eps, 200, stream(133, "buffers"))
+    buffers = []
+
+    def traced(*args, out=None, **kwargs):
+        if out is not None:
+            buffers.append(out.base)
+        drawn = double_geometric_noise(*args, out=out, **kwargs)
+        if len(buffers) == 1:
+            time.sleep(0.2)
+        return drawn
+
+    monkeypatch.setattr(metrics, "double_geometric_noise", traced)
+    assert privatized_dissimilarity_study(table, eps, 200, stream(133, "buffers")) == want
+    assert len(buffers) == 2 * 10
+    assert len({id(b) for b in buffers}) == 4
 
 
 def traced_study(table, replicates, rng):
