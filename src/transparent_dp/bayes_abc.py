@@ -57,6 +57,8 @@ _BATCH = 20_000
 # Bound on the expected x-stage survivors of one pass of the rejection
 # samplers, so a tiny P_x cannot grow a pass freely.
 _PASS_SURVIVORS = 1 << 13
+# Equal bins of [0, 1) in each record's x lookup table (:func:`_x_table`).
+_X_BINS = 4096
 
 
 def _logsumexp(a: np.ndarray, axis=None):
@@ -102,6 +104,10 @@ class PriorSpec:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` (beta0, beta1) pairs, shape (size, 2)."""
+        return np.column_stack(self._columns(rng, size))
+
+    def _columns(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """The draws of :meth:`sample` as a beta0 and a beta1 column."""
         if self.kind == "uniform_box":
             (lo0, hi0), (lo1, hi1) = self.bounds
             b0 = rng.uniform(lo0, hi0, size) if hi0 > lo0 else np.full(size, lo0)
@@ -110,7 +116,7 @@ class PriorSpec:
             (m0, m1), (s0, s1) = self.means, self.sds
             b0 = rng.normal(m0, s0, size)
             b1 = rng.normal(m1, s1, size)
-        return np.column_stack([b0, b1])
+        return b0, b1
 
 
 @dataclass(frozen=True)
@@ -399,15 +405,54 @@ def _x_stage_tables(log_pass: np.ndarray) -> tuple[float, np.ndarray]:
     return min(1.0, math.exp(float(log_rows.sum()))), cdf
 
 
+def _x_table(row: np.ndarray) -> np.ndarray:
+    """Row ``row`` of the x stages' cdf as a lookup table over ``_X_BINS``
+    equal bins of [0, 1).
+
+    Entry k is ``min(searchsorted(row, u, "right"), last)`` for every u in
+    [k / _X_BINS, (k + 1) / _X_BINS) where that index is the same at both
+    edges of the bin, since the search is monotone in u, and -1 in the bins
+    that straddle a value of ``row``, at most one bin per value.  The
+    (unclipped) index at edge k counts the values v <= k / _X_BINS, that is
+    those whose first edge at or above them, ceil(v * _X_BINS), is at most
+    k, as v * _X_BINS is exact.
+    """
+    first = np.minimum(np.ceil(row * _X_BINS), _X_BINS + 1).astype(np.intp)
+    at = np.bincount(first, minlength=_X_BINS + 2)[:_X_BINS + 1].cumsum()
+    np.minimum(at, row.size - 1, out=at)
+    return np.where(at[:-1] == at[1:], at[:-1], -1)
+
+
+def _x_index(row: np.ndarray, table: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``min(searchsorted(row, u, "right"), last)`` for uniforms u in [0, 1),
+    read from ``table = _x_table(row)``: only the u in a bin that straddles
+    a value of ``row`` are searched for.
+    """
+    ix = table.take((u * _X_BINS).astype(np.intp))
+    edge = (ix < 0).nonzero()[0]
+    if edge.size:
+        # the clip guards the u > row[-1] float edge
+        ix[edge] = np.minimum(row.searchsorted(u.take(edge), side="right"), row.size - 1)
+    return ix
+
+
 def _rejection_passes(rng: np.random.Generator, draws: int, p_x: float,
                       x_cdf: np.ndarray, draw_theta, y_penalty) -> AbcResult:
     """The rejection loop of both exact samplers, many batches per pass.
 
     A pass draws the x-stage survivor counts of its batches in one
-    binomial call, tags each survivor with its batch and gives it
-    ``draw_theta(m)`` parameters and a uniform u.  Record by record, the
-    survivors still alive draw x_i from row i of ``x_cdf`` and are charged
-    ``y_penalty(i, theta, ix)`` against the slack -log u.
+    binomial call, tags each survivor with its batch and gives it the
+    parameter columns ``draw_theta(m)`` (a sequence of m-long arrays) and a
+    uniform u.  Record by record, the survivors still alive draw x_i from
+    row i of ``x_cdf`` and are charged ``y_penalty(i, columns, ix)``
+    against the slack -log u; those whose slack stays positive are kept,
+    each column compacted by one ``take``, and a stage no survivor reaches
+    draws nothing.  The x draw is an inverse-cdf lookup: u falls in one of
+    ``_X_BINS`` equal bins of [0, 1) (u * _X_BINS is exact), whose entry in
+    row i's :func:`_x_table` is the index itself, and only a u whose bin
+    straddles a cdf value is searched for, so every ix equals
+    ``min(searchsorted(row, u, "right"), last)``.  A row's table is built
+    when the first survivor reaches it.
 
     The sampler stops at the first batch whose running accepted count
     reaches ``draws``, or at which the probe fails, and drops every later
@@ -415,25 +460,32 @@ def _rejection_passes(rng: np.random.Generator, draws: int, p_x: float,
     a batch-at-a-time loop.  The first pass holds one batch, later ones the
     number the running rate expects to finish, at most twice the batches
     run so far (doubling while nothing is accepted) and ``_PASS_SURVIVORS``
-    expected survivors, unless one batch holds more.
+    expected survivors, unless one batch holds more.  ``samples`` holds the
+    first ``draws`` accepted rows of the columns side by side.
     """
     if draws < 1:
         raise ValueError("draws must be at least 1")
-    last = x_cdf.shape[1] - 1
+    tables = [None] * x_cdf.shape[0]
     cap = max(1, int(_PASS_SURVIVORS / max(1.0, _BATCH * p_x)))
     accepted = []
     count = batches = 0
     size = 1
     while True:
         batch = np.repeat(np.arange(size), rng.binomial(_BATCH, p_x, size))
-        slack = -np.log(rng.random(batch.size))
-        theta = draw_theta(batch.size)
+        slack = rng.random(batch.size)
+        np.log(slack, out=slack)
+        np.negative(slack, out=slack)
+        cols = draw_theta(batch.size)
         for i, row in enumerate(x_cdf):
-            # the clip guards the u > row[-1] float edge
-            ix = np.minimum(np.searchsorted(row, rng.random(slack.size), side="right"), last)
-            slack = slack - y_penalty(i, theta, ix)
-            alive = np.flatnonzero(slack > 0)
-            slack, theta, batch = slack[alive], theta[alive], batch[alive]
+            if not slack.size:
+                break
+            if tables[i] is None:
+                tables[i] = _x_table(row)
+            ix = _x_index(row, tables[i], rng.random(slack.size))
+            slack -= y_penalty(i, cols, ix)
+            alive = (slack > 0).nonzero()[0]
+            slack, batch = slack.take(alive), batch.take(alive)
+            cols = [c.take(alive) for c in cols]
         running = count + np.cumsum(np.bincount(batch, minlength=size))
         props = _BATCH * (batches + np.arange(1, size + 1))
         probe = (props >= _PROBE_PROPOSALS) & (running / props < _PROBE_RATE)
@@ -446,13 +498,13 @@ def _rejection_passes(rng: np.random.Generator, draws: int, p_x: float,
                 f"acceptance rate {count / proposals:.3g} after {proposals} proposals"
             )
         # survivors stay in batch order: the first `draws` lie in batches up to `end`
-        accepted.append(theta)
+        accepted.append(cols)
         if stop.size:
             break
         expect = math.ceil((draws - count) * batches / count) if count else 2 * size
         size = min(cap, 2 * batches, expect)
-    # a copy, so the result does not keep the last batch's surplus rows alive
-    samples = np.concatenate(accepted)[:draws].copy()
+    # column_stack copies, so the result keeps no batch's surplus rows alive
+    samples = np.column_stack([np.concatenate(c)[:draws] for c in zip(*accepted)])
     return AbcResult(samples=samples, acceptance_rate=count / proposals, proposals=proposals)
 
 
@@ -515,12 +567,24 @@ def abc_exact_posterior(
     support, log_q, log_mass = x_proposal(data, lam)
     p_x, x_cdf = _x_stage_tables(log_q + (log_mass - lam - mode_x)[:, None])
 
-    def y_penalty(i, theta, ix):
-        y = theta[:, 0] + theta[:, 1] * support[ix] + rng.normal(0.0, sigma, ix.size)
-        return mode_y - log_fy(y - data.y_tilde[i])
+    scale, y_tilde = data.spec_y.scale, data.y_tilde
+    log_2b = -math.log(2.0 * scale)
+
+    def y_penalty(i, cols, ix):
+        b0, b1 = cols
+        y = support.take(ix)
+        y *= b1
+        y += b0
+        y += rng.normal(0.0, sigma, ix.size)
+        # mode_y - log_fy(y - y~_i) in place, in laplace_log_density's order
+        y -= y_tilde[i]
+        np.abs(y, out=y)
+        y /= -scale
+        y += log_2b
+        return np.subtract(mode_y, y, out=y)
 
     return _rejection_passes(rng, draws, p_x, x_cdf,
-                             lambda m: prior.sample(rng, m), y_penalty)
+                             lambda m: prior._columns(rng, m), y_penalty)
 
 
 def abc_toy_posterior(
@@ -546,14 +610,14 @@ def abc_toy_posterior(
     cdf = np.cumsum(np.exp(toy.y_log_pmf()), axis=2)  # (G, X, Y)
     last = toy.y_support.size - 1
 
-    def y_penalty(i, g, ix):
+    def y_penalty(i, cols, ix):
         # inverse-CDF y draw from the row of cdf selected by (g, ix);
         # the clip guards the u > cdf[..., -1] float edge
         u = rng.random((ix.size, 1))
-        iy = np.minimum((u > cdf[g, ix]).sum(axis=1), last)
+        iy = np.minimum((u > cdf[cols[0], ix]).sum(axis=1), last)
         return mode - log_f(y_t[i] - toy.y_support[iy])
 
     res = _rejection_passes(rng, draws, p_x, x_cdf,
-                            lambda m: rng.choice(toy.beta_grid.size, size=m, p=prior),
+                            lambda m: (rng.choice(toy.beta_grid.size, size=m, p=prior),),
                             y_penalty)
-    return replace(res, samples=toy.beta_grid[res.samples])
+    return replace(res, samples=toy.beta_grid[res.samples[:, 0]])

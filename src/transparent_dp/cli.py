@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 from collections.abc import Collection, Iterable, Iterator
 from itertools import chain, count, islice
@@ -315,11 +316,23 @@ def _emit(parts: Iterable[str], output: str | None) -> None:
     """Write the strings ``parts`` in order to ``output``, or to stdout.
 
     They are written as they are produced, never joined, so the envelope of
-    ``simulate`` is never held whole as text.
+    ``simulate`` is never held whole as text.  An existing ``output`` is
+    rewritten in place, not truncated on opening (which can stall for tens
+    of milliseconds on a file system that discards freed blocks): a regular
+    file is cut at the end of what was written, even when a part fails, so
+    none of its old text is left; anything else, such as a pipe or
+    ``/dev/null``, is written as an ``open(output, "w")`` would.
     """
     if output:
-        with Path(output).open("w") as fh:
-            fh.writelines(parts)
+        fd = os.open(output, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            with open(fd, "w", closefd=False) as fh:
+                fh.writelines(parts)
+        finally:
+            # closing fh flushed what was written; the old text past it goes
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+            os.close(fd)
     else:
         sys.stdout.writelines(parts)
         sys.stdout.flush()

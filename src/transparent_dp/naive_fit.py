@@ -73,10 +73,17 @@ def ols(x, y) -> FitResult:
 
     x_bar = x.mean()
     y_bar = y.mean()
-    sxx = float(np.sum((x - x_bar) ** 2))
+    # The squares and cross products in place, two arrays of n in all; the
+    # same values as (x - x_bar) ** 2 and (x - x_bar) * (y - y_bar).
+    d = x - x_bar
+    e = y - y_bar
+    e *= d
+    d *= d
+    sxx = float(np.sum(d))
     if sxx == 0.0:
         raise DegenerateDesignError("x is constant; slope undefined")
-    sxy = float(np.sum((x - x_bar) * (y - y_bar)))
+    sxy = float(np.sum(e))
+    del d, e
 
     beta1 = sxy / sxx
     beta0 = float(y_bar - beta1 * x_bar)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from transparent_dp.bayes_abc import (
 )
 from transparent_dp.cli import main
 from transparent_dp.errors import InfeasibleABCError
+from transparent_dp.mcem import x_proposal
 from transparent_dp.mechanisms import (
     Family,
     MechanismSpec,
@@ -661,3 +663,229 @@ def test_samples_csv_round_trip(capsys, tmp_path):
     assert [ln.split(",") for ln in lines[1:]] == [
         [str(i), repr(b0), repr(b1)] for i, (b0, b1) in enumerate(res.samples.tolist())
     ]
+
+
+# --- The x stages' table inverse -------------------------------------------
+
+# The n=4 release of the acceptance suite and of the abc_posterior benchmark.
+ABC_RELEASE = ((8.747, 7.655, 3.661, 4.664), (12.485, 19.217, 7.683, 11.223))
+
+
+def lookup_rows():
+    """cdf rows that stress the table, by name: the n=4 release's rows,
+    ties (zero-mass cells, at the start too), values on and one ulp off bin
+    edges, a last entry below or above 1, and one-entry rows."""
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(0.5))
+    priv = PrivatizedDataset(
+        x_tilde=np.array(ABC_RELEASE[0]), y_tilde=np.array(ABC_RELEASE[1]), spec_x=spec,
+        spec_y=spec, parent_seed=0,
+    )
+    support, log_q, log_mass = x_proposal(priv, 5.0)
+    _, x_cdf = bayes_abc._x_stage_tables(log_q + (log_mass - 5.0 - spec.log_density(0.0))[:, None])
+    edge = 1.0 / bayes_abc._X_BINS
+    rows = {f"release-{i}": row for i, row in enumerate(x_cdf)}
+    rows.update((name, np.array(r)) for name, r in {
+        "ties": [0.1, 0.1, 0.1, 0.5, 0.5, 1.0],
+        "leading-zeros": [0.0, 0.0, 0.3, 0.3, 1.0, 1.0],
+        "on-edges": [0.25, 0.5, 0.75, 1.0],
+        "ulp-off-edges": [edge, np.nextafter(2 * edge, 1.0), np.nextafter(3 * edge, 0.0),
+                          1.0 - edge, 1.0],
+        "last-one-ulp-below-1": [0.2, 0.5, np.nextafter(1.0, 0.0)],
+        "last-below-1": [0.2, 0.5, 0.9],
+        "last-above-1": [0.3, 0.6, 1.0000000000000002],
+        "one-entry": [1.0],
+        "one-entry-below-1": [np.nextafter(1.0, 0.0)],
+        "one-zero-entry": [0.0],
+    }.items())
+    return rows
+
+
+def edge_uniforms(row):
+    """Every bin edge and value of ``row`` in [0, 1), each one ulp either
+    side too."""
+    points = np.concatenate([np.arange(bayes_abc._X_BINS) / bayes_abc._X_BINS, row])
+    u = np.concatenate([points, np.nextafter(points, -1.0), np.nextafter(points, 2.0)])
+    return np.unique(u[(u >= 0.0) & (u < 1.0)])
+
+
+def check_lookup(row, u):
+    table = bayes_abc._x_table(row)
+    assert table.shape == (bayes_abc._X_BINS,)
+    assert np.count_nonzero(table < 0) <= row.size
+    got = bayes_abc._x_index(row, table, u)
+    want = np.minimum(np.searchsorted(row, u, side="right"), row.size - 1)
+    np.testing.assert_array_equal(got, want)
+
+
+LOOKUP_ROWS = lookup_rows()
+
+
+@pytest.mark.parametrize("name", list(LOOKUP_ROWS))
+def test_x_table_lookup_is_the_clipped_search(name):
+    row = LOOKUP_ROWS[name]
+    check_lookup(row, edge_uniforms(row))
+    check_lookup(row, stream(170, "lookup", name).random(20_000))
+
+
+def test_x_table_lookup_on_random_rows():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None)
+    @hypothesis.given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40),
+        scale=st.sampled_from([1.0, np.nextafter(1.0, 0.0), 0.999, 1.0000000000000002]),
+        u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=64),
+    )
+    def check(weights, scale, u):
+        w = np.array(weights)
+        total = w.sum()
+        row = np.cumsum(w / total) * scale if total > 0 else np.ones(w.size)
+        check_lookup(row, np.concatenate([np.array(u), edge_uniforms(row)]))
+
+    check()
+
+
+# --- The stage loop against the loop it replaced ----------------------------
+
+
+def reference_passes(rng, draws, p_x, x_cdf, draw_theta, y_penalty):
+    """The stage loop as it was before survivors were carried as columns
+    and x was drawn by table lookup, kept as the oracle of the new one."""
+    if draws < 1:
+        raise ValueError("draws must be at least 1")
+    _BATCH = bayes_abc._BATCH
+    last = x_cdf.shape[1] - 1
+    cap = max(1, int(bayes_abc._PASS_SURVIVORS / max(1.0, _BATCH * p_x)))
+    accepted = []
+    count = batches = 0
+    size = 1
+    while True:
+        batch = np.repeat(np.arange(size), rng.binomial(_BATCH, p_x, size))
+        slack = -np.log(rng.random(batch.size))
+        theta = draw_theta(batch.size)
+        for i, row in enumerate(x_cdf):
+            # the clip guards the u > row[-1] float edge
+            ix = np.minimum(np.searchsorted(row, rng.random(slack.size), side="right"), last)
+            slack = slack - y_penalty(i, theta, ix)
+            alive = np.flatnonzero(slack > 0)
+            slack, theta, batch = slack[alive], theta[alive], batch[alive]
+        running = count + np.cumsum(np.bincount(batch, minlength=size))
+        props = _BATCH * (batches + np.arange(1, size + 1))
+        probe = (props >= bayes_abc._PROBE_PROPOSALS) & (running / props < bayes_abc._PROBE_RATE)
+        stop = np.flatnonzero(probe | (running >= draws))
+        end = int(stop[0]) + 1 if stop.size else size
+        count, batches = int(running[end - 1]), batches + end
+        proposals = batches * _BATCH
+        if probe[end - 1]:
+            raise InfeasibleABCError(
+                f"acceptance rate {count / proposals:.3g} after {proposals} proposals"
+            )
+        accepted.append(theta)
+        if stop.size:
+            break
+        expect = math.ceil((draws - count) * batches / count) if count else 2 * size
+        size = min(cap, 2 * batches, expect)
+    samples = np.concatenate(accepted)[:draws].copy()
+    return bayes_abc.AbcResult(samples=samples, acceptance_rate=count / proposals,
+                               proposals=proposals)
+
+
+def reference_exact(data, prior, draws, rng, *, lam, sigma):
+    """abc_exact_posterior as it was, on :func:`reference_passes`."""
+    log_fx, log_fy = data.spec_x.log_density, data.spec_y.log_density
+    mode_x, mode_y = log_fx(0.0), log_fy(0.0)
+    support, log_q, log_mass = x_proposal(data, lam)
+    p_x, x_cdf = bayes_abc._x_stage_tables(log_q + (log_mass - lam - mode_x)[:, None])
+
+    def y_penalty(i, theta, ix):
+        y = theta[:, 0] + theta[:, 1] * support[ix] + rng.normal(0.0, sigma, ix.size)
+        return mode_y - log_fy(y - data.y_tilde[i])
+
+    return reference_passes(rng, draws, p_x, x_cdf, lambda m: prior.sample(rng, m), y_penalty)
+
+
+def reference_toy(toy, s_tilde_obs, draws, rng):
+    """abc_toy_posterior as it was, on :func:`reference_passes`."""
+    x_t, y_t = s_tilde_obs
+    log_f = toy.mechanism.log_density
+    mode = log_f(0)
+    prior = np.exp(toy.log_prior())
+    log_pass = toy.x_log_pmf() + log_f(x_t[:, None] - toy.x_support) - mode
+    p_x, x_cdf = bayes_abc._x_stage_tables(log_pass)
+    cdf = np.cumsum(np.exp(toy.y_log_pmf()), axis=2)
+    last = toy.y_support.size - 1
+
+    def y_penalty(i, g, ix):
+        u = rng.random((ix.size, 1))
+        iy = np.minimum((u > cdf[g, ix]).sum(axis=1), last)
+        return mode - log_f(y_t[i] - toy.y_support[iy])
+
+    res = reference_passes(rng, draws, p_x, x_cdf,
+                           lambda m: rng.choice(toy.beta_grid.size, size=m, p=prior),
+                           y_penalty)
+    return replace(res, samples=toy.beta_grid[res.samples])
+
+
+def exact_oracle_case(prior, spec_x=None, release=ABC_RELEASE, eps_y=0.5):
+    spec = MechanismSpec(Family.LAPLACE, 1.0, PrivacyBudget(0.5))
+    priv = PrivatizedDataset(
+        x_tilde=np.array(release[0]), y_tilde=np.array(release[1]),
+        spec_x=spec_x or spec, spec_y=replace(spec, budget=PrivacyBudget(eps_y)),
+        parent_seed=0,
+    )
+
+    def run(sampler, draws, rng):
+        return sampler(priv, prior, draws, rng, lam=5.0, sigma=2.0)
+
+    return run, abc_exact_posterior, reference_exact
+
+
+def toy_oracle_case(toy, obs):
+    def run(sampler, draws, rng):
+        return sampler(toy, obs, draws, rng)
+
+    return run, abc_toy_posterior, reference_toy
+
+
+BENCH_BOX = PriorSpec("uniform_box", bounds=((0.5, 6.5), (1.05, 2.25)))
+ORACLE_CASES = {
+    # name: (case, draws, batch or None for the module's)
+    "benchmark-release": (lambda: exact_oracle_case(BENCH_BOX), 100, None),
+    "point-mass-beta0": (lambda: exact_oracle_case(
+        PriorSpec("uniform_box", bounds=((3.0, 3.0), (1.05, 2.25)))), 30, None),
+    # a y scale of 10/3, whose reciprocal is inexact
+    "independent-normal": (lambda: exact_oracle_case(
+        PriorSpec("independent_normal", means=(3.5, 1.6), sds=(1.5, 0.3)), eps_y=0.3), 30, None),
+    "double-geometric-x": (lambda: exact_oracle_case(
+        BENCH_BOX, dg_spec(0.5), ((9, 8, 4, 5), ABC_RELEASE[1])), 30, None),
+    "one-draw": (lambda: exact_oracle_case(BENCH_BOX), 1, None),
+    "small-batch": (lambda: exact_oracle_case(BENCH_BOX), 40, 1000),
+    "batch-of-one": (lambda: exact_oracle_case(
+        PriorSpec("uniform_box", bounds=((3.0, 3.0), (1.5, 1.5))), None,
+        ((4.2, 6.9, 3.1), (9.4, 13.8, 7.2))), 20, 1),
+    "toy": (lambda: toy_oracle_case(
+        small_toy(), toy_privatized_observation(small_toy(), 0.5, stream(171, "obs"))[0]),
+        50, None),
+    "toy-one-draw-small-batch": (lambda: toy_oracle_case(
+        small_toy(), toy_privatized_observation(small_toy(), 0.5, stream(172, "obs"))[0]),
+        1, 7),
+    "random-toy": (lambda: toy_oracle_case(*random_toy(stream(173, "toy"))), 20, 500),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_stage_loop_matches_the_reference_loop(name, monkeypatch):
+    # Same stream, same generator calls: the draws, proposals and rate are
+    # those of the loop before, to the byte, on every stream.
+    make, draws, batch = ORACLE_CASES[name]
+    run, sampler, reference = make()
+    if batch is not None:
+        monkeypatch.setattr(bayes_abc, "_BATCH", batch)
+    for k in range(50):
+        new = run(sampler, draws, stream(174, name, k))
+        old = run(reference, draws, stream(174, name, k))
+        assert new.samples.dtype == old.samples.dtype
+        assert new.samples.shape == old.samples.shape
+        assert new.samples.tobytes() == old.samples.tobytes()
+        assert (new.proposals, new.acceptance_rate) == (old.proposals, old.acceptance_rate)

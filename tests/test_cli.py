@@ -7,6 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -360,6 +361,84 @@ def test_simulate_rerun_is_byte_identical(capsys, tmp_path):
     assert main(DEMO_ARGS + ["--output", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("old", [
+    lambda text: text[:-7],
+    lambda text: b"z" * len(text),
+    lambda text: b"old\n" * 100_000,
+], ids=["shorter", "equal", "longer"])
+def test_output_rewrites_an_existing_file_in_place(capsys, tmp_path, old):
+    fresh, path = tmp_path / "fresh.json", tmp_path / "env.json"
+    assert main(DEMO_ARGS + ["--output", str(fresh)]) == 0
+    text = fresh.read_bytes()
+    path.write_bytes(old(text))
+    inode = path.stat().st_ino
+    assert main(DEMO_ARGS + ["--output", str(path)]) == 0
+    capsys.readouterr()
+    assert path.read_bytes() == text
+    assert path.stat().st_ino == inode
+
+
+def test_output_is_not_truncated_on_opening(tmp_path):
+    # The old text is still there while the parts are produced; it is cut
+    # once they are written.
+    path = tmp_path / "out.txt"
+    path.write_text("old\n" * 1000)
+    sizes = []
+
+    def parts():
+        yield "new\n"
+        sizes.append(path.stat().st_size)
+
+    cli._emit(parts(), str(path))
+    assert sizes == [4000]
+    assert path.read_text() == "new\n"
+
+
+def test_output_keeps_the_mode_and_writes_through_a_symlink(tmp_path):
+    target, link = tmp_path / "target.txt", tmp_path / "link.txt"
+    target.write_text("old text that is longer than the new\n" * 10)
+    target.chmod(0o640)
+    link.symlink_to(target)
+    cli._emit(["new ", "text\n"], str(link))
+    assert link.is_symlink()
+    assert target.read_text() == "new text\n"
+    assert target.stat().st_mode & 0o777 == 0o640
+    fresh = tmp_path / "fresh.txt"
+    cli._emit(["x\n"], str(fresh))
+    umask = os.umask(0)
+    os.umask(umask)
+    assert fresh.stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_output_to_dev_null_and_a_fifo(tmp_path):
+    cli._emit(["nothing\n"] * 3, os.devnull)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()))
+    reader.start()
+    cli._emit(["through ", "a pipe\n"], str(fifo))
+    reader.join(timeout=30)
+    assert got == ["through a pipe\n"]
+
+
+@pytest.mark.parametrize("first", [10, 200_000], ids=["buffered", "flushed"])
+def test_a_failed_output_keeps_what_was_written_and_none_of_the_old(tmp_path, first):
+    # A part that fails mid-stream leaves the parts before it, whether they
+    # were still in the buffer or already on disk, and cuts the old text.
+    path = tmp_path / "out.txt"
+    path.write_text("old\n" * 200_000)
+
+    def parts():
+        yield "a" * first
+        yield "b\n"
+        raise ValueError("a part failed")
+
+    with pytest.raises(ValueError, match="a part failed"):
+        cli._emit(parts(), str(path))
+    assert path.read_text() == "a" * first + "b\n"
 
 
 ROOT = Path(__file__).resolve().parent.parent

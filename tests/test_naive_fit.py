@@ -72,6 +72,28 @@ def test_ols_unbiased_on_confidential_data():
     assert abs(slopes.mean() - 4.0) < 3 * mc_se
 
 
+@pytest.mark.parametrize("dtype", ["float", "int64"])
+def test_ols_in_place_sums_equal_the_written_out_expressions(dtype):
+    # ols takes its sums of squares and cross products in place; they, and
+    # so the fit, are those of the written-out expressions to the bit.
+    rng = stream(17, "ols-bits", dtype)
+    for n in (3, 10, 1000, 100_001):
+        if dtype == "float":
+            x, y = rng.normal(3.0, 7.0, n), rng.standard_cauchy(n)
+        else:
+            x, y = rng.poisson(10.0, n), rng.integers(-10**6, 10**6, n)
+        xf, yf = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        x_bar, y_bar = xf.mean(), yf.mean()
+        sxx = float(np.sum((xf - x_bar) ** 2))
+        sxy = float(np.sum((xf - x_bar) * (yf - y_bar)))
+        beta1 = sxy / sxx
+        beta0 = float(y_bar - beta1 * x_bar)
+        s_sq = float(np.sum((yf - beta0 - beta1 * xf) ** 2)) / (n - 2)
+        fit = ols(x, y)
+        assert (fit.beta1_hat, fit.beta0_hat, fit.residual_variance) == (beta1, beta0, s_sq)
+        assert fit.covariance[1, 1] == s_sq * (n / (n * sxx))
+
+
 def test_ols_rejects_bad_input():
     with pytest.raises(DegenerateDesignError):
         ols([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
