@@ -102,12 +102,8 @@ class PriorSpec:
         else:
             raise ValueError(f"unknown prior kind {self.kind!r}")
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` (beta0, beta1) pairs, shape (size, 2)."""
-        return np.column_stack(self._columns(rng, size))
-
     def _columns(self, rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """The draws of :meth:`sample` as a beta0 and a beta1 column."""
+        """``size`` prior draws, as a beta0 and a beta1 column."""
         if self.kind == "uniform_box":
             (lo0, hi0), (lo1, hi1) = self.bounds
             b0 = rng.uniform(lo0, hi0, size) if hi0 > lo0 else np.full(size, lo0)
@@ -128,7 +124,7 @@ class DiscreteToy:
     y given x a discretized normal around ``beta0 + beta * x`` on
     ``y_support``.  Both coordinates are privatized with the double
     geometric mechanism at the budget in ``mechanism``.  The unknown is
-    the slope, ranging over ``beta_grid``; the intercept is known.
+    the slope, uniform a priori over ``beta_grid``; the intercept is known.
     """
 
     beta_grid: np.ndarray
@@ -139,7 +135,6 @@ class DiscreteToy:
     beta0: float
     sigma: float
     lam: float
-    prior_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta_grid", np.asarray(self.beta_grid, dtype=float))
@@ -152,18 +147,10 @@ class DiscreteToy:
         if self.mechanism.family is not Family.DOUBLE_GEOMETRIC:
             raise ValueError("toy mechanism must be double geometric")
         _check_finite_positive(sigma=self.sigma, lam=self.lam)
-        if self.prior_weights is not None:
-            w = np.asarray(self.prior_weights, dtype=float)
-            if w.shape != self.beta_grid.shape or np.any(w < 0) or w.sum() <= 0:
-                raise ValueError("prior_weights must be nonnegative over beta_grid")
-            object.__setattr__(self, "prior_weights", w)
 
     def log_prior(self) -> np.ndarray:
-        """Normalized log prior over beta_grid."""
-        if self.prior_weights is None:
-            return np.full(self.beta_grid.size, -math.log(self.beta_grid.size))
-        lw = np.log(self.prior_weights.astype(float))
-        return lw - _logsumexp(lw)
+        """The uniform log prior over beta_grid."""
+        return np.full(self.beta_grid.size, -math.log(self.beta_grid.size))
 
     def x_log_pmf(self) -> np.ndarray:
         """Truncated-Poisson log pmf of x over x_support."""
@@ -339,13 +326,13 @@ def toy_privatized_observation(toy: DiscreteToy, beta: float, rng: np.random.Gen
     return (x_tilde, y_tilde), (x, y)
 
 
-def random_toy(rng: np.random.Generator, n_max: int = 3) -> tuple[DiscreteToy, tuple]:
-    """Draw a small random toy instance plus a simulated observation.
+def random_toy(rng: np.random.Generator) -> tuple[DiscreteToy, tuple]:
+    """Draw a small random toy instance (1 to 3 records) and an observation of it.
 
     Supports are kept small enough that the joint-enumeration oracle stays
     cheap (at most a few hundred thousand configurations).
     """
-    n = int(rng.integers(1, n_max + 1))
+    n = int(rng.integers(1, 4))
     x_lo = int(rng.integers(0, 3))
     x_support = np.arange(x_lo, x_lo + int(rng.integers(3, 6)))
     beta0 = float(rng.integers(-2, 3))
@@ -370,7 +357,6 @@ def random_toy(rng: np.random.Generator, n_max: int = 3) -> tuple[DiscreteToy, t
         beta0=beta0,
         sigma=sigma,
         lam=lam,
-        prior_weights=None,
     )
     beta = float(toy.beta_grid[int(rng.integers(0, toy.beta_grid.size))])
     s_tilde, _ = toy_privatized_observation(toy, beta, rng)

@@ -18,6 +18,7 @@ import functools
 import json
 import math
 import os
+import re
 import stat
 import sys
 from collections.abc import Collection, Iterable, Iterator
@@ -354,16 +355,21 @@ _WALK_DEPTH = 2
 _WINDOW = 2**18
 
 
-class _Window:
-    """The text of an open file from character ``base`` on, read in windows.
+class _Defer(Exception):
+    """Raised where the envelope walk leaves the text to ``json.loads``."""
 
-    Indices into ``text`` are local to it.  :meth:`more` drops the text
-    before an index and reads on, so a reader holds about one window and
-    the value it is reading, never the text it has passed.
+
+class _Window:
+    """The text of an open file, read in windows after ``text``, the part
+    already read.
+
+    :meth:`more` drops the text before an index and reads on, so a reader
+    holds about one window and the value it is reading, never the text it
+    has passed.
     """
 
-    def __init__(self, fh):
-        self.fh, self.text, self.base, self.eof = fh, "", 0, False
+    def __init__(self, fh, text: str):
+        self.fh, self.text, self.eof = fh, text, False
 
     def more(self, idx: int) -> int:
         """Drop the text before ``idx``, read on, and give ``idx``'s new
@@ -372,16 +378,8 @@ class _Window:
         number of times logarithmic in its length."""
         chunk = self.fh.read(max(_WINDOW, len(self.text) - idx))
         self.eof = not chunk
-        self.base += idx
         self.text = self.text[idx:] + chunk
         return 0
-
-    def need(self, idx: int, count: int) -> int:
-        """``idx`` once the text holds ``count`` characters from it, or the
-        rest of the file."""
-        while len(self.text) - idx < count and not self.eof:
-            idx = self.more(idx)
-        return idx
 
     def space(self, idx: int) -> int:
         """The index past the whitespace at ``idx``, with the character
@@ -390,55 +388,37 @@ class _Window:
             idx = self.more(idx)
         return idx
 
-    def rewind(self, pos: int) -> int:
-        """The index of character ``pos`` of the file, reading the file
-        again from its start if the window has passed it."""
-        if pos < self.base:
-            self.fh.seek(0)
-            self.text, self.base, self.eof = "", 0, False
-            while len(self.text) <= pos - self.base and not self.eof:
-                self.more(len(self.text))
-        return pos - self.base
-
 
 def _load_json(path: str, keep: Collection[str]) -> dict:
-    """Decode the JSON body of ``path`` that follows its leading ``#`` lines.
+    """``json.loads`` of the text of ``path`` with its leading ``#`` lines
+    blanked, holding only the ``keep`` members of a top-level object.
 
-    Of a top-level object, only the members named in ``keep`` are kept;
-    every other member is parsed as well, and so checked, then dropped.  An
-    array of numbers, down to the members of the body's members, becomes
-    one ndarray (see :func:`_array`); every other value is what
-    ``json.loads`` gives.  The file is read in windows of ``_WINDOW``
-    characters, so a read holds one window, one slice of an array and the
-    kept values, never the whole text.  An error is ``json.loads``'s: the
-    file is read again whole to give it, so its message, line and column
-    are the same, and a file that is not text fails as ``read_text``
-    fails.  As there, anything but whitespace after the body is an error,
-    a ``#`` line included, and a repeated key keeps its last value.
+    The other members are parsed as well, and so checked, then dropped.
+    The text is walked in windows of ``_WINDOW`` characters, and an array
+    of numbers, down to the members of the body's members, becomes one
+    ndarray whose ``tolist()`` is json's list (see :func:`_array`), so a
+    read holds one window, one slice of an array and the kept values, never
+    the whole text.  Text the walk does not take (an error, a byte order
+    mark, data after the body, an array orjson would read otherwise than
+    json) is decoded whole by ``json.loads``, lists staying lists, so every
+    error is json's.
     """
     with open(path) as fh:
-        win = _Window(fh)
         try:
-            idx = win.need(0, 1)
-            if win.text.startswith("\ufeff"):
-                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)",
-                                           win.text, 0)
-            while win.text.startswith("#", idx):
-                while (end := win.text.find("\n", idx)) < 0 and not win.eof:
-                    idx = win.more(len(win.text))
-                idx = win.need(len(win.text) if end < 0 else end + 1, 1)
-            obj, idx = _value(win, win.space(idx), 0, keep)
-            idx = win.space(idx)
-            if idx != len(win.text):
-                raise json.JSONDecodeError("Extra data", win.text, idx)
-            return obj
-        except (ValueError, RecursionError) as exc:
-            # A decode error of any one window is json's error on the whole
-            # text, once the rest is known to decode as text.
-            text = Path(path).read_text()
-            if isinstance(exc, json.JSONDecodeError):
-                raise json.JSONDecodeError(exc.msg, text, win.base + exc.pos) from None
-            raise
+            while (first := fh.read(1)) == "#":
+                while (line := fh.readline(_WINDOW)) and not line.endswith("\n"):
+                    pass
+            win = _Window(fh, first)
+            obj, idx = _value(win, win.space(0), 0, keep)
+            if win.space(idx) == len(win.text):
+                return obj
+        except (_Defer, ValueError, RecursionError):
+            pass
+    win = obj = None  # the walk's window may have grown to the whole file
+    text = Path(path).read_text()
+    body = re.match(r"(?:#[^\n]*\n?)*", text).end()
+    obj = json.loads(re.sub("[^\n]", " ", text[:body]) + text[body:])
+    return {k: v for k, v in obj.items() if k in keep} if isinstance(obj, dict) else obj
 
 
 def _value(win: _Window, idx: int, depth: int, keep: Collection[str] | None = None,
@@ -456,10 +436,6 @@ def _value(win: _Window, idx: int, depth: int, keep: Collection[str] | None = No
     if win.text.startswith("[", idx):
         return _array(win, idx, build)
     return _whole(win, idx, _DECODER.raw_decode)
-
-
-def _key(text: str, idx: int) -> tuple[str, int]:
-    return _STRING(text, idx + 1)
 
 
 def _whole(win: _Window, idx: int, decode) -> tuple:
@@ -487,9 +463,7 @@ def _members(win: _Window, idx: int, depth: int, keep: Collection[str] | None,
              build: bool) -> tuple[dict, int]:
     """The members of the object opened just before ``idx``, and the index
     past its ``}``; a member that ``keep`` leaves out is checked, then
-    dropped.
-
-    This is ``json``'s own object loop with its messages.
+    dropped.  Text that is not a member list raises :class:`_Defer`.
     """
     obj = {}
     idx = win.space(idx)
@@ -497,13 +471,11 @@ def _members(win: _Window, idx: int, depth: int, keep: Collection[str] | None,
         return obj, idx + 1
     while True:
         if not win.text.startswith('"', idx):
-            raise json.JSONDecodeError(
-                "Expecting property name enclosed in double quotes", win.text, idx
-            )
-        key, idx = _whole(win, idx, _key)
+            raise _Defer
+        key, idx = _whole(win, idx + 1, _STRING)
         idx = win.space(idx)
         if not win.text.startswith(":", idx):
-            raise json.JSONDecodeError("Expecting ':' delimiter", win.text, idx)
+            raise _Defer
         kept = keep is None or key in keep
         val, idx = _value(win, win.space(idx + 1), depth + 1, build=build and kept)
         if kept:
@@ -512,7 +484,7 @@ def _members(win: _Window, idx: int, depth: int, keep: Collection[str] | None,
         if win.text.startswith("}", idx):
             return obj, idx + 1
         if not win.text.startswith(",", idx):
-            raise json.JSONDecodeError("Expecting ',' delimiter", win.text, idx)
+            raise _Defer
         idx = win.space(idx + 1)
 
 
@@ -523,11 +495,10 @@ def _array(win: _Window, idx: int, build: bool) -> tuple:
     most ``_SLICE`` values, each cut at a comma, into one int64 or float64
     ndarray whose ``tolist()`` is the list ``json`` gives; neither a copy
     of the array's text nor a Python number per value exists at once, and
-    the ndarray grows in place.  If a slice is not one orjson reads as
-    ``json`` would (see :func:`_number_slice`), the array is read again
-    from its ``[`` by ``json``, which gives its list or its error.
+    the ndarray grows in place.  A slice that is not one orjson reads as
+    ``json`` would (see :func:`_number_slice`), or that is not of the
+    array's dtype, raises :class:`_Defer`.
     """
-    origin = win.base + idx
     # k values and their k - 1 commas take at least 2k - 1 characters.
     width = 2 * _SLICE
     kind = out = None
@@ -537,7 +508,7 @@ def _array(win: _Window, idx: int, build: bool) -> tuple:
         start, stop = _cut(win, start, width)
         piece = _number_slice(win.text[start:stop], build) if stop >= 0 else None
         if piece is None or (kind is not None and piece.dtype != kind):
-            return _whole(win, win.rewind(origin), _DECODER.raw_decode)
+            raise _Defer
         kind = piece.dtype
         if build:
             if out is None:
@@ -564,7 +535,8 @@ def _cut(win: _Window, start: int, width: int) -> tuple[int, int]:
     characters, else at the last comma within them; with neither, its one
     value is longer, and it ends at the next comma or ``]``.
     """
-    start = win.need(start, width + 1)
+    while len(win.text) - start <= width and not win.eof:
+        start = win.more(start)
     stop = win.text.find("]", start, start + width + 1)
     if stop < 0:
         stop = win.text.rfind(",", start, start + width + 1)

@@ -571,7 +571,7 @@ def ellipse_study(
     eps_y: PrivacyBudget,
     replicates: int,
     seed: int,
-    config: MCEMConfig | None = None,
+    config: MCEMConfig,
     methods: tuple = ("naive", "mcem"),
 ):
     """Repeatedly privatize one confidential dataset and collect ellipses.
@@ -581,7 +581,8 @@ def ellipse_study(
     OLS ellipse (textbook covariance on the noisy pairs) and/or the EM
     ellipse (inverse observed information) is computed and checked for
     coverage of the generating (beta0, beta1).  Both ellipses are at level
-    ``config.alpha``.
+    ``config.alpha``; EM runs under ``config``, whose sigma and lam it
+    takes as known.
 
     Returns
     -------
@@ -596,8 +597,6 @@ def ellipse_study(
     for m in methods:
         if m not in ("naive", "mcem"):
             raise ValueError(f"unknown method {m!r}")
-    if config is None:
-        config = MCEMConfig(sigma=params.sigma, lam=params.lam)
     target = (params.beta0, params.beta1)
 
     conf = gen_confidential(

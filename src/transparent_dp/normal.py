@@ -95,18 +95,14 @@ def _log_cdf_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return log_cdf, np.where(upper, log_cdf + half_sq, tail)
 
 
-def log_std_normal_cdf(a) -> np.ndarray:
-    """log P(Z <= a) for Z standard normal, elementwise.
-
-    Relative error below 1e-13 from far out in the lower tail, where Φ(a)
-    itself underflows, to a = 30; for a > 0 the value log1p(-Φ(-a)) is
-    tiny, and past a = 30 it is below 1e-197.
-    """
-    return _log_cdf_pair(np.asarray(a, dtype=float))[0]
-
-
 def _gap_moments(a: np.ndarray, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`gap_below_moments` given scaled = log Φ(a) + a²/2."""
+    """Mean and variance of a - Z given Z < a, for Z standard normal, given
+    scaled = log Φ(a) + a²/2 (see :func:`_log_cdf_pair`).
+
+    The mean is h(a) = a + φ(a)/Φ(a) and the variance 1 - h(a) φ(a)/Φ(a).
+    Both are computed without the cancellation the formulas suffer when
+    a << 0, where the gap is nearly exponential with rate -a.
+    """
     ratio = np.exp(-_LOG_SQRT_2PI - scaled)  # φ(a) / Φ(a)
     h = a + ratio
     var = 1.0 - h * ratio
@@ -125,17 +121,6 @@ def _gap_moments(a: np.ndarray, scaled: np.ndarray) -> tuple[np.ndarray, np.ndar
     return h, var
 
 
-def gap_below_moments(a) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of a - Z given Z < a, for Z standard normal.
-
-    The mean is h(a) = a + φ(a)/Φ(a) and the variance 1 - h(a) φ(a)/Φ(a).
-    Both are computed without the cancellation the formulas suffer when
-    a << 0, where the gap is nearly exponential with rate -a.
-    """
-    a = np.asarray(a, dtype=float)
-    return _gap_moments(a, _log_cdf_pair(a)[1])
-
-
 def normal_laplace(d, sigma: float, b: float):
     """Normal ⊛ Laplace: the law of d = r + e for r ~ N(0, sigma²) and
     independent Laplace(b) noise e, and the law of r given d.
@@ -149,7 +134,7 @@ def normal_laplace(d, sigma: float, b: float):
 
     the two pieces carry weights ∝ exp M(aⱼ), and their means are
     d - sigma h(a₁) and d + sigma h(a₂), with h and the variances from
-    :func:`gap_below_moments`.  M stays moderate even when κ is huge (a
+    :func:`_gap_moments`.  M stays moderate even when κ is huge (a
     nearly noise-free release), where log Φ(aⱼ) and the square terms of a
     direct evaluation would cancel.
 

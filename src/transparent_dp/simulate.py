@@ -25,7 +25,6 @@ __all__ = [
     "PrivatizedDataset",
     "gen_confidential",
     "privatize_dataset",
-    "dataset_to_dict",
     "dataset_from_dict",
     "dataset_to_json",
     "dataset_from_json",
@@ -219,12 +218,6 @@ def _dataset_fields(data) -> dict:
     raise TypeError(f"unsupported dataset type {type(data).__name__}")
 
 
-def dataset_to_dict(data) -> dict:
-    """JSON-ready dict of a dataset, carrying its params or specs."""
-    return {key: val.tolist() if isinstance(val, np.ndarray) else val
-            for key, val in _dataset_fields(data).items()}
-
-
 def _slice_text(s: np.ndarray) -> str:
     """``json.dumps(s.tolist())`` without its brackets.
 
@@ -266,16 +259,17 @@ def _orjson_text(s: np.ndarray) -> str:
 def json_parts(obj) -> Iterator[str]:
     """The text of ``json.dumps(obj, sort_keys=True)``, in pieces.
 
-    A dataset anywhere in ``obj`` stands for its :func:`dataset_to_dict`,
-    and its arrays are written from the ndarray in slices of at most
-    ``_SLICE`` values, so neither the whole text nor a Python number per
-    value exists at once.  An int64 slice, and each run of a float64 slice
-    between values that Python prints in exponent form (0 < |v| < 1e-4 or
-    |v| >= 1e16) or that are not finite, is formatted by orjson from the
-    array buffer; each of those values goes through ``json.dumps`` alone,
-    and a slice of another dtype, or one where they are more than one
-    value in 32, through ``json.dumps(slice.tolist())``.  The text is the
-    same either way.  Other values go through ``json.dumps``.
+    A dataset anywhere in ``obj`` stands for the object of its fields (see
+    :func:`_dataset_fields`), and its arrays are written from the ndarray
+    in slices of at most ``_SLICE`` values, so neither the whole text nor a
+    Python number per value exists at once.  An int64 slice, and each run
+    of a float64 slice between values that Python prints in exponent form
+    (0 < |v| < 1e-4 or |v| >= 1e16) or that are not finite, is formatted by
+    orjson from the array buffer; each of those values goes through
+    ``json.dumps`` alone, and a slice of another dtype, or one where they
+    are more than one value in 32, through ``json.dumps(slice.tolist())``.
+    The text is the same either way.  Other values go through
+    ``json.dumps``.
     """
     if isinstance(obj, (ConfidentialDataset, PrivatizedDataset)):
         obj = _dataset_fields(obj)
@@ -350,7 +344,8 @@ def _spec_from_dict(obj: dict, key: str) -> MechanismSpec:
 
 
 def dataset_from_dict(obj: dict):
-    """Inverse of :func:`dataset_to_dict`; dispatches on the ``kind`` field.
+    """The dataset of an object that :func:`dataset_to_json` writes, parsed;
+    dispatches on the ``kind`` field.
 
     A list of numbers may also be given as an ndarray.  Raises
     ``ValueError`` naming the field when one is missing or mistyped.

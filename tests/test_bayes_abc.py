@@ -37,7 +37,7 @@ def dg_spec(eps):
     return MechanismSpec(Family.DOUBLE_GEOMETRIC, 1.0, PrivacyBudget(eps))
 
 
-def small_toy(eps=0.5, prior_weights=None):
+def small_toy(eps=0.5):
     return DiscreteToy(
         beta_grid=np.round(np.linspace(-1.0, 2.0, 7), 3),
         x_support=np.arange(0, 4),
@@ -47,13 +47,17 @@ def small_toy(eps=0.5, prior_weights=None):
         beta0=0.5,
         sigma=1.2,
         lam=1.5,
-        prior_weights=prior_weights,
     )
+
+
+def draw_prior(prior, rng, size):
+    """``size`` (beta0, beta1) rows drawn from ``prior``, shape (size, 2)."""
+    return np.column_stack(prior._columns(rng, size))
 
 
 def test_prior_spec_uniform_box():
     prior = PriorSpec("uniform_box", bounds=((-1.0, 1.0), (2.0, 5.0)))
-    draws = prior.sample(stream(80, "prior"), 500)
+    draws = draw_prior(prior, stream(80, "prior"), 500)
     assert draws.shape == (500, 2)
     assert draws[:, 0].min() >= -1.0 and draws[:, 0].max() <= 1.0
     assert draws[:, 1].min() >= 2.0 and draws[:, 1].max() <= 5.0
@@ -61,13 +65,13 @@ def test_prior_spec_uniform_box():
 
 def test_prior_spec_point_mass_coordinate():
     prior = PriorSpec("uniform_box", bounds=((3.0, 3.0), (0.0, 1.0)))
-    draws = prior.sample(stream(81, "prior-pm"), 100)
+    draws = draw_prior(prior, stream(81, "prior-pm"), 100)
     assert np.all(draws[:, 0] == 3.0)
 
 
 def test_prior_spec_independent_normal():
     prior = PriorSpec("independent_normal", means=(1.0, -2.0), sds=(0.5, 2.0))
-    draws = prior.sample(stream(82, "prior-n"), 20000)
+    draws = draw_prior(prior, stream(82, "prior-n"), 20000)
     assert abs(draws[:, 0].mean() - 1.0) < 0.02
     assert abs(draws[:, 1].std() - 2.0) < 0.05
 
@@ -123,8 +127,6 @@ def test_discrete_toy_validation():
             sigma=1.0,
             lam=1.0,
         )
-    with pytest.raises(ValueError):
-        small_toy(prior_weights=np.array([1.0, 2.0]))
 
 
 @pytest.mark.parametrize("name", ["sigma", "lam"])
@@ -256,15 +258,6 @@ def test_misreport_face_value_attenuates_on_average():
     assert len(t_means) > 30
     assert np.mean(a_means) < np.mean(t_means) - 0.2
     assert np.mean(a_means) < 1.9
-
-
-def test_misreport_prior_dominated_discrepancy_vanishes():
-    weights = np.full(7, 1e-9)
-    weights[3] = 1.0
-    toy = small_toy(prior_weights=weights)
-    obs, _ = toy_privatized_observation(toy, 0.5, stream(89, "mis-pm"))
-    rep = misreported_mechanism_bias(toy, obs, 0.5, 2.0)
-    assert abs(rep.discrepancy) < 1e-6
 
 
 def test_misreport_argument_validation():
@@ -802,7 +795,8 @@ def reference_exact(data, prior, draws, rng, *, lam, sigma):
         y = theta[:, 0] + theta[:, 1] * support[ix] + rng.normal(0.0, sigma, ix.size)
         return mode_y - log_fy(y - data.y_tilde[i])
 
-    return reference_passes(rng, draws, p_x, x_cdf, lambda m: prior.sample(rng, m), y_penalty)
+    return reference_passes(rng, draws, p_x, x_cdf, lambda m: draw_prior(prior, rng, m),
+                            y_penalty)
 
 
 def reference_toy(toy, s_tilde_obs, draws, rng):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -775,6 +776,7 @@ EDGE_TEXTS = [
     "", "  \n ", "#", "# a comment and no body", '{"privatized": {"x": [1, 2',
     '{"privatized": {"x": [1.5e', '{"privatized": {"x": [-Infinity, 1e+308, -0.0]}}',
     '{"privatized": {"x": [1, 2.5]}, "confidential": {"x": [[1], {"a": "b"}]}}',
+    '{"privatized": {"x": [1, 2],}}', '{"privatized": {"x": [1, 2,]}}', '{"confidential": 1,}',
 ]
 
 
@@ -794,6 +796,72 @@ def test_reader_agrees_with_json_on_edge_texts(tmp_path, monkeypatch, window):
                      f'{{"privatized": {space}10.25}}', f"{space}3.5e-1"):
             path.write_text(text)
             assert_reader_agrees_with_json(path, monkeypatch)
+
+
+@pytest.mark.parametrize("text", [
+    '\ufeff{"privatized": {"x": [1, 2]}}', '{"privatized": {"x": [1, 2]}, "y": tru}',
+    '{"privatized": {"x": [1, 2]}} {}', '{"privatized": {"x": [1, 2, 1.5]}}'])
+def test_the_fallback_holds_no_window(tmp_path, monkeypatch, text):
+    # A file the walk does not take is read whole once the walk's window,
+    # which may have grown to the whole file, is gone.
+    windows = weakref.WeakSet()
+    init, read_text = cli._Window.__init__, Path.read_text
+
+    def track(self, *args):
+        windows.add(self)
+        init(self, *args)
+
+    def read_alone(self, *args, **kwargs):
+        assert not windows
+        return read_text(self, *args, **kwargs)
+
+    path = tmp_path / "env.json"
+    path.write_text(text)
+    monkeypatch.setattr(cli._Window, "__init__", track)
+    monkeypatch.setattr(Path, "read_text", read_alone)
+    assert same_json(attempt(cli._load_json, str(path), KEEPS[0]),
+                     attempt(json_load, str(path), KEEPS[0]))
+    assert not windows
+
+
+def simulate_envelope(path, n, seed):
+    assert main(["simulate", "--n", str(n), "--epsilon-x", "1", "--epsilon-y", "2",
+                 "--seed", str(seed), "--output", str(path)]) == 0
+    return path
+
+
+def assert_walked_without_the_whole_text(path, monkeypatch):
+    """``_load_json`` gives json's value for every keep set with the whole
+    text out of reach, so the windowed walk read the file alone."""
+    whole = json_load(path, KEEPS[0])
+    with monkeypatch.context() as m:
+        m.setattr(Path, "read_text", lambda *_: pytest.fail("read the whole text"))
+        for keep in KEEPS:
+            got = cli._load_json(str(path), keep)
+            assert same_json(got, {k: v for k, v in whole.items() if k in keep}), keep
+
+
+# Any text the walk does not take is decoded whole, so only this test, not
+# the agreement with json, tells a broken walk from a working one.
+@pytest.mark.parametrize("window", [1, 7, TINY_WINDOW, cli._WINDOW])
+@pytest.mark.parametrize("slice_size", [2, 3, _SLICE])
+def test_reader_walks_simulate_envelopes_alone(tmp_path, monkeypatch, window, slice_size):
+    monkeypatch.setattr(cli, "_WINDOW", window)
+    monkeypatch.setattr(cli, "_SLICE", slice_size)
+    for n, seed in ((6, 3), (9, 8)):
+        path = simulate_envelope(tmp_path / f"env{n}.json", n, seed)
+        assert_walked_without_the_whole_text(path, monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def large_env(tmp_path_factory):
+    return simulate_envelope(tmp_path_factory.mktemp("large") / "env.json", 10**5, 13)
+
+
+@pytest.mark.parametrize("window", [TINY_WINDOW, cli._WINDOW])
+def test_reader_walks_a_large_simulate_envelope_alone(large_env, monkeypatch, window):
+    monkeypatch.setattr(cli, "_WINDOW", window)
+    assert_walked_without_the_whole_text(large_env, monkeypatch)
 
 
 # Float literals whose nearest double is hard to find: long mantissas,
@@ -834,6 +902,27 @@ def test_reader_parses_every_float64_as_json_loads(tmp_path, monkeypatch):
     path.write_text(text)
     monkeypatch.setattr(cli, "_DECODER", None)
     assert same_json(cli._load_json(str(path), ("fast",)), json.loads(text))
+
+
+def test_orjson_alone_parses_every_float64_as_json_loads(tmp_path, monkeypatch):
+    # The test above passes as well where its arrays fall back to
+    # json.loads; here the whole text is out of reach, so the ndarray is
+    # orjson's, and it must hold json.loads' doubles to the bit.
+    gen = np.random.default_rng(19)
+    bits = gen.integers(0, 2**64, 10**5, dtype=np.uint64).view(np.float64)
+    subnormal = gen.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+    edges = np.concatenate([subnormal, [np.nextafter(2.0**63, 0.0)]])
+    values = np.concatenate([bits, edges, -edges])
+    literals = [repr(v) for v in values[np.isfinite(values)].tolist()] + HARD_FLOATS
+    text = "[" + ", ".join(lit for lit in literals if abs(float(lit)) < 2.0**63) + "]"
+    path = tmp_path / "floats.json"
+    path.write_text(f'{{"fast": {text}}}')
+    monkeypatch.setattr(cli, "_SLICE", 64)
+    monkeypatch.setattr(Path, "read_text", lambda *_: pytest.fail("read the whole text"))
+    got = cli._load_json(str(path), ("fast",))["fast"]
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    want = np.array(json.loads(text), dtype=np.float64)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_the_cli_module_does_not_import_orjson():

@@ -733,7 +733,7 @@ def test_ellipse_study_smoke():
 def test_ellipse_study_naive_only():
     rows, rates = ellipse_study(
         REF_PARAMS, 8, PrivacyBudget(0.5), PrivacyBudget(0.5), replicates=3, seed=6,
-        methods=("naive",),
+        config=MCEMConfig(), methods=("naive",),
     )
     assert all(r.method == "naive" for r in rows)
     assert set(rates) == {"naive"}
@@ -754,11 +754,10 @@ def test_ellipse_study_builds_both_ellipses_at_config_alpha():
 
 
 def test_ellipse_study_argument_errors():
+    budget, config = PrivacyBudget(0.5), MCEMConfig()
     with pytest.raises(ValueError):
-        ellipse_study(REF_PARAMS, 8, PrivacyBudget(0.5), PrivacyBudget(0.5), 0, 1)
+        ellipse_study(REF_PARAMS, 8, budget, budget, 0, 1, config)
     with pytest.raises(ValueError):
-        ellipse_study(
-            REF_PARAMS, 8, PrivacyBudget(0.5), PrivacyBudget(0.5), 1, 1, methods=("abc",)
-        )
+        ellipse_study(REF_PARAMS, 8, budget, budget, 1, 1, config, methods=("abc",))
     with pytest.raises(ValueError, match="naive, mcem"):
-        ellipse_study(REF_PARAMS, 8, PrivacyBudget(0.5), PrivacyBudget(0.5), 1, 1, methods=())
+        ellipse_study(REF_PARAMS, 8, budget, budget, 1, 1, config, methods=())

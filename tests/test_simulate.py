@@ -14,9 +14,9 @@ from transparent_dp.simulate import (
     PrivatizedDataset,
     RegressionParams,
     _SLICE,
+    _dataset_fields,
     dataset_from_dict,
     dataset_from_json,
-    dataset_to_dict,
     dataset_to_json,
     gen_confidential,
     json_parts,
@@ -24,6 +24,12 @@ from transparent_dp.simulate import (
 )
 
 REF_PARAMS = RegressionParams(beta0=-5.0, beta1=4.0, sigma=5.0, lam=10.0)
+
+
+def dataset_to_dict(data):
+    """The JSON object of a dataset, its arrays as lists."""
+    return {key: val.tolist() if isinstance(val, np.ndarray) else val
+            for key, val in _dataset_fields(data).items()}
 
 
 def test_params_validation():
