@@ -332,17 +332,17 @@ def e_step(
     log_w, mean_r, var_r = log_importance_weights(
         data, (beta0, beta1), support, counts, config.sigma
     )
-    max_raw = log_w.max(axis=1, keepdims=True)
+    max_raw = np.maximum.reduce(log_w, axis=1, keepdims=True)
     if not np.isfinite(max_raw).all():
         raise DegenerateWeightsError("all importance weights of a record degenerate")
     log_w -= max_raw
-    w = np.exp(log_w)
+    w = np.exp(log_w, out=log_w)
     p = counts * w
-    total = p.sum(axis=1, keepdims=True)
+    total = np.add.reduce(p, axis=1, keepdims=True)
     w /= total
     p /= total
     # record i's sum of squared draw weights is sum_s counts w^2 = sum_s p w
-    ess = float(1.0 / np.max(np.einsum("is,is->i", p, w)))
+    ess = float(1.0 / np.maximum.reduce(np.einsum("is,is->i", p, w)))
 
     state = MCEMState(
         theta=(beta0, beta1),
@@ -356,7 +356,7 @@ def e_step(
     # Record-major (n, K) storage; the returned (K, n) array is its view.
     # The support is 0..N, so a value's index is the value; 32-bit integers
     # halve the largest array the E-step writes.
-    x_index = np.tile(np.arange(support.size, dtype=np.int32), n)
+    x_index = np.arange(n * support.size, dtype=np.int32) % support.size
     x_rec = np.repeat(x_index, counts.ravel()).reshape(n, k)
     return state, (x_rec.T, mean_r + beta0 + beta1 * support)
 
@@ -374,13 +374,13 @@ def m_step(state: MCEMState) -> tuple[float, float]:
     p = state.cell_weights
     s = state.support
     n = p.shape[0]
-    mass = p.sum(axis=0)
+    mass = np.add.reduce(p, axis=0)
     pr = np.einsum("is,is->s", p, state.mean_r)
     mx = float(mass @ s) / n
     var_x = float(mass @ (s * s)) / n - mx**2
     if var_x <= 0.0:
         raise DegenerateDesignError("weighted variance of x is not positive")
-    mr = float(pr.sum()) / n
+    mr = float(np.add.reduce(pr)) / n
     shift = (float(pr @ s) / n - mx * mr) / var_x
     beta0, beta1 = state.theta
     return float(beta0 + mr - shift * mx), float(beta1 + shift)
@@ -433,13 +433,14 @@ def _mean_score(state: MCEMState, sigma: float):
     counts.  The magnitudes, sum_i |s̄_i|, size the rounding of the mean.
     """
     p = state.cell_weights
-    pw = np.divide(p * p, state.counts, out=np.zeros(p.shape), where=state.counts > 0)
+    # p is 0 wherever counts is, so those cells get 0 / 1
+    pw = p * p / np.maximum(state.counts, 1)
     mean, var, size = np.empty(2), np.empty(2), np.empty(2)
     for j, c in enumerate(_conditional_scores(state, sigma)):
         m = np.einsum("is,is->i", p, c)
-        c = c - m[:, None]
-        mean[j] = m.sum()
-        size[j] = np.abs(m).sum()
+        c -= m[:, None]
+        mean[j] = np.add.reduce(m)
+        size[j] = np.add.reduce(np.abs(m))
         var[j] = np.einsum("is,is,is->", pw, c, c)
     return mean, np.sqrt(var), size
 
@@ -509,7 +510,12 @@ def run_mcem(data: PrivatizedDataset, config: MCEMConfig, seed: int) -> MCEMResu
         theta = m_step(state)
         trace.append((t, *theta, state.ess))
         score, score_se, size = _mean_score(state, config.sigma)
-        if (np.abs(score) <= _SCORE_Z * score_se + _SCORE_ROUNDING * size).all():
+        # both components, in Python floats: the same arithmetic as on the
+        # arrays, in fewer steps
+        if all(
+            abs(m) <= _SCORE_Z * se + _SCORE_ROUNDING * sz
+            for m, se, sz in zip(score.tolist(), score_se.tolist(), size.tolist())
+        ):
             consecutive += 1
             if consecutive >= 2:
                 converged = True

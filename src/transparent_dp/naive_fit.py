@@ -35,7 +35,10 @@ class FitResult:
         if cov.shape != (2, 2):
             raise ValueError(f"covariance must be 2x2, got shape {cov.shape}")
         # An all-NaN matrix is the explicit "covariance unavailable" sentinel.
-        if not (np.isnan(cov).all() or np.allclose(cov, cov.T)):
+        # Equal off-diagonal entries and a diagonal free of NaN pass the
+        # allclose test; only other matrices need it.
+        exact = cov[0, 1] == cov[1, 0] and cov[0, 0] == cov[0, 0] and cov[1, 1] == cov[1, 1]
+        if not (exact or np.isnan(cov).all() or np.allclose(cov, cov.T)):
             raise ValueError("covariance must be symmetric")
         object.__setattr__(self, "covariance", cov)
         if self.method not in METHODS:
@@ -71,29 +74,32 @@ def ols(x, y) -> FitResult:
     if n < 3:
         raise ValueError(f"need at least 3 observations, got {n}")
 
-    x_bar = x.mean()
-    y_bar = y.mean()
+    # np.add.reduce(x) / n is what x.mean() computes
+    sum_x = np.add.reduce(x)
+    x_bar = sum_x / n
+    y_bar = np.add.reduce(y) / n
     # The squares and cross products in place, two arrays of n in all; the
     # same values as (x - x_bar) ** 2 and (x - x_bar) * (y - y_bar).
     d = x - x_bar
     e = y - y_bar
     e *= d
     d *= d
-    sxx = float(np.sum(d))
+    sxx = float(np.add.reduce(d))
     if sxx == 0.0:
         raise DegenerateDesignError("x is constant; slope undefined")
-    sxy = float(np.sum(e))
+    sxy = float(np.add.reduce(e))
     del d, e
 
     beta1 = sxy / sxx
     beta0 = float(y_bar - beta1 * x_bar)
 
     resid = y - beta0 - beta1 * x
-    s_sq = float(np.sum(resid**2)) / (n - 2)
+    resid *= resid
+    s_sq = float(np.add.reduce(resid)) / (n - 2)
 
     # (X'X)^{-1} for the design [1, x]; det = n * sxx.
-    sum_x = float(np.sum(x))
-    sum_xx = float(np.sum(x**2))
+    sum_x = float(sum_x)
+    sum_xx = float(np.add.reduce(x * x))
     det = n * sxx
     xtx_inv = np.array([[sum_xx, -sum_x], [-sum_x, float(n)]]) / det
 

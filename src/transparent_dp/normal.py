@@ -22,13 +22,32 @@ _SQRT2 = math.sqrt(2.0)
 _LOG2 = math.log(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+
+def _const(value: float) -> np.ndarray:
+    """A read-only 0-d float64 array: numpy takes one as an operand in
+    fewer steps than a Python float."""
+    c = np.array(value)
+    c.flags.writeable = False
+    return c
+
+
+# The array functions' constants, as 0-d arrays.
+_ZERO, _HALF, _ONE, _TWO = map(_const, (0.0, 0.5, 1.0, 2.0))
+_LOG2_C = _const(_LOG2)
+_SQRT2_C = _const(_SQRT2)
+_NEG_LOG_SQRT_2PI = _const(-_LOG_SQRT_2PI)
+# normal_laplace evaluates inputs larger than this in blocks of this many
+# cells, whose temporaries stay in cache; every step is elementwise, so the
+# blocks change no bit of the result.
+_BLOCK = 16_384
+
 # log(erfcx(z) (2 + z) / 2) as a polynomial in x = (2 - z) / (2 + z), which
 # maps z in [0, inf] onto [-1, 1]; erfcx(z) = exp(z^2) erfc(z).  This is the
 # Chebyshev interpolant at 64 nodes, computed in 50-digit arithmetic, cut
 # where its coefficients fall below 1e-17 (degree 27) and rewritten in powers
 # of x.  Its coefficients sum to 1.46 in absolute value, so Horner's rule
 # loses nothing to cancellation.
-_ERFCX_POLY = (
+_ERFCX_POLY = tuple(map(_const, (
     -0.6717940840566923, 0.6726432239776567, 0.04734330684190443,
     -0.0468956102311753, -0.009872689366389959, 0.008824938557060623,
     0.001758933557799016, -0.002345812500482853, -0.00014624686337800336,
@@ -39,15 +58,16 @@ _ERFCX_POLY = (
     -2.495832761719667e-07, 1.5334345920908177e-07, 1.4448658046252676e-09,
     -3.9171820510271855e-08, 1.1172352263623759e-08, 4.06088214696972e-09,
     -1.8902306008944537e-09,
-)
+)))
 # Below a = -_GAP_SERIES_FROM the gap moments come from the asymptotic series
 # t h(-t) = sum_k _GAP_SERIES[k] t^(-2k), whose terms past the last are below
 # 1e-17 there.
 _GAP_SERIES_FROM = 20.0
-_GAP_SERIES = (
+_NEG_GAP_SERIES_FROM = _const(-_GAP_SERIES_FROM)
+_GAP_SERIES = tuple(map(_const, (
     1.0, -2.0, 10.0, -74.0, 706.0, -8162.0, 110410.0, -1708394.0,
     29752066.0, -576037442.0, 12277827850.0, -285764591114.0,
-)
+)))
 
 
 def std_normal_cdf(x: float) -> float:
@@ -74,51 +94,100 @@ def chi2_2_quantile(p: float) -> float:
 
 
 def _log_erfcx(z: np.ndarray) -> np.ndarray:
-    """log(exp(z^2) erfc(z)) for z >= 0."""
-    t = 2.0 / (2.0 + z)
-    x = 2.0 * t - 1.0
-    out = np.full_like(t, _ERFCX_POLY[-1])
-    for c in _ERFCX_POLY[-2::-1]:
+    """log(exp(z^2) erfc(z)) for a float array z >= 0, which it overwrites."""
+    z += _TWO
+    t = np.divide(_TWO, z, out=z)
+    x = t * _TWO
+    x -= _ONE
+    out = x * _ERFCX_POLY[-1]
+    out += _ERFCX_POLY[-2]
+    for c in _ERFCX_POLY[-3::-1]:
         out *= x
         out += c
-    out += np.log(t)
+    out += np.log(t, out=t)
     return out
 
 
-def _log_cdf_pair(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log Φ(a), log Φ(a) + a²/2), each to full relative precision."""
-    half_sq = 0.5 * a * a
-    # log Φ(-|a|) + a²/2 = log(erfcx(|a| / √2) / 2)
-    tail = _log_erfcx(np.abs(a) / _SQRT2) - _LOG2
-    upper = a > 0.0
-    log_cdf = np.where(upper, np.log1p(-np.exp(tail - half_sq)), tail - half_sq)
-    return log_cdf, np.where(upper, log_cdf + half_sq, tail)
+def _log_cdf_scaled(a: np.ndarray) -> np.ndarray:
+    """M(a) = log Φ(a) + a²/2 for a float array a, to full relative precision."""
+    # M(-|a|) = log(erfcx(|a| / √2) / 2)
+    m = np.abs(a)
+    m /= _SQRT2_C
+    m = _log_erfcx(m)
+    m -= _LOG2_C
+    # Above 0, M(a) = log1p(-Φ(-a)) + a²/2 = log1p(-exp(M(-a) - a²/2)) + a²/2.
+    # It is computed on every cell, since a gather and scatter of the upper
+    # cells costs more than it saves, and kept only where a > 0.
+    half_sq = a * _HALF
+    half_sq *= a
+    upper = m - half_sq
+    np.exp(upper, out=upper)
+    np.negative(upper, out=upper)
+    np.log1p(upper, out=upper)
+    upper += half_sq
+    np.copyto(m, upper, where=a > _ZERO)
+    return m
 
 
 def _gap_moments(a: np.ndarray, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance of a - Z given Z < a, for Z standard normal, given
-    scaled = log Φ(a) + a²/2 (see :func:`_log_cdf_pair`).
+    scaled = M(a) = log Φ(a) + a²/2 (see :func:`_log_cdf_scaled`), for float
+    arrays a and scaled.
 
     The mean is h(a) = a + φ(a)/Φ(a) and the variance 1 - h(a) φ(a)/Φ(a).
     Both are computed without the cancellation the formulas suffer when
     a << 0, where the gap is nearly exponential with rate -a.
     """
-    ratio = np.exp(-_LOG_SQRT_2PI - scaled)  # φ(a) / Φ(a)
+    ratio = np.subtract(_NEG_LOG_SQRT_2PI, scaled)
+    np.exp(ratio, out=ratio)  # φ(a) / Φ(a)
     h = a + ratio
-    var = 1.0 - h * ratio
+    var = h * ratio
+    np.subtract(_ONE, var, out=var)
     # Far below, a + φ/Φ cancels; with t = -a and u = 1/t², t h = 1 - q and
     # E[(a - Z)²] = 1 + a h = q, where q = -sum_{k>=1} _GAP_SERIES[k] u^k.
-    far = a < -_GAP_SERIES_FROM
+    far = a < _NEG_GAP_SERIES_FROM
     if far.any():
         t = -a[far]
-        u = 1.0 / (t * t)
+        u = _ONE / (t * t)
         q = np.zeros_like(t)
         for c in _GAP_SERIES[:0:-1]:
             q -= c
             q *= u
-        h[far] = (1.0 - q) / t
-        var[far] = q - u * (1.0 - q) ** 2
+        h[far] = (_ONE - q) / t
+        var[far] = q - u * (_ONE - q) ** 2
     return h, var
+
+
+def _normal_laplace_block(d, sigma, b, log_g, mean, var_out) -> None:
+    """:func:`normal_laplace` of a 1-d array d, written into the three
+    outputs of d's size."""
+    a = np.empty((2, d.size))
+    scaled_d = np.divide(d, sigma, out=a[0])
+    np.negative(scaled_d, out=a[1])
+    half_sq = scaled_d * _HALF
+    half_sq *= scaled_d
+    a -= sigma / b
+    scaled = _log_cdf_scaled(a)
+    h, var = _gap_moments(a, scaled)
+    total = np.logaddexp(scaled[0], scaled[1])
+    p = scaled
+    p -= total
+    np.exp(p, out=p)
+    np.subtract(total, math.log(2.0 * b), out=log_g)
+    log_g -= half_sq
+    ph = p * h
+    shift = ph[0]
+    shift -= ph[1]
+    shift *= sigma
+    np.subtract(d, shift, out=mean)
+    var *= p
+    np.add(var[0], var[1], out=var_out)
+    spread = h[0] + h[1]
+    cross = p[0] * p[1]
+    cross *= spread
+    cross *= spread
+    var_out += cross
+    var_out *= sigma**2
 
 
 def normal_laplace(d, sigma: float, b: float):
@@ -145,15 +214,10 @@ def normal_laplace(d, sigma: float, b: float):
         Var(r | d).
     """
     d = np.asarray(d, dtype=float)
-    kappa = sigma / b
-    scaled_d = d / sigma
-    a = np.stack([scaled_d - kappa, -scaled_d - kappa])
-    _, scaled = _log_cdf_pair(a)
-    h, var = _gap_moments(a, scaled)
-    total = np.logaddexp(scaled[0], scaled[1])
-    p = np.exp(scaled - total)
-    log_g = total - math.log(2.0 * b) - 0.5 * scaled_d * scaled_d
-    mean = d - sigma * (p[0] * h[0] - p[1] * h[1])
-    spread = h[0] + h[1]
-    var = sigma**2 * (p[0] * var[0] + p[1] * var[1] + p[0] * p[1] * spread * spread)
+    out = np.empty((3, d.size))
+    flat = d.reshape(-1)
+    for start in range(0, d.size, _BLOCK):
+        stop = start + _BLOCK
+        _normal_laplace_block(flat[start:stop], sigma, b, *out[:, start:stop])
+    log_g, mean, var = out.reshape(3, *d.shape)
     return log_g, mean, var

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+from transparent_dp import normal
 from transparent_dp.cli import main
 from transparent_dp.errors import (
     DegenerateDesignError,
@@ -297,6 +298,21 @@ def test_e_step_deterministic_per_stream():
     np.testing.assert_array_equal(s1.counts, s2.counts)
     np.testing.assert_array_equal(s1.cell_weights, s2.cell_weights)
     assert s1.ess == s2.ess
+
+
+def test_e_step_is_the_same_to_the_bit_in_kernel_blocks(monkeypatch):
+    # n = 1000 draws more cells than one kernel block holds
+    _, priv = reference_instance(65, n=1000)
+    cfg = MCEMConfig()
+    proposal = x_proposal(priv, cfg.lam)
+    blocked, _ = e_step(priv, (-3.0, 3.5), cfg, stream(65, "eblk"), proposal=proposal)
+    drawn = int((blocked.counts > 0).sum())
+    assert drawn > normal._BLOCK
+    monkeypatch.setattr(normal, "_BLOCK", drawn + 1)
+    whole, _ = e_step(priv, (-3.0, 3.5), cfg, stream(65, "eblk"), proposal=proposal)
+    for name in ("cell_weights", "mean_r", "var_r"):
+        assert getattr(blocked, name).tobytes() == getattr(whole, name).tobytes(), name
+    assert blocked.ess.hex() == whole.ess.hex()
 
 
 def test_e_step_rejects_nonfinite_theta():

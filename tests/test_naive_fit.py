@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -125,6 +126,45 @@ def test_fit_result_validation():
     # all-NaN covariance is the explicit "unavailable" sentinel
     nan_fit = FitResult(0.0, 1.0, np.full((2, 2), np.nan), 1.0, "mcem", 5)
     assert np.isnan(nan_fit.covariance).all()
+
+
+def accepts_covariance(cov):
+    try:
+        FitResult(0.0, 1.0, cov, 1.0, "naive", 5)
+    except ValueError:
+        return False
+    return True
+
+
+def test_fit_result_symmetry_check_is_isnan_all_or_allclose():
+    inf, nan = math.inf, math.nan
+    cases = [
+        [[1.0, inf], [inf, 1.0]], [[1.0, -inf], [-inf, 1.0]], [[1.0, inf], [-inf, 1.0]],
+        [[1.0, inf], [1.0, 1.0]], [[inf, 0.5], [0.5, -inf]], [[nan, 0.5], [0.5, 1.0]],
+        [[1.0, 0.5], [0.5, nan]], [[1.0, nan], [nan, 1.0]], [[1.0, nan], [0.5, 1.0]],
+        [[nan, nan], [nan, nan]], [[nan, nan], [nan, 1.0]], [[1.0, -0.0], [0.0, 1.0]],
+        [[-0.0, 0.0], [-0.0, 0.0]],
+    ]
+    for cov in map(np.array, cases):
+        assert accepts_covariance(cov) == bool(np.isnan(cov).all() or np.allclose(cov, cov.T))
+    # off-diagonal pairs one and two ulps either side of allclose's bound
+    # 1e-8 + 1e-5 |c10| on c01 - c10, at several magnitudes, and transposed
+    for c10 in (0.0, 1e-12, 1.0, -3.7, 1e3, 2.5e8):
+        away = math.copysign(inf, c10)
+        edge = c10 + math.copysign(1e-8 + 1e-5 * abs(c10), c10)
+        offsets = [edge]
+        for direction in (away, -away):
+            c01 = edge
+            for _ in range(2):
+                c01 = math.nextafter(c01, direction)
+                offsets.append(c01)
+        verdicts = set()
+        for c01 in offsets:
+            for cov in (np.array([[2.0, c01], [c10, 2.0]]), np.array([[2.0, c10], [c01, 2.0]])):
+                expected = bool(np.allclose(cov, cov.T))
+                assert accepts_covariance(cov) == expected, cov
+                verdicts.add(expected)
+        assert verdicts == {True, False}, c10
 
 
 def test_fit_result_to_json_writes_every_field():
