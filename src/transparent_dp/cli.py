@@ -18,7 +18,6 @@ import functools
 import json
 import math
 import os
-import re
 import stat
 import sys
 from collections.abc import Collection, Iterable, Iterator
@@ -50,12 +49,12 @@ from .metrics import county_table_from_csv, dissimilarity, privatized_dissimilar
 from .naive_fit import FitResult, ols
 from .rng import stream
 from .simulate import (
-    _SLICE,
     RegressionParams,
     _listed,
     dataset_from_dict,
     gen_confidential,
     json_parts,
+    load_envelope,
     privatize_dataset,
 )
 
@@ -273,15 +272,19 @@ def _fmt(val) -> str:
     return float.__repr__(val) if isinstance(val, float) else str(val)
 
 
+# CSV rows per block of text written.
+_ROWS = 65_536
+
+
 def _csv(header: str, rows: Iterable[Iterable]) -> Iterator[str]:
     """The ``header`` line, then one line of :func:`_fmt` cells per row.
 
     The rows are formatted as they are consumed and written in blocks of at
-    most ``_SLICE`` lines, so a long table is never held whole as text.
+    most ``_ROWS`` lines, so a long table is never held whole as text.
     """
     yield header + "\n"
     lines = (",".join(map(_fmt, row)) + "\n" for row in rows)
-    while block := "".join(islice(lines, _SLICE)):
+    while block := "".join(islice(lines, _ROWS)):
         yield block
 
 
@@ -339,255 +342,6 @@ def _emit(parts: Iterable[str], output: str | None) -> None:
         sys.stdout.flush()
 
 
-_DECODER = json.JSONDecoder()
-_SPACE = json.decoder.WHITESPACE.match
-_STRING = json.decoder.scanstring
-# Text that keeps an array from the number-array path: a bracket, a brace,
-# a quote, or the first letter of true, false or null.
-_NOT_NUMBERS = '[{}"tfn'
-_INT64_MIN = -(2**63)
-# Objects are walked down to the members of the body's members, where an
-# envelope's datasets hold their arrays; json's C scanner decodes deeper
-# ones, so nesting as deep as json accepts costs no Python recursion.
-_WALK_DEPTH = 2
-# Characters the envelope reader reads from its file at a time (256 KiB of
-# an ASCII envelope).  A value too long to stream grows the window.
-_WINDOW = 2**18
-
-
-class _Defer(Exception):
-    """Raised where the envelope walk leaves the text to ``json.loads``."""
-
-
-class _Window:
-    """The text of an open file, read in windows after ``text``, the part
-    already read.
-
-    :meth:`more` drops the text before an index and reads on, so a reader
-    holds about one window and the value it is reading, never the text it
-    has passed.
-    """
-
-    def __init__(self, fh, text: str):
-        self.fh, self.text, self.eof = fh, text, False
-
-    def more(self, idx: int) -> int:
-        """Drop the text before ``idx``, read on, and give ``idx``'s new
-        index, 0.  As much is read as is kept, and at least ``_WINDOW``
-        characters, so a value read again as the window grows is read a
-        number of times logarithmic in its length."""
-        chunk = self.fh.read(max(_WINDOW, len(self.text) - idx))
-        self.eof = not chunk
-        self.text = self.text[idx:] + chunk
-        return 0
-
-    def space(self, idx: int) -> int:
-        """The index past the whitespace at ``idx``, with the character
-        there read, unless the file ends."""
-        while (idx := _SPACE(self.text, idx).end()) == len(self.text) and not self.eof:
-            idx = self.more(idx)
-        return idx
-
-
-def _load_json(path: str, keep: Collection[str]) -> dict:
-    """``json.loads`` of the text of ``path`` with its leading ``#`` lines
-    blanked, holding only the ``keep`` members of a top-level object.
-
-    The other members are parsed as well, and so checked, then dropped.
-    The text is walked in windows of ``_WINDOW`` characters, and an array
-    of numbers, down to the members of the body's members, becomes one
-    ndarray whose ``tolist()`` is json's list (see :func:`_array`), so a
-    read holds one window, one slice of an array and the kept values, never
-    the whole text.  Text the walk does not take (an error, a byte order
-    mark, data after the body, an array orjson would read otherwise than
-    json) is decoded whole by ``json.loads``, lists staying lists, so every
-    error is json's.
-    """
-    with open(path) as fh:
-        try:
-            while (first := fh.read(1)) == "#":
-                while (line := fh.readline(_WINDOW)) and not line.endswith("\n"):
-                    pass
-            win = _Window(fh, first)
-            obj, idx = _value(win, win.space(0), 0, keep)
-            if win.space(idx) == len(win.text):
-                return obj
-        except (_Defer, ValueError, RecursionError):
-            pass
-    win = obj = None  # the walk's window may have grown to the whole file
-    text = Path(path).read_text()
-    body = re.match(r"(?:#[^\n]*\n?)*", text).end()
-    obj = json.loads(re.sub("[^\n]", " ", text[:body]) + text[body:])
-    return {k: v for k, v in obj.items() if k in keep} if isinstance(obj, dict) else obj
-
-
-def _value(win: _Window, idx: int, depth: int, keep: Collection[str] | None = None,
-           build: bool = True) -> tuple:
-    """The value that starts at ``idx``, ``depth`` objects down, and the
-    index past it.
-
-    Objects above ``_WALK_DEPTH`` and arrays are walked here, every other
-    value goes through ``json``'s C scanner.  ``keep`` names the members an
-    object keeps, and None keeps them all; with ``build`` false, the value
-    is only checked, and an array of numbers is given as None.
-    """
-    if depth < _WALK_DEPTH and win.text.startswith("{", idx):
-        return _members(win, idx + 1, depth, keep, build)
-    if win.text.startswith("[", idx):
-        return _array(win, idx, build)
-    return _whole(win, idx, _DECODER.raw_decode)
-
-
-def _whole(win: _Window, idx: int, decode) -> tuple:
-    """``decode(win.text, idx)``, from a window grown until it holds the
-    value and three characters past it, or the rest of the file.
-
-    Past a number, json's scanner looks at most three characters on
-    (``.5`` or ``e+5``), so a number cut at the window's edge is never
-    taken for a shorter one.  An error counts only once the file's end is
-    read: before that the value may only be cut.
-    """
-    while True:
-        try:
-            val, end = decode(win.text, idx)
-        except (ValueError, RecursionError):
-            if win.eof:
-                raise
-        else:
-            if end + 3 <= len(win.text) or win.eof:
-                return val, end
-        idx = win.more(idx)
-
-
-def _members(win: _Window, idx: int, depth: int, keep: Collection[str] | None,
-             build: bool) -> tuple[dict, int]:
-    """The members of the object opened just before ``idx``, and the index
-    past its ``}``; a member that ``keep`` leaves out is checked, then
-    dropped.  Text that is not a member list raises :class:`_Defer`.
-    """
-    obj = {}
-    idx = win.space(idx)
-    if win.text.startswith("}", idx):
-        return obj, idx + 1
-    while True:
-        if not win.text.startswith('"', idx):
-            raise _Defer
-        key, idx = _whole(win, idx + 1, _STRING)
-        idx = win.space(idx)
-        if not win.text.startswith(":", idx):
-            raise _Defer
-        kept = keep is None or key in keep
-        val, idx = _value(win, win.space(idx + 1), depth + 1, build=build and kept)
-        if kept:
-            obj[key] = val
-        idx = win.space(idx)
-        if win.text.startswith("}", idx):
-            return obj, idx + 1
-        if not win.text.startswith(",", idx):
-            raise _Defer
-        idx = win.space(idx + 1)
-
-
-def _array(win: _Window, idx: int, build: bool) -> tuple:
-    """The array that opens at ``idx``, and the index past it.
-
-    The array is read by orjson as the window passes it, in slices of at
-    most ``_SLICE`` values, each cut at a comma, into one int64 or float64
-    ndarray whose ``tolist()`` is the list ``json`` gives; neither a copy
-    of the array's text nor a Python number per value exists at once, and
-    the ndarray grows in place.  A slice that is not one orjson reads as
-    ``json`` would (see :func:`_number_slice`), or that is not of the
-    array's dtype, raises :class:`_Defer`.
-    """
-    # k values and their k - 1 commas take at least 2k - 1 characters.
-    width = 2 * _SLICE
-    kind = out = None
-    size = 0
-    start = idx + 1
-    while True:
-        start, stop = _cut(win, start, width)
-        piece = _number_slice(win.text[start:stop], build) if stop >= 0 else None
-        if piece is None or (kind is not None and piece.dtype != kind):
-            raise _Defer
-        kind = piece.dtype
-        if build:
-            if out is None:
-                out = piece
-            else:
-                if size + piece.size > out.size:
-                    out.resize(max(size + piece.size, out.size + out.size // 4),
-                               refcheck=False)
-                out[size:size + piece.size] = piece
-            size += piece.size
-        if win.text.startswith("]", stop):
-            break
-        start = stop + 1
-    if build:
-        out.resize(size, refcheck=False)
-    return out, stop + 1
-
-
-def _cut(win: _Window, start: int, width: int) -> tuple[int, int]:
-    """``start`` once read, and the index of the ``]`` or ``,`` that ends
-    the slice of an array from there, or -1 if the file ends first.
-
-    The slice ends at the array's ``]`` if that lies within ``width``
-    characters, else at the last comma within them; with neither, its one
-    value is longer, and it ends at the next comma or ``]``.
-    """
-    while len(win.text) - start <= width and not win.eof:
-        start = win.more(start)
-    stop = win.text.find("]", start, start + width + 1)
-    if stop < 0:
-        stop = win.text.rfind(",", start, start + width + 1)
-    while stop < 0:
-        stops = [i for i in (win.text.find(c, start + width) for c in ",]") if i >= 0]
-        if stops or win.eof:
-            return start, min(stops, default=-1)
-        start = win.more(start)
-    return start, stop
-
-
-def _number_slice(part: str, build: bool) -> np.ndarray | None:
-    """The comma-separated numbers of ``part`` as orjson reads them, or None.
-
-    They give an int64 array if ``part`` holds no ``.``, ``e`` or ``E``,
-    and a float64 one if it does.  The result is None if ``part`` holds one
-    of ``_NOT_NUMBERS``, if orjson fails or reads no value, or if a value
-    is not of the array's kind as ``json`` would read it: an int, within
-    int64, or a float of magnitude below 2^63.  orjson reads an integer
-    literal from 2^63 as a uint64 and past 2^64, or below -2^63, as a
-    float, where ``json`` keeps an int.  With ``build`` false the values
-    are checked, not converted, and the array is empty.
-    """
-    if any(c in part for c in _NOT_NUMBERS):
-        return None
-    # Imported here, so that importing this module does not load it.
-    import orjson
-    try:
-        values = orjson.loads(f"[{part}]")
-    except orjson.JSONDecodeError:
-        return None
-    if not values:
-        return None
-    n = len(values)
-    kind = float if "." in part or "e" in part or "E" in part else int
-    if not build:
-        return np.empty(0, kind)
-    try:
-        piece = np.fromiter(values, kind, n)
-    except OverflowError:
-        return None
-    # An int, or a float read from an integer literal, has an integral
-    # value, so types are checked only where one may be.
-    if kind is float:
-        exact = not np.any(piece == np.trunc(piece)) or (
-            np.abs(piece).max() < 2.0**63 and int not in set(map(type, values)))
-    else:
-        exact = piece.min() > _INT64_MIN or float not in set(map(type, values))
-    return piece if exact else None
-
-
 def _floats(text: str, count: int, what: str) -> tuple:
     parts = [p for p in text.split(",") if p != ""]
     if len(parts) != count:
@@ -622,7 +376,7 @@ def _envelope(params: dict, key: str = "privatized",
               keep: Collection[str] = ("confidential", "privatized")) -> tuple[dict, object]:
     """The ``--input`` envelope, holding only its ``keep`` members, and its
     ``key`` dataset."""
-    env = _load_json(params["input"], keep)
+    env = load_envelope(params["input"], keep)
     if not isinstance(env, dict) or key not in env:
         raise _UsageError(f"envelope has no {key!r} dataset")
     kind = _listed(env[key].get("kind")) if isinstance(env[key], dict) else None

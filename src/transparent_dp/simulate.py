@@ -11,8 +11,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Iterator
+import re
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass
+from itertools import dropwhile
+from pathlib import Path
 
 import numpy as np
 
@@ -29,12 +32,13 @@ __all__ = [
     "dataset_to_json",
     "dataset_from_json",
     "json_parts",
+    "load_envelope",
 ]
 
-# Values per slice when an array is written as text, so a writer holds one
-# slice's text (and Python numbers, where it uses them) at a time, not the
-# whole array's.
-_SLICE = 65_536
+# Values per line when an array is written as text, so a writer, and a
+# reader, holds one line's text and Python numbers at a time, not the whole
+# array's.
+_SLICE = 8_192
 
 
 @dataclass(frozen=True)
@@ -218,70 +222,34 @@ def _dataset_fields(data) -> dict:
     raise TypeError(f"unsupported dataset type {type(data).__name__}")
 
 
-def _slice_text(s: np.ndarray) -> str:
-    """``json.dumps(s.tolist())`` without its brackets.
-
-    orjson writes an int64 slice from the array buffer more than ten times
-    faster, and so the runs of a float64 slice between the values Python
-    prints in exponent form or not at all (0 < |v| < 1e-4, |v| >= 1e16,
-    NaN, inf): for 0 and magnitudes in [1e-4, 1e16) it prints the shortest
-    digits in fixed notation, as Python's float repr does.  Each such value
-    goes through ``json.dumps``, and so does a whole slice of another dtype
-    or with more than one such value in 32, where the calls per run would
-    cost more than the slice.
-    """
-    if s.dtype == np.int64:
-        return _orjson_text(s)
-    if s.dtype != np.float64:
-        return json.dumps(s.tolist())[1:-1]
-    a = np.abs(s)
-    odd = np.flatnonzero(~((a == 0) | ((a >= 1e-4) & (a < 1e16)))).tolist()
-    if 32 * len(odd) > s.size:
-        return json.dumps(s.tolist())[1:-1]
-    parts, lo = [], 0
-    for i in odd:
-        if lo < i:
-            parts.append(_orjson_text(s[lo:i]))
-        parts.append(json.dumps(float(s[i])))
-        lo = i + 1
-    if lo < s.size:
-        parts.append(_orjson_text(s[lo:]))
-    return ", ".join(parts)
-
-
-def _orjson_text(s: np.ndarray) -> str:
-    # Imported here, so commands that write no array skip its import time.
-    import orjson
-    return (orjson.dumps(np.ascontiguousarray(s), option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
-            .replace(b",", b", ").decode())
-
-
 def json_parts(obj) -> Iterator[str]:
-    """The text of ``json.dumps(obj, sort_keys=True)``, in pieces.
+    """The JSON text of ``obj``, keys sorted, in pieces.
 
     A dataset anywhere in ``obj`` stands for the object of its fields (see
-    :func:`_dataset_fields`), and its arrays are written from the ndarray
-    in slices of at most ``_SLICE`` values, so neither the whole text nor a
-    Python number per value exists at once.  An int64 slice, and each run
-    of a float64 slice between values that Python prints in exponent form
-    (0 < |v| < 1e-4 or |v| >= 1e16) or that are not finite, is formatted by
-    orjson from the array buffer; each of those values goes through
-    ``json.dumps`` alone, and a slice of another dtype, or one where they
-    are more than one value in 32, through ``json.dumps(slice.tolist())``.
-    The text is the same either way.  Other values go through
-    ``json.dumps``.
+    :func:`_dataset_fields`).  An ndarray is written as ``[``, then its
+    slices of at most ``_SLICE`` values, each on a line of its own and
+    every one after the first starting with ``,``, then ``]`` on a new
+    line.  A slice is orjson's text of its values, formatted from the array
+    buffer, so neither the whole text nor a Python number per value exists
+    at once; a float array is written as float64, so every value keeps the
+    double it widens to.  orjson writes NaN and infinities as null, and a
+    dataset holds neither.  :func:`load_envelope` reads this layout by
+    lines.  Other values go through ``json.dumps``.
     """
     if isinstance(obj, (ConfidentialDataset, PrivatizedDataset)):
         obj = _dataset_fields(obj)
     if isinstance(obj, np.ndarray):
+        # Imported here, so commands that write no array skip its import time.
+        import orjson
+        dtype = np.float64 if obj.dtype.kind == "f" else None
         yield "["
         for start in range(0, obj.size, _SLICE):
-            if start:
-                yield ", "
+            yield "\n," if start else "\n"
             # No name holds a slice's text, so the last one is freed
             # before the next is built.
-            yield _slice_text(obj[start:start + _SLICE])
-        yield "]"
+            yield orjson.dumps(np.ascontiguousarray(obj[start:start + _SLICE], dtype),
+                               option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+        yield "\n]"
     elif isinstance(obj, dict):
         yield "{"
         for i, key in enumerate(sorted(obj)):
@@ -290,6 +258,172 @@ def json_parts(obj) -> Iterator[str]:
         yield "}"
     else:
         yield json.dumps(obj, sort_keys=True)
+
+
+# Text that keeps a line from being a slice of numbers: a bracket, a brace,
+# a quote, or the first letter of true, false or null.
+_NOT_NUMBERS = '[{}"tfn'
+_INT64_MIN = -(2**63)
+# The escape that starts the mark of the k-th array, the JSON string
+# "\\u0000<k>" that stands for it in an envelope's structure text.  A line of
+# structure holding it is refused, so no other string decodes to a mark.
+_MARK = "\\u0000"
+
+
+def load_envelope(path: str, keep: Collection[str]) -> dict:
+    """``json.loads`` of the text of ``path`` with its leading ``#`` lines
+    blanked, holding only the ``keep`` members of a top-level object.
+
+    Text in the layout of :func:`json_parts` is read by lines (see
+    :func:`_read_lines`): each array of numbers becomes one int64 or
+    float64 ndarray whose ``tolist()`` is json's list, and an array of a
+    member not kept is checked but not built, so a read holds one line and
+    the arrays it keeps, never the whole text.  Any other text (an error, a
+    byte order mark, an array on one line, an array orjson would read
+    otherwise than json) is decoded whole by ``json.loads``, lists staying
+    lists, so every value and every error is json's.
+    """
+    with open(path) as fh:
+        try:
+            return _read_lines(fh, keep)
+        except (ValueError, RecursionError):
+            pass
+    text = Path(path).read_text()
+    body = re.match(r"(?:#[^\n]*\n?)*", text).end()
+    obj = json.loads(re.sub("[^\n]", " ", text[:body]) + text[body:])
+    return {k: v for k, v in obj.items() if k in keep} if isinstance(obj, dict) else obj
+
+
+def _layout(fh) -> Iterator[tuple]:
+    """The body of the text of ``fh``, after its leading ``#`` lines, as
+    ``(None, text)`` for each line of structure and ``(k, part)`` for each
+    slice of the k-th array's numbers.
+
+    A line ending in ``[`` opens an array, and its structure text ends with
+    the array's mark in place of the bracket.  Each line after it is a
+    slice, and every one after the first starts with a ``,`` that the part
+    leaves out, until a line starting with ``]`` closes the array; the rest
+    of that line is structure again, so text that ends inside an array
+    leaves the structure without its end.  Raises ``ValueError`` where a
+    line of structure holds another ``[`` or the mark's escape, or a slice
+    after the first does not start with ``,``.
+    """
+    k, inside = -1, False
+    for line in dropwhile(lambda line: line.startswith("#"), fh):
+        if inside and not line.startswith("]"):
+            if not line.startswith(lead):
+                raise ValueError("a slice that does not start with a comma")
+            yield k, line[len(lead):]
+            lead = ","
+            continue
+        if inside:
+            line = line[1:]
+        inside = line.endswith("[\n")
+        head = line[:-2] if inside else line
+        if "[" in head or _MARK in line:
+            raise ValueError("the text is not in the line layout")
+        if inside:
+            k, lead = k + 1, ""
+            head += f'"{_MARK}{k}"'
+        yield None, head
+
+
+def _read_lines(fh, keep: Collection[str]) -> dict:
+    """The envelope of ``fh`` as :func:`load_envelope` gives it, read in
+    the layout of :func:`_layout`, in two passes.
+
+    The first joins the structure and decodes it with ``json.loads``, so
+    every structural value is json's, and finds each array's mark as the
+    value of an object member.  The second parses each slice with
+    :func:`_number_slice` into the array of a kept member, which grows in
+    place, so a read holds those arrays and one slice.
+    Raises ``ValueError`` where the text does not fit: a mark anywhere
+    else, or a slice that is not one of numbers of the array's kind.
+    """
+    structure = "".join(text for k, text in _layout(fh) if k is None)
+    obj = json.loads(structure)
+    # Only objects are walked: a mark in a list is not found, and a list
+    # may be long.
+    slots, stack = {}, [(obj, None)] if isinstance(obj, dict) else []
+    while stack:
+        members, top = stack.pop()
+        for key, val in members.items():
+            member = key if top is None else top
+            if isinstance(val, dict):
+                stack.append((val, member))
+            elif isinstance(val, str) and val.startswith("\0"):
+                slots[int(val[1:])] = members, key, member in keep
+    if len(slots) != structure.count(_MARK):
+        raise ValueError("an array that is not the value of an object member")
+    fh.seek(0)
+    sizes = dict.fromkeys(slots, 0)
+    for k, part in _layout(fh):
+        if k is None:
+            continue
+        members, key, build = slots[k]
+        piece = _number_slice(part, build)
+        if piece is None:
+            raise ValueError("a slice that is not one of numbers")
+        if not build:
+            continue
+        size, out = sizes[k], members[key]
+        if not size:
+            members[key] = piece
+        elif piece.dtype != out.dtype:
+            raise ValueError("an array of both ints and floats")
+        else:
+            # The array grows in place, by a quarter at least, so a value
+            # is copied a bounded number of times.
+            if size + piece.size > out.size:
+                out.resize(max(size + piece.size, out.size + out.size // 4), refcheck=False)
+            out[size:size + piece.size] = piece
+        sizes[k] = size + piece.size
+    for k, (members, key, build) in slots.items():
+        if build and sizes[k]:
+            members[key].resize(sizes[k], refcheck=False)
+        elif build:  # an array of no lines
+            members[key] = []
+    return {k: v for k, v in obj.items() if k in keep} if isinstance(obj, dict) else obj
+
+
+def _number_slice(part: str, build: bool) -> np.ndarray | None:
+    """The comma-separated numbers of ``part`` as orjson reads them, or None.
+
+    They give an int64 array if ``part`` holds no ``.``, ``e`` or ``E``,
+    and a float64 one if it does.  The result is None if ``part`` holds one
+    of ``_NOT_NUMBERS``, if orjson fails or reads no value, or if a value
+    is not of the array's kind as ``json`` would read it: an int, within
+    int64, or a float of magnitude below 2^63.  orjson reads an integer
+    literal from 2^63 as a uint64 and past 2^64, or below -2^63, as a
+    float, where ``json`` keeps an int.  With ``build`` false the values
+    are checked, not converted, and the array is empty.
+    """
+    if any(c in part for c in _NOT_NUMBERS):
+        return None
+    # Imported here, so that importing this module does not load it.
+    import orjson
+    try:
+        values = orjson.loads(f"[{part}]")
+    except orjson.JSONDecodeError:
+        return None
+    if not values:
+        return None
+    n = len(values)
+    kind = float if "." in part or "e" in part or "E" in part else int
+    if not build:
+        return np.empty(0, kind)
+    try:
+        piece = np.fromiter(values, kind, n)
+    except OverflowError:
+        return None
+    # An int, or a float read from an integer literal, has an integral
+    # value, so types are checked only where one may be.
+    if kind is float:
+        exact = not np.any(piece == np.trunc(piece)) or (
+            np.abs(piece).max() < 2.0**63 and int not in set(map(type, values)))
+    else:
+        exact = piece.min() > _INT64_MIN or float not in set(map(type, values))
+    return piece if exact else None
 
 
 _NUMBER = (numbers.Real, "a number")

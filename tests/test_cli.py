@@ -9,13 +9,12 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from transparent_dp import __version__, cli
+from transparent_dp import __version__, cli, simulate
 from transparent_dp.asymptotics import coverage_grid, reference_design
 from transparent_dp.cli import main
 from transparent_dp.mcem import MCEMConfig, ellipse_study, run_mcem
@@ -23,7 +22,12 @@ from transparent_dp.mechanisms import PrivacyBudget
 from transparent_dp.metrics import county_table_from_csv, privatized_dissimilarity_study
 from transparent_dp.naive_fit import ols
 from transparent_dp.rng import stream
-from transparent_dp.simulate import _SLICE, RegressionParams, dataset_from_dict
+from transparent_dp.simulate import (
+    RegressionParams,
+    dataset_from_dict,
+    json_parts,
+    load_envelope,
+)
 
 COMMON_FLAGS = ["--config", "--output", "--help"]
 
@@ -306,9 +310,11 @@ def test_simulate_file_holds_its_stdout_bytes(capsys, tmp_path):
     assert main(DEMO_ARGS + ["--output", str(path)]) == 0
     rc, out, _ = run(capsys, DEMO_ARGS)
     assert rc == 0 and path.read_text() == out
-    header, body, end = out.split("\n")
-    assert header.startswith("# transparent-dp v") and end == ""
-    assert json.dumps(json.loads(body), sort_keys=True) == body
+    header, body = out.split("\n", 1)
+    assert header.startswith("# transparent-dp v")
+    # the body is the writer's text of the values it holds, and one newline
+    env = {key: dataset_from_dict(val) for key, val in json.loads(body).items()}
+    assert body == "".join(json_parts(env)) + "\n"
 
 
 def test_envelope_loads_after_leading_comment_lines(capsys, demo_env, tmp_path):
@@ -342,12 +348,12 @@ def test_simulate_csv_is_release_only(capsys):
 def test_simulate_csv_streams_rows_in_blocks(monkeypatch):
     written = []
     monkeypatch.setattr(cli, "_emit", lambda parts, output: written.append(list(parts)))
-    argv = ["simulate", "--n", str(_SLICE + 1), "--epsilon-x", "1", "--epsilon-y", "1",
+    argv = ["simulate", "--n", str(cli._ROWS + 1), "--epsilon-x", "1", "--epsilon-y", "1",
             "--seed", "4"]
     assert main(argv + ["--format", "csv"]) == 0
     assert main(argv) == 0
     (_, *csv_parts), (_, *json_parts) = written
-    assert [p.count("\n") for p in csv_parts] == [1, _SLICE, 1]
+    assert [p.count("\n") for p in csv_parts] == [1, cli._ROWS, 1]
     priv = json.loads("".join(json_parts))["privatized"]
     rows = zip(priv["x_tilde"], priv["y_tilde"])
     # lines, not one string, so a failure's diff stays cheap
@@ -461,8 +467,8 @@ def traced_peak(argv):
 def test_envelope_round_trip_memory_stays_bounded(tmp_path):
     # Holding the whole envelope as Python numbers and text, these peaked
     # at about 24.8, 16.0 and 16.1 MiB; holding its text whole, the fits
-    # peaked at 12.0 and 11.8 MiB.  Read through a window, they peak at
-    # 3.6 and 3.8 MiB, in ols; the bounds leave 25% above that.
+    # peaked at 12.0 and 11.8 MiB.  Read by lines, they peak at 3.6 and
+    # 3.8 MiB, in ols; the bounds leave 25% above that.
     env = str(tmp_path / "env.json")
     assert traced_peak(["simulate", "--n", "100000", "--epsilon-x", "1", "--epsilon-y",
                         "1", "--seed", "4", "--output", env]) < 12 * MIB
@@ -472,12 +478,12 @@ def test_envelope_round_trip_memory_stays_bounded(tmp_path):
 
 
 def test_the_envelope_read_does_not_grow_with_the_file(tmp_path, monkeypatch):
-    # The read of fit-naive holds a window, a slice and the two arrays it
+    # The read of fit-naive holds a line, a slice and the two arrays it
     # keeps, so from 20 000 to 200 000 records its peak grows by those
     # arrays, 2 x 8 B x 180 000, and 1 MiB at most.  Holding the text
     # whole, it peaked at 2.4 and 23.5 MiB.  The fit itself, in ols, holds
     # two more arrays of n and is not measured here.
-    load, peaks = cli._load_json, {}
+    load, peaks = cli.load_envelope, {}
 
     def traced(path, keep):
         tracemalloc.start()
@@ -487,7 +493,7 @@ def test_the_envelope_read_does_not_grow_with_the_file(tmp_path, monkeypatch):
             peaks.setdefault(keep, []).append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    monkeypatch.setattr(cli, "_load_json", traced)
+    monkeypatch.setattr(cli, "load_envelope", traced)
     env = str(tmp_path / "env.json")
     for n in (20_000, 200_000):
         assert main(["simulate", "--n", str(n), "--epsilon-x", "1", "--epsilon-y", "1",
@@ -577,19 +583,18 @@ def same_json(got, want):
 
 
 def test_load_json_builds_only_the_kept_members(demo_env):
-    from transparent_dp.cli import _load_json
     env = body_json(demo_env.read_text())
-    both = _load_json(str(demo_env), ("confidential", "privatized"))
+    both = load_envelope(str(demo_env), ("confidential", "privatized"))
     assert same_json(both, env)
     assert both["confidential"]["x"].dtype == np.int64
     assert both["privatized"]["y_tilde"].dtype == np.float64
-    assert same_json(_load_json(str(demo_env), ("privatized",)),
+    assert same_json(load_envelope(str(demo_env), ("privatized",)),
                      {"privatized": env["privatized"]})
-    assert _load_json(str(demo_env), ()) == {}
+    assert load_envelope(str(demo_env), ()) == {}
 
 
 def json_load(path, keep):
-    """What ``cli._load_json`` must give: ``json.loads`` of the file with its
+    """What ``load_envelope`` must give: ``json.loads`` of the file with its
     leading ``#`` lines blanked, so that error positions agree, holding only
     the ``keep`` members of a top-level object."""
     text = Path(path).read_text()
@@ -619,18 +624,19 @@ KEEPS = [("confidential", "privatized"), ("privatized",), ("confidential",), ()]
 
 
 def assert_reader_agrees_with_json(path, monkeypatch):
-    """``_load_json`` gives what ``json.loads`` does for every keep set, and
-    ``_envelope`` the same dataset, or the same error, for both --on values."""
+    """``load_envelope`` gives what ``json.loads`` does for every keep set,
+    and ``_envelope`` the same dataset, or the same error, for both --on
+    values."""
     for keep in KEEPS:
-        got, want = attempt(cli._load_json, path, keep), attempt(json_load, path, keep)
+        got, want = attempt(load_envelope, path, keep), attempt(json_load, path, keep)
         assert same_json(got, want), (keep, got, want)
     params = {"input": str(path)}
     for on in ("privatized", "confidential"):
         for keep in ((on,), KEEPS[0]):
             outcomes = []
-            for load in (cli._load_json, json_load):
+            for load in (load_envelope, json_load):
                 with monkeypatch.context() as m:
-                    m.setattr(cli, "_load_json", load)
+                    m.setattr(cli, "load_envelope", load)
                     outcomes.append(attempt(
                         lambda: dataset_fields(cli._envelope(params, on, keep)[1])))
             assert outcomes[0] == outcomes[1], (on, keep, outcomes)
@@ -638,7 +644,8 @@ def assert_reader_agrees_with_json(path, monkeypatch):
 
 def base_envelopes(tmp_path):
     """Envelope texts to mutate: two simulate outputs, one with short floats
-    so that a slice holds several values, and one whose arrays span lines."""
+    so that a line holds several values, and one whose arrays json.dumps
+    indents, one value to a line."""
     texts = []
     for seed, n in ((3, 6), (8, 9)):
         path = tmp_path / f"base{seed}.json"
@@ -647,7 +654,8 @@ def base_envelopes(tmp_path):
         texts.append(path.read_text())
     env = body_json(texts[0])
     env["privatized"]["y_tilde"] = [round(v, 1) for v in env["privatized"]["y_tilde"]]
-    texts.append("# short floats\n" + json.dumps(env))
+    datasets = {key: dataset_from_dict(val) for key, val in env.items()}
+    texts.append("# short floats\n" + "".join(json_parts(datasets)))
     texts.append(json.dumps(body_json(texts[1]), indent=1))
     return [t.encode() for t in texts]
 
@@ -670,11 +678,11 @@ def mutate(data, gen):
         data[i], data[j] = data[j], data[i]
 
 
-def check_mutated_envelopes(tmp_path, monkeypatch, capsys):
+def test_reader_agrees_with_json_on_mutated_envelopes(tmp_path, monkeypatch, capsys):
+    # Lines of at most 3 values, so an array spans several.
+    monkeypatch.setattr(simulate, "_SLICE", 3)
     bases = base_envelopes(tmp_path)
     capsys.readouterr()
-    # Slices of at most 3 values, so an array spans several.
-    monkeypatch.setattr(cli, "_SLICE", 3)
     gen = random.Random(2023)
     path = tmp_path / "mutated.json"
     for _ in range(2000):
@@ -685,31 +693,16 @@ def check_mutated_envelopes(tmp_path, monkeypatch, capsys):
         assert_reader_agrees_with_json(path, monkeypatch)
 
 
-def test_reader_agrees_with_json_on_mutated_envelopes(tmp_path, monkeypatch, capsys):
-    check_mutated_envelopes(tmp_path, monkeypatch, capsys)
-
-
-# A window this small cuts every value, slice, comment line and error of
-# the test envelopes at least once.
-TINY_WINDOW = 24
-
-
-def test_reader_agrees_with_json_on_mutated_envelopes_in_a_tiny_window(tmp_path, monkeypatch,
-                                                                      capsys):
-    monkeypatch.setattr(cli, "_WINDOW", TINY_WINDOW)
-    check_mutated_envelopes(tmp_path, monkeypatch, capsys)
-
-
 def edit_array(text, key, edit):
-    """``text`` with the number array of member ``key`` rewritten by ``edit``."""
-    start = text.index(f'"{key}": [') + len(f'"{key}": [')
-    end = text.index("]", start)
+    """``text`` with the lines of numbers of member ``key``'s array
+    rewritten by ``edit``."""
+    start = text.index(f'"{key}": [\n') + len(f'"{key}": [\n')
+    end = text.index("\n]", start)
     return text[:start] + edit(text[start:end]) + text[end:]
 
 
-# Each edit is one place where orjson, reading a number array or a whole
-# envelope, or a walk of the text in Python could read it otherwise than
-# json.
+# Each edit is one place where orjson, reading a line of numbers or a whole
+# envelope, or the line reader could read it otherwise than json.
 EDITS = [
     lambda t: edit_array(t, "x", lambda a: "18446744073709551616, " + a),
     lambda t: edit_array(t, "x", lambda a: a + ", -9223372036854775809"),
@@ -723,7 +716,7 @@ EDITS = [
     lambda t: edit_array(t, "y_tilde", lambda a: '"1.5", ' + a),
     lambda t: edit_array(t, "x", lambda a: "01, " + a),
     lambda t: edit_array(t, "y_tilde", lambda a: "-00.5, " + a),
-    lambda t: edit_array(t, "x", lambda a: a.replace(", ", ",\n  ")),
+    lambda t: edit_array(t, "x", lambda a: a.replace(",", ",\n  ")),
     lambda t: edit_array(t, "y_tilde", lambda a: "7, " + a),
     lambda t: edit_array(t, "x", lambda a: a + ", true"),
     lambda t: edit_array(t, "x_tilde", lambda a: "-0, " + a),
@@ -739,31 +732,22 @@ EDIT_IDS = ["int-2^64", "int-below-int64", "int-uint64", "int-2^64-in-floats", "
             "deep-nesting", "int-5000-digits", "array-kind", "array-family"]
 
 
-def check_edit(tmp_path, monkeypatch, capsys, edit):
+@pytest.mark.parametrize("edit", EDITS, ids=EDIT_IDS)
+def test_reader_agrees_with_json_where_orjson_differs(tmp_path, monkeypatch, capsys, edit):
+    # lines of at most 2 values
+    monkeypatch.setattr(simulate, "_SLICE", 2)
     text = edit(base_envelopes(tmp_path)[2].decode())
     capsys.readouterr()
     path = tmp_path / "edited.json"
     path.write_text(text)
-    # a slice holds at most 2 values
-    monkeypatch.setattr(cli, "_SLICE", 2)
     assert_reader_agrees_with_json(path, monkeypatch)
 
 
-@pytest.mark.parametrize("edit", EDITS, ids=EDIT_IDS)
-def test_reader_agrees_with_json_where_orjson_differs(tmp_path, monkeypatch, capsys, edit):
-    check_edit(tmp_path, monkeypatch, capsys, edit)
-
-
-@pytest.mark.parametrize("edit", EDITS, ids=EDIT_IDS)
-def test_reader_agrees_with_json_where_orjson_differs_in_a_tiny_window(tmp_path, monkeypatch,
-                                                                       capsys, edit):
-    monkeypatch.setattr(cli, "_WINDOW", TINY_WINDOW)
-    check_edit(tmp_path, monkeypatch, capsys, edit)
-
-
-# Texts that no edit of an envelope makes: comment lines longer than the
-# window, trailing data, repeated keys, CR and CRLF line ends, long strings
-# and numbers, a byte order mark, and bodies that are empty or end early.
+# Texts that no edit of an envelope makes: long comment lines, trailing
+# data, repeated keys, CR and CRLF line ends, long strings and numbers, a
+# byte order mark, bodies that are empty or end early, and texts in or near
+# the line layout that it must refuse: an array that is a key, in a list or
+# the whole body, the marks' escape, and lines that are not slices.
 EDGE_TEXTS = [
     "# " + "a comment line longer than the window " * 4 + "\n#\n{\"privatized\": [1, 2]}\n",
     '{"privatized": {"x": [1, 2]}} {}',
@@ -777,51 +761,36 @@ EDGE_TEXTS = [
     '{"privatized": {"x": [1.5e', '{"privatized": {"x": [-Infinity, 1e+308, -0.0]}}',
     '{"privatized": {"x": [1, 2.5]}, "confidential": {"x": [[1], {"a": "b"}]}}',
     '{"privatized": {"x": [1, 2],}}', '{"privatized": {"x": [1, 2,]}}', '{"confidential": 1,}',
+    '# c\n{"privatized": {"x": [\n1,2\n,3\n], "y": [\n-0.0,5e-324\n]}}\n',
+    '{"privatized": {"x": [\r\n1,2\r\n,3\r\n]}}\r\n', '{"privatized": {"x": [\n]}}',
+    '{"privatized": {"x": [\n\n]}}', '{"privatized": {"x": [\n1,2\n,3.5\n]}}',
+    '{"privatized": {"x": [\n1,2\n3\n]}}', '{"privatized": {"x": [\n,1,2\n]}}',
+    '{"privatized": {"x": [\n1,2\n,\n]}}', '{"privatized": {"x": [\n1\n]',
+    '{"privatized": {"x": [\n1\n', '{"privatized": {"x": [\n1\n]}} {}',
+    '{[\n1\n]: 2}', '{"privatized": [[\n1\n]]}', '[\n1\n]', '{"privatized": {"x": "a[\n1\n]"}}',
+    '{"privatized": {"x": "\\u0000", "y": [\n1\n]}}',
+    '{"privatized": {"\\u00000": [\n1\n], "y": "\\u00000"}}',
+    '{"privatized": {"x": "\\u00000"}}', '{"privatized": {"x": [\n1\n], "y": "\\u00001"}}',
+    '{"privatized": {"x": [\n1\n], "x": [\n2.5\n]}}',
+    '{"privatized": {"x": [\n1\n]}, "privatized": {"x": [\n2\n]}}',
+    '{"a": {"b": {"c": [\n1\n]}}, "privatized": {"kind": [\n1\n]}}',
+    '{"privatized": {"x": [\n1\n]]}', '{"privatized": {"x": [\n1\n], "y": [2]}}',
+    '{"privatized": {"x": [\n1e400\n]}}', '{"privatized": {"x": [\n0.5\n,NaN\n]}}',
 ]
 
 
-@pytest.mark.parametrize("window", [1, 7, TINY_WINDOW, cli._WINDOW])
-def test_reader_agrees_with_json_on_edge_texts(tmp_path, monkeypatch, window):
-    monkeypatch.setattr(cli, "_WINDOW", window)
-    monkeypatch.setattr(cli, "_SLICE", 2)
+def test_reader_agrees_with_json_on_edge_texts(tmp_path, monkeypatch):
     path = tmp_path / "edge.json"
     for text in EDGE_TEXTS:
         path.write_text(text, newline="")
         assert_reader_agrees_with_json(path, monkeypatch)
-    # Numbers that json's scanner reads past a prefix that is a number too,
-    # at every offset from a window's edge.
-    for pad in range(TINY_WINDOW + 1):
+    # Numbers that json's scanner reads past a prefix that is a number too.
+    for pad in range(25):
         space = " " * pad
         for text in (f'{{"privatized": {{"seed": {space}-12.5e+3, "n": 7E-2}}}}',
                      f'{{"privatized": {space}10.25}}', f"{space}3.5e-1"):
             path.write_text(text)
             assert_reader_agrees_with_json(path, monkeypatch)
-
-
-@pytest.mark.parametrize("text", [
-    '\ufeff{"privatized": {"x": [1, 2]}}', '{"privatized": {"x": [1, 2]}, "y": tru}',
-    '{"privatized": {"x": [1, 2]}} {}', '{"privatized": {"x": [1, 2, 1.5]}}'])
-def test_the_fallback_holds_no_window(tmp_path, monkeypatch, text):
-    # A file the walk does not take is read whole once the walk's window,
-    # which may have grown to the whole file, is gone.
-    windows = weakref.WeakSet()
-    init, read_text = cli._Window.__init__, Path.read_text
-
-    def track(self, *args):
-        windows.add(self)
-        init(self, *args)
-
-    def read_alone(self, *args, **kwargs):
-        assert not windows
-        return read_text(self, *args, **kwargs)
-
-    path = tmp_path / "env.json"
-    path.write_text(text)
-    monkeypatch.setattr(cli._Window, "__init__", track)
-    monkeypatch.setattr(Path, "read_text", read_alone)
-    assert same_json(attempt(cli._load_json, str(path), KEEPS[0]),
-                     attempt(json_load, str(path), KEEPS[0]))
-    assert not windows
 
 
 def simulate_envelope(path, n, seed):
@@ -830,27 +799,38 @@ def simulate_envelope(path, n, seed):
     return path
 
 
-def assert_walked_without_the_whole_text(path, monkeypatch):
-    """``_load_json`` gives json's value for every keep set with the whole
-    text out of reach, so the windowed walk read the file alone."""
+def assert_read_by_lines(path, monkeypatch):
+    """``load_envelope`` gives json's value for every keep set with the whole
+    text out of reach, so the line reader read the file alone, and it builds
+    the values of the kept members' arrays and no others."""
     whole = json_load(path, KEEPS[0])
+    number_slice, built = simulate._number_slice, []
+
+    def counted(part, build):
+        piece = number_slice(part, build)
+        built.append(piece.size)
+        return piece
+
     with monkeypatch.context() as m:
         m.setattr(Path, "read_text", lambda *_: pytest.fail("read the whole text"))
+        m.setattr(simulate, "_number_slice", counted)
         for keep in KEEPS:
-            got = cli._load_json(str(path), keep)
+            built.clear()
+            got = load_envelope(str(path), keep)
             assert same_json(got, {k: v for k, v in whole.items() if k in keep}), keep
+            assert sum(built) == sum(len(val) for key in keep for val in whole[key].values()
+                                     if isinstance(val, list)), keep
 
 
-# Any text the walk does not take is decoded whole, so only this test, not
-# the agreement with json, tells a broken walk from a working one.
-@pytest.mark.parametrize("window", [1, 7, TINY_WINDOW, cli._WINDOW])
-@pytest.mark.parametrize("slice_size", [2, 3, _SLICE])
-def test_reader_walks_simulate_envelopes_alone(tmp_path, monkeypatch, window, slice_size):
-    monkeypatch.setattr(cli, "_WINDOW", window)
-    monkeypatch.setattr(cli, "_SLICE", slice_size)
+# Any text the line reader does not take is decoded whole, so only these
+# tests, not the agreement with json, tell a broken reader from a working
+# one.
+@pytest.mark.parametrize("line", [1, 2, 3, 8192])
+def test_reader_reads_simulate_envelopes_by_lines(tmp_path, monkeypatch, line):
+    monkeypatch.setattr(simulate, "_SLICE", line)
     for n, seed in ((6, 3), (9, 8)):
         path = simulate_envelope(tmp_path / f"env{n}.json", n, seed)
-        assert_walked_without_the_whole_text(path, monkeypatch)
+        assert_read_by_lines(path, monkeypatch)
 
 
 @pytest.fixture(scope="module")
@@ -858,10 +838,29 @@ def large_env(tmp_path_factory):
     return simulate_envelope(tmp_path_factory.mktemp("large") / "env.json", 10**5, 13)
 
 
-@pytest.mark.parametrize("window", [TINY_WINDOW, cli._WINDOW])
-def test_reader_walks_a_large_simulate_envelope_alone(large_env, monkeypatch, window):
-    monkeypatch.setattr(cli, "_WINDOW", window)
-    assert_walked_without_the_whole_text(large_env, monkeypatch)
+def test_reader_reads_a_large_simulate_envelope_by_lines(large_env, monkeypatch):
+    assert_read_by_lines(large_env, monkeypatch)
+
+
+@pytest.mark.parametrize("indent", [None, 2], ids=["one-line", "indent-2"])
+def test_an_envelope_in_another_layout_is_read_through_json(tmp_path, monkeypatch, indent):
+    # An envelope written before arrays were split into lines holds each on
+    # one line; that and an indented one are decoded whole by json.
+    env = body_json(simulate_envelope(tmp_path / "env.json", 9, 8).read_text())
+    path = tmp_path / "other.json"
+    path.write_text("# header\n" + json.dumps(env, sort_keys=True, indent=indent) + "\n")
+    read_text, reads = Path.read_text, []
+
+    def counted(self, *args, **kwargs):
+        reads.append(self)
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    for keep in KEEPS:
+        reads.clear()
+        got = load_envelope(str(path), keep)
+        assert reads == [path]
+        assert same_json(got, {k: v for k, v in env.items() if k in keep}), keep
 
 
 # Float literals whose nearest double is hard to find: long mantissas,
@@ -876,7 +875,13 @@ HARD_FLOATS = [
 ]
 
 
-def test_reader_parses_every_float64_as_json_loads(tmp_path, monkeypatch):
+def in_lines(literals, size=64):
+    """The array of ``literals`` in the line layout, ``size`` to a line."""
+    rows = (", ".join(literals[i:i + size]) for i in range(0, len(literals), size))
+    return "[\n" + "\n,".join(rows) + "\n]"
+
+
+def test_reader_parses_every_float64_as_json_loads(tmp_path):
     # orjson parses the floats of a number array: each must be the double
     # json.loads gives, to the bit.
     gen = np.random.default_rng(19)
@@ -887,21 +892,14 @@ def test_reader_parses_every_float64_as_json_loads(tmp_path, monkeypatch):
     edges = np.concatenate([subnormal, np.nextafter(2.0**63, [0.0, np.inf]), [2.0**63]])
     values = np.concatenate([bits.view(np.float64), edges, -edges])
     literals = [repr(v) for v in values[np.isfinite(values)].tolist()] + HARD_FLOATS
-    # An integral float from 2^63 up sends its array through json (see
-    # cli._number_slice), so those go in an array of their own.
-    fast = ", ".join(lit for lit in literals if abs(float(lit)) < 2.0**63)
-    wide = ", ".join(lit for lit in literals if abs(float(lit)) >= 2.0**63)
-    monkeypatch.setattr(cli, "_SLICE", 64)
+    # An integral float from 2^63 up sends the text to json (see
+    # simulate._number_slice), so those go in an array of their own.
+    fast = [lit for lit in literals if abs(float(lit)) < 2.0**63]
+    wide = [lit for lit in literals if abs(float(lit)) >= 2.0**63]
     path = tmp_path / "floats.json"
-    text = f'{{"fast": [{fast}], "wide": [{wide}]}}'
+    text = f'{{"fast": {in_lines(fast)}, "wide": {in_lines(wide)}}}'
     path.write_text(text)
-    assert same_json(cli._load_json(str(path), ("fast", "wide")), json.loads(text))
-    # Without json's decoder, the first array is still read: orjson alone
-    # parsed it.
-    text = f'{{"fast": [{fast}]}}'
-    path.write_text(text)
-    monkeypatch.setattr(cli, "_DECODER", None)
-    assert same_json(cli._load_json(str(path), ("fast",)), json.loads(text))
+    assert same_json(load_envelope(str(path), ("fast", "wide")), json.loads(text))
 
 
 def test_orjson_alone_parses_every_float64_as_json_loads(tmp_path, monkeypatch):
@@ -914,12 +912,11 @@ def test_orjson_alone_parses_every_float64_as_json_loads(tmp_path, monkeypatch):
     edges = np.concatenate([subnormal, [np.nextafter(2.0**63, 0.0)]])
     values = np.concatenate([bits, edges, -edges])
     literals = [repr(v) for v in values[np.isfinite(values)].tolist()] + HARD_FLOATS
-    text = "[" + ", ".join(lit for lit in literals if abs(float(lit)) < 2.0**63) + "]"
+    text = in_lines([lit for lit in literals if abs(float(lit)) < 2.0**63])
     path = tmp_path / "floats.json"
     path.write_text(f'{{"fast": {text}}}')
-    monkeypatch.setattr(cli, "_SLICE", 64)
     monkeypatch.setattr(Path, "read_text", lambda *_: pytest.fail("read the whole text"))
-    got = cli._load_json(str(path), ("fast",))["fast"]
+    got = load_envelope(str(path), ("fast",))["fast"]
     assert isinstance(got, np.ndarray) and got.dtype == np.float64
     want = np.array(json.loads(text), dtype=np.float64)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -1,5 +1,7 @@
 import json
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from transparent_dp.simulate import (
     dataset_to_json,
     gen_confidential,
     json_parts,
+    load_envelope,
     privatize_dataset,
 )
 
@@ -153,7 +156,7 @@ def test_dict_forms_match_json_forms():
     data = gen_confidential(6, REF_PARAMS, stream(11, "dict"), seed=11)
     priv = privatize_dataset(data, PrivacyBudget(0.5), PrivacyBudget(0.25), stream(11, "dict-n"))
     for ds in (data, priv):
-        assert dataset_to_json(ds) == json.dumps(dataset_to_dict(ds), sort_keys=True)
+        assert json.loads(dataset_to_json(ds)) == dataset_to_dict(ds)
         again = dataset_from_dict(json.loads(dataset_to_json(ds)))
         assert dataset_to_json(again) == dataset_to_json(ds)
     with pytest.raises(ValueError):
@@ -278,127 +281,88 @@ def sliced_datasets(n):
     return conf, priv
 
 
+def assert_same_bits(back, ds):
+    """The JSON object ``back`` holds each field of ``ds``: every array with
+    its dtype and bits, every other field equal."""
+    for key, val in _dataset_fields(ds).items():
+        if isinstance(val, np.ndarray):
+            got = np.array(back[key])
+            assert got.dtype == val.dtype and got.tobytes() == val.tobytes(), key
+        else:
+            assert back[key] == val, key
+
+
 @pytest.mark.parametrize("n", [_SLICE - 1, _SLICE, _SLICE + 1])
-def test_json_parts_write_json_dumps_text_in_bounded_slices(n):
+def test_json_parts_write_one_slice_of_an_array_per_line(n):
     conf, priv = sliced_datasets(n)
     for ds in (conf, priv):
-        parts = list(json_parts(ds))
-        assert "".join(parts) == json.dumps(dataset_to_dict(ds), sort_keys=True)
-        assert dataset_to_json(ds) == "".join(parts)
-        # a piece holds at most _SLICE values, so fewer than _SLICE commas
-        assert max(p.count(",") for p in parts) < _SLICE
+        text = "".join(json_parts(ds))
+        assert dataset_to_json(ds) == text
+        assert_same_bits(json.loads(text), ds)
+        arrays = re.findall(r"\[\n(.*?)\n\]", text, re.S)
+        assert len(arrays) == 2
+        for array in arrays:
+            rows = array.split("\n")
+            assert len(rows) == -(-n // _SLICE)
+            assert not rows[0].startswith(",") and all(r.startswith(",") for r in rows[1:])
+            assert max(len(r.lstrip(",").split(",")) for r in rows) <= _SLICE
     envelope = {"privatized": priv, "confidential": conf}
-    assert "".join(json_parts(envelope)) == json.dumps(
-        {key: dataset_to_dict(ds) for key, ds in envelope.items()}, sort_keys=True
-    )
+    back = json.loads("".join(json_parts(envelope)))
+    assert list(back) == ["confidential", "privatized"]
+    for key, ds in envelope.items():
+        assert_same_bits(back[key], ds)
 
 
-REAL_DUMPS = json.dumps
-
-
-def write_noting_fallback(obj, monkeypatch):
-    """``json_parts(obj)`` joined, and whether a slice went through json.dumps."""
-    text, lists, _ = write_noting_dumps(obj, monkeypatch)
-    return text, bool(lists)
-
-
-def write_noting_dumps(obj, monkeypatch):
-    """``json_parts(obj)`` joined, the length of each list that went through
-    json.dumps, and each float that went through it alone."""
-    lists, floats = [], []
-
-    def dumps(value, *args, **kwargs):
-        if isinstance(value, list):
-            lists.append(len(value))
-        elif isinstance(value, float):
-            floats.append(value)
-        return REAL_DUMPS(value, *args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(json, "dumps", dumps)
-        text = "".join(json_parts(obj))
-    return text, lists, floats
-
-
-def assert_written_as_json_dumps(arr, monkeypatch, fast):
-    text, fell_back = write_noting_fallback(arr, monkeypatch)
-    assert text == json.dumps(arr.tolist())
-    assert fell_back is not fast
-
-
-def in_fixed_range(v):
-    """Values that Python's float repr prints without an exponent."""
-    a = np.abs(v)
-    return (a == 0) | ((a >= 1e-4) & (a < 1e16))
-
-
-def test_json_parts_formats_every_float64_as_json_dumps(monkeypatch):
+def float64_edges():
+    """float64 values that are hard to write: both zeros, the subnormals,
+    the edges of Python's fixed notation, the largest float, and random bit
+    patterns of every exponent."""
     gen = np.random.default_rng(16)
-    bits = gen.integers(0, 2**64, 10**6, dtype=np.uint64)
-    # every exponent, NaN and inf among them, and both signs
+    bits = gen.integers(0, 2**64, 10**5, dtype=np.uint64)
     assert np.unique(bits >> np.uint64(52)).size == 4096
     floats = bits.view(np.float64)
-    assert_written_as_json_dumps(floats, monkeypatch, fast=False)
-    assert_written_as_json_dumps(floats[in_fixed_range(floats)], monkeypatch, fast=True)
-    spread = gen.choice([-1.0, 1.0], 10**5) * 10.0 ** gen.uniform(-4, 16, 10**5)
-    whole = gen.integers(-2**53, 2**53, 10**5).astype(float)
-    assert_written_as_json_dumps(np.concatenate([spread, whole, [0.5, 1e15, 0.1]]),
-                                 monkeypatch, fast=True)
-    # Slices that mix both kinds: orjson writes the runs between the values
-    # printed in exponent form or not finite, and json.dumps each of those.
-    odd = np.concatenate([floats[~in_fixed_range(floats)][:40],
-                          [np.nan, np.inf, -np.inf, 1e-5, -1e16, 5e-324]])
-    mixed = gen.normal(0.0, 20.0, 3 * _SLICE)
-    at = np.concatenate([[0, 1, 2, _SLICE - 1, _SLICE, 3 * _SLICE - 1],
-                         gen.choice(np.arange(3, 3 * _SLICE - 1), odd.size - 6, replace=False)])
-    mixed[at] = odd
-    text, lists, alone = write_noting_dumps(mixed, monkeypatch)
-    assert text == json.dumps(mixed.tolist())
-    # (a normal draw can itself fall below 1e-4)
-    assert lists == [] and REAL_DUMPS(alone) == REAL_DUMPS(
-        mixed[~in_fixed_range(mixed)].tolist())
-    assert len(alone) >= odd.size
-    # past one such value in 32, the whole slice goes through json.dumps
-    dense = mixed[:_SLICE].copy()
-    dense[::31] = 1e-5
-    text, lists, alone = write_noting_dumps(dense, monkeypatch)
-    assert text == json.dumps(dense.tolist()) and lists == [_SLICE] and alone == []
+    subnormal = gen.integers(1, 2**52, 1000, dtype=np.uint64).view(np.float64)
+    normal_min = np.finfo(np.float64).tiny
+    edges = np.array([0.0, 5e-324, np.nextafter(normal_min, 0.0), normal_min, 1e-5,
+                      np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e16, 0.0), 1e16,
+                      np.nextafter(1e16, np.inf), 0.1, 1.5, np.finfo(np.float64).max])
+    return np.concatenate([edges, -edges, subnormal, -subnormal, floats[np.isfinite(floats)]])
 
 
-def test_json_parts_formats_float64_edges_as_json_dumps(monkeypatch):
-    subnormal = (np.random.default_rng(17).integers(1, 2**52, 1000, dtype=np.uint64)
-                 | np.uint64(2**63)).view(np.float64)
-    tiny = np.array([5e-324, -5e-324, np.nextafter(2.2250738585072014e-308, 0)])
-    assert_written_as_json_dumps(np.concatenate([subnormal, -subnormal, tiny]),
-                                 monkeypatch, fast=False)
-    assert_written_as_json_dumps(np.array([0.0, -0.0, 0.0]), monkeypatch, fast=True)
-    for v, fast in ((np.nextafter(1e-4, 0.0), False), (1e-4, True),
-                    (np.nextafter(1e-4, 1.0), True), (np.nextafter(1e16, 0.0), True),
-                    (1e16, False), (np.nextafter(1e16, np.inf), False)):
-        assert_written_as_json_dumps(np.array([1.5, v, -v]), monkeypatch, fast=fast)
-    for bad in (np.nan, np.inf, -np.inf):
-        assert_written_as_json_dumps(np.array([1.5, bad]), monkeypatch, fast=False)
+I64 = np.iinfo(np.int64)
 
 
-def test_json_parts_formats_other_arrays_as_json_dumps(monkeypatch):
-    i64 = np.iinfo(np.int64)
-    extremes = np.array([i64.min, i64.min + 1, -1, 0, 1, i64.max - 1, i64.max])
-    assert_written_as_json_dumps(extremes, monkeypatch, fast=True)
-    gen = np.random.default_rng(18)
-    values = gen.normal(0.0, 100.0, 3 * _SLICE)
-    # a strided view is copied to a contiguous buffer and takes the fast path
-    assert_written_as_json_dumps(values[::3], monkeypatch, fast=True)
-    assert_written_as_json_dumps(gen.integers(-9, 9, 2 * _SLICE)[::2], monkeypatch, fast=True)
-    for arr in (values.astype(np.float32), gen.integers(-2**31, 2**31, 1000, dtype=np.int32),
-                np.array([0, 2**63, 2**64 - 1], dtype=np.uint64), np.array([True, False])):
-        assert_written_as_json_dumps(arr, monkeypatch, fast=False)
-    assert "".join(json_parts(np.array([], dtype=float))) == "[]"
+@pytest.mark.parametrize("values", [
+    float64_edges(), np.array([I64.min, I64.min + 1, -1, 0, 1, I64.max - 1, I64.max]),
+], ids=["float64", "int64"])
+def test_json_parts_round_trip_every_value_to_the_bit(tmp_path, monkeypatch, values):
+    text = "".join(json_parts({"values": values}))
+    back = np.array(json.loads(text)["values"])
+    assert back.dtype == values.dtype and back.tobytes() == values.tobytes()
+    path = tmp_path / "values.json"
+    path.write_text(text)
+    got = np.array(load_envelope(str(path), ("values",))["values"])
+    assert got.dtype == values.dtype and got.tobytes() == values.tobytes()
+    # An integral float from 2^63 up sends the text to json, so the values
+    # below it are read by lines alone as well.
+    fast = values[(values != np.trunc(values)) | (np.abs(values) < 2.0**63)]
+    path.write_text("".join(json_parts({"values": fast})))
+    monkeypatch.setattr(Path, "read_text", lambda *_: pytest.fail("read the whole text"))
+    got = load_envelope(str(path), ("values",))["values"]
+    assert got.dtype == values.dtype and got.tobytes() == fast.tobytes()
 
 
-def test_json_parts_writes_a_seeded_release_on_the_fast_path(monkeypatch):
-    conf = gen_confidential(3 * _SLICE + 1, REF_PARAMS, stream(16, "conf"), seed=16)
-    priv = privatize_dataset(conf, PrivacyBudget(1.0), PrivacyBudget(1.0), stream(16, "priv"))
-    for ds in (conf, priv):
-        text, fell_back = write_noting_fallback(ds, monkeypatch)
-        assert not fell_back
-        assert text == json.dumps(dataset_to_dict(ds), sort_keys=True)
+def test_json_parts_write_the_same_bytes_for_the_same_seed():
+    texts = []
+    for _ in range(2):
+        conf = gen_confidential(3 * _SLICE + 1, REF_PARAMS, stream(16, "conf"), seed=16)
+        priv = privatize_dataset(conf, PrivacyBudget(1.0), PrivacyBudget(1.0),
+                                 stream(16, "priv"))
+        texts.append("".join(json_parts({"confidential": conf, "privatized": priv})))
+    assert texts[0] == texts[1]
+
+
+def test_json_parts_write_a_float_array_as_float64():
+    x = np.array([0.1, 2.5, 1e-30, -3.0], dtype=np.float32)
+    assert json.loads("".join(json_parts(x))) == x.astype(np.float64).tolist()
+    assert "".join(json_parts(np.array([], dtype=float))) == "[\n]"
