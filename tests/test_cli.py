@@ -779,7 +779,25 @@ EDGE_TEXTS = [
 ]
 
 
-def test_reader_agrees_with_json_on_edge_texts(tmp_path, monkeypatch):
+# Sizes of the reads the line reader's file is read in: one character, a
+# few, and more than any test file, so lines and CRLF line ends straddle
+# the reads or fall inside one.
+WINDOWS = [1, 7, 24, 2**18]
+
+
+def read_in_windows(monkeypatch, window):
+    """Make ``load_envelope`` read its file ``window`` bytes at a time."""
+    def opened(path):
+        fh = open(path)
+        fh._CHUNK_SIZE = window
+        return fh
+
+    monkeypatch.setattr(simulate, "open", opened, raising=False)
+
+
+@pytest.mark.parametrize("window", WINDOWS)
+def test_reader_agrees_with_json_on_edge_texts(tmp_path, monkeypatch, window):
+    read_in_windows(monkeypatch, window)
     path = tmp_path / "edge.json"
     for text in EDGE_TEXTS:
         path.write_text(text, newline="")
@@ -825,8 +843,12 @@ def assert_read_by_lines(path, monkeypatch):
 # Any text the line reader does not take is decoded whole, so only these
 # tests, not the agreement with json, tell a broken reader from a working
 # one.
-@pytest.mark.parametrize("line", [1, 2, 3, 8192])
-def test_reader_reads_simulate_envelopes_by_lines(tmp_path, monkeypatch, line):
+# A line of 65 536 values holds a whole array, as the writer's 8192 does
+# at these sizes.
+@pytest.mark.parametrize("window", WINDOWS)
+@pytest.mark.parametrize("line", [1, 2, 3, 65536])
+def test_reader_walks_simulate_envelopes_alone(tmp_path, monkeypatch, window, line):
+    read_in_windows(monkeypatch, window)
     monkeypatch.setattr(simulate, "_SLICE", line)
     for n, seed in ((6, 3), (9, 8)):
         path = simulate_envelope(tmp_path / f"env{n}.json", n, seed)
@@ -838,7 +860,9 @@ def large_env(tmp_path_factory):
     return simulate_envelope(tmp_path_factory.mktemp("large") / "env.json", 10**5, 13)
 
 
-def test_reader_reads_a_large_simulate_envelope_by_lines(large_env, monkeypatch):
+@pytest.mark.parametrize("window", [24, 2**18])
+def test_reader_walks_a_large_simulate_envelope_alone(large_env, monkeypatch, window):
+    read_in_windows(monkeypatch, window)
     assert_read_by_lines(large_env, monkeypatch)
 
 
