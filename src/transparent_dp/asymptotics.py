@@ -272,5 +272,8 @@ def reference_design(n: int = 500) -> np.ndarray:
     Its seed, :data:`REFERENCE_DESIGN_SEED`, is fixed so that the n = 500
     design has unadjusted sample variance 1.023 to within 5e-4, matching the
     documented study configuration; regeneration is bit-reproducible.
+    An ``n`` below 2 is refused: no slope can be fitted on such a design.
     """
+    if n < 2:
+        raise ValueError(f"n must be at least 2, got {n}")
     return stream(REFERENCE_DESIGN_SEED, "reference-design").normal(0.0, 1.0, n)

@@ -5,10 +5,9 @@ command with identical arguments produces byte-identical output.  Outputs
 are CSV or JSON prefixed with a ``#`` comment line echoing the version,
 command, and full parameter set.  Every report is formatted here, by one
 CSV writer and one JSON writer: floats print as Python's shortest repr,
-JSON has sorted keys, and an undefined value is ``null``.  A JSON config
-file may supply any parameter via ``--config``, checked and typed as its
-flag would be; explicit flags override it.  Each parameter is declared once, in
-``_COMMANDS``, which drives the parser, the defaults and the config check.
+JSON has sorted keys, and an undefined value is ``null``.  Each parameter is
+set by its flag alone and declared once, in ``_COMMANDS``, which drives the
+parser, its defaults and the header.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ __all__ = ["main", "build_parser"]
 REQUIRED = object()
 
 # A row is (name, type or tuple of choices, default, help).  Each row is a
-# flag, a --config key and a header entry; shared rows are written once.
+# flag and a header entry; shared rows are written once.
 _OUTPUT = ("output", str, None, "output file path (default: stdout)")
 _SEED = ("seed", int, REQUIRED, "master seed")
 _INPUT = ("input", str, REQUIRED, "JSON envelope from the simulate command")
@@ -204,65 +203,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command")
     for command, (help_text, rows) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
-        p.add_argument("--config", help="JSON file of parameters; flags override")
-        # No argparse defaults: an absent flag must not override --config.
         for name, kind, default, text in (_OUTPUT, *rows):
-            if default is not None and default is not REQUIRED:
+            if default is REQUIRED:
+                default = None
+            elif default is not None:
                 text = f"{text} (default {default})"
             if isinstance(kind, tuple):
-                p.add_argument(_flag(name), choices=kind, help=text)
+                p.add_argument(_flag(name), choices=kind, default=default, help=text)
             else:
                 p.add_argument(_flag(name), type=_finite_float if kind is float else kind,
-                               help=text)
+                               default=default, help=text)
     return parser
 
 
-def _config_value(row: tuple, val):
-    """A --config value checked and typed as the flag of ``row`` would be parsed.
-
-    JSON null leaves a parameter without a default unset; an int is widened
-    for a float parameter, and a value that is not a finite float is refused
-    for it as the flag refuses one.
-    """
-    name, kind, default, _ = row
-    if val is None and (default is None or default is REQUIRED):
-        return default
-    if isinstance(kind, tuple):
-        ok, want = val in kind, "one of " + ", ".join(kind)
-    else:
-        number = (int, float) if kind is float else kind
-        ok = isinstance(val, number) and not isinstance(val, bool)
-        # False for NaN, infinities and ints that would overflow float().
-        ok = ok and (kind is not float or abs(val) <= sys.float_info.max)
-        want = {int: "an integer", float: "a finite number", str: "a string"}[kind]
-    if not ok:
-        raise _UsageError(f"config key {name!r} must be {want}, got {json.dumps(val)}")
-    return float(val) if kind is float else val
-
-
-def _merge(args: argparse.Namespace, command: str) -> dict:
-    rows = {row[0]: row for row in (_OUTPUT, *_COMMANDS[command][1])}
-    params = {name: default for name, _, default, _ in rows.values()}
-    if args.config:
-        loaded = json.loads(Path(args.config).read_text())
-        if not isinstance(loaded, dict):
-            raise _UsageError(
-                f"--config must hold a JSON object, got {type(loaded).__name__}"
-            )
-        for key, val in loaded.items():
-            if key not in rows:
-                raise _UsageError(f"unknown config key {key!r} for {command}")
-            params[key] = _config_value(rows[key], val)
-    for key in params:
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
-    _require(params, *(name for name, _, default, _ in rows.values() if default is REQUIRED))
+def _params(args: argparse.Namespace) -> dict:
+    """The parameters of ``args.command``, refused if a ``REQUIRED`` one is unset."""
+    params = vars(args).copy()
+    command = params.pop("command")
+    _require(params, *(name for name, _, default, _ in _COMMANDS[command][1]
+                       if default is REQUIRED))
     return params
 
 
 def _require(params: dict, *keys: str) -> None:
-    missing = [k for k in keys if params[k] is None or params[k] is REQUIRED]
+    missing = [k for k in keys if params[k] is None]
     if missing:
         raise _UsageError(f"missing required argument(s): {', '.join(map(_flag, missing))}")
 
@@ -608,7 +572,7 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        params = _merge(args, args.command)
+        params = _params(args)
         body = _RUNNERS[args.command](params)
         body = (body,) if isinstance(body, str) else body
         _emit(chain((_header(args.command, params),), body), params.get("output"))

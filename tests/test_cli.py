@@ -29,7 +29,7 @@ from transparent_dp.simulate import (
     load_envelope,
 )
 
-COMMON_FLAGS = ["--config", "--output", "--help"]
+COMMON_FLAGS = ["--output", "--help"]
 
 # One entry per subcommand; the help test checks this list both ways, so a
 # flag added to the parser without a doc entry here fails loudly.
@@ -175,6 +175,11 @@ def test_header_echoes_sorted_params_without_output(capsys, tmp_path):
     assert keys == sorted(keys)
     assert "output" not in keys
     assert "epsilon=0.5" in pairs
+    # A float flag given as an int is echoed as the float it was parsed to.
+    rc, out, _ = run(capsys, ["simulate", "--n", "3", "--epsilon-x", "1",
+                              "--epsilon-y", "1", "--seed", "5"])
+    assert rc == 0
+    assert "epsilon_x=1.0" in out.splitlines()[0].split()
 
 
 def test_privatize_laplace_adds_float_noise(capsys):
@@ -1413,70 +1418,31 @@ def test_verify_dp_huge_sensitivity_costs_no_more(capsys):
     assert report["satisfied"] is True
 
 
-def test_config_file_merges_and_flags_override(capsys, tmp_path):
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_config_is_not_an_option(capsys, tmp_path, command):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 4, "sigma": 2.0, "lam": 5.0,
-                               "epsilon_x": 0.5, "epsilon_y": 0.5, "seed": 3}))
-    rc, out, _ = run(capsys, ["simulate", "--config", str(cfg), "--n", "5"])
-    assert rc == 0
-    assert "n=5" in out.splitlines()[0]
-    assert len(body_json(out)["confidential"]["x"]) == 5
+    cfg.write_text("{}")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg)])
+    cap = capsys.readouterr()
+    assert exc.value.code == 2 and cap.out == ""
+    assert f"error: unrecognized arguments: --config {cfg}\n" in cap.err
 
 
-def test_config_unknown_key_exits_2(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"bogus": 1}))
-    rc, _, err = run(capsys, ["simulate", "--config", str(cfg), "--n", "3",
-                              "--epsilon-x", "1", "--epsilon-y", "1",
-                              "--seed", "2"])
-    assert rc == 2
-    assert "unknown config key" in err
-
-
-@pytest.mark.parametrize("payload", [[1, 2], 3, "n", None])
-def test_config_must_be_a_json_object(capsys, tmp_path, payload):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(payload))
-    rc, _, err = run(capsys, ["simulate", "--config", str(cfg), "--n", "3",
-                              "--epsilon-x", "1", "--epsilon-y", "1",
-                              "--seed", "2"])
-    assert rc == 2
-    assert err.startswith("usage error:") and "JSON object" in err
-
-
-def test_config_ints_match_flags_byte_for_byte(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 3, "sigma": 2, "lam": 5, "epsilon_x": 1,
-                               "epsilon_y": 1, "seed": 5}))
-    rc, from_config, _ = run(capsys, ["simulate", "--config", str(cfg)])
-    assert rc == 0
-    rc, from_flags, _ = run(capsys, ["simulate", "--n", "3", "--sigma", "2", "--lam", "5",
-                                     "--epsilon-x", "1", "--epsilon-y", "1", "--seed", "5"])
-    assert rc == 0
-    assert "epsilon_x=1.0" in from_flags.splitlines()[0]
-    assert from_config == from_flags
-
-
-@pytest.mark.parametrize("command, payload, argv", [
-    ("fit-mcem", {"k_samples": None}, ["--seed", "7", "--max-iter", "2"]),
-    ("simulate", {"n": "three"}, ["--epsilon-x", "1", "--epsilon-y", "1", "--seed", "2"]),
-    ("simulate", {"n": 3.0}, ["--epsilon-x", "1", "--epsilon-y", "1", "--seed", "2"]),
-    ("privatize", {"family": "bogus"}, ["--values", "1,2", "--epsilon", "1", "--seed", "2"]),
-    ("clt-limits", {"beta1": float("nan")}, ["--steps", "2"]),
-    ("clt-limits", {"beta1": float("inf")}, ["--steps", "2"]),
-    ("clt-limits", {"sigma_sq": float("-inf")}, ["--steps", "2"]),
-    ("clt-limits", {"alpha": 10**400}, ["--steps", "2"]),
-])
-def test_config_values_are_checked_like_flags(capsys, tmp_path, mcem_env,
-                                              command, payload, argv):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(payload))
-    if command == "fit-mcem":
-        argv = argv + ["--input", str(mcem_env)]
-    rc, out, err = run(capsys, [command, "--config", str(cfg)] + argv)
-    assert rc == 2 and out == ""
-    assert err.startswith("usage error:") and "Traceback" not in err
-    assert repr(next(iter(payload))) in err
+@pytest.mark.parametrize("command", sorted(FLAGS))
+def test_the_parser_holds_every_default(command):
+    # Given only its REQUIRED flags, a command gets every other row's
+    # default, of the row's type, without running.
+    argv, expected = [command], {}
+    for name, kind, default, _ in [cli._OUTPUT, *cli._COMMANDS[command][1]]:
+        if default is cli.REQUIRED:
+            default = kind[0] if isinstance(kind, tuple) else kind("1")
+            argv += [cli._flag(name), str(default)]
+        expected[name] = default
+    params = cli._params(cli.build_parser().parse_args(argv))
+    assert params == expected and params["output"] is None
+    assert {key: type(val) for key, val in params.items()} == {
+        key: type(val) for key, val in expected.items()}
 
 
 @pytest.mark.parametrize("argv", [
@@ -1541,16 +1507,19 @@ def test_main_reuses_one_parser_with_the_same_output(capsys, argv):
 
 
 @pytest.mark.parametrize("command", ["clt-limits", "coverage-grid"])
-def test_the_design_seed_is_not_settable(capsys, tmp_path, command):
+def test_the_design_seed_is_not_settable(capsys, command):
     with pytest.raises(SystemExit) as exc:
         main([command, "--design-seed", "1"])
     assert exc.value.code == 2
-    capsys.readouterr()
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"design_seed": 876}))
-    rc, out, err = run(capsys, [command, "--config", str(cfg)])
-    assert rc == 2 and out == ""
-    assert err == f"usage error: unknown config key 'design_seed' for {command}\n"
+    assert "unrecognized arguments: --design-seed 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["clt-limits", "coverage-grid"])
+@pytest.mark.parametrize("n", ["-1", "0", "1"])
+def test_a_design_below_two_points_is_one_error_line(capsys, command, n):
+    rc, out, err = run(capsys, [command, f"--n={n}"])
+    assert rc == 1 and out == ""
+    assert err == f"ValueError: n must be at least 2, got {n}\n"
 
 
 @pytest.mark.parametrize("command", ["clt-limits", "coverage-grid"])
